@@ -19,6 +19,7 @@ from .correlation import (
     CorrelationReport,
     CyclotomicSum,
     ShiftCheck,
+    aacf_set_counts,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -66,6 +67,7 @@ __all__ = [
     "CorrelationReport",
     "CyclotomicSum",
     "ShiftCheck",
+    "aacf_set_counts",
     "aacf_set_sum",
     "accf_exact",
     "accf_float",

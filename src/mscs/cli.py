@@ -10,8 +10,10 @@ Subcommands:
 * ``selftest``  run the bundled end-to-end checks at reduced scale.
 
 Exit codes: 0 success / claim verified, 1 verification or selftest
-failure, 2 usage or parse error.  Documents are written with sorted keys
-and fixed layout, so identical flags (and seed) give identical bytes.
+failure, 2 usage or parse error, 3 an internal check failed (exact and
+float verdicts disagree, or all-shift counts fail their checks).
+Documents are written with sorted keys and fixed layout, so identical
+flags (and seed) give identical bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .constructions import (
 from .correlation import (
     NONZERO_TOL,
     ZERO_TOL,
+    aacf_set_counts,
     aacf_set_sum,
     is_zero,
     kronecker_accf_identity_check,
@@ -70,13 +73,16 @@ class SetDocument:
 
 
 def _check_claim(claim: dict) -> dict:
+    if not isinstance(claim, dict):
+        raise ValueError("claim must be an object")
     kind = claim.get("kind")
     if kind not in CLAIM_KINDS:
         raise ValueError(f"claim kind must be one of {', '.join(CLAIM_KINDS)}, got {kind!r}")
-    if kind == "MSCS" and "S" not in claim:
-        raise ValueError("MSCS claim needs S")
-    if kind == "ZCS" and "Z" not in claim:
-        raise ValueError("ZCS claim needs Z")
+    for key, needed in (("S", kind == "MSCS"), ("Z", kind == "ZCS")):
+        if needed and key not in claim:
+            raise ValueError(f"{kind} claim needs {key}")
+        if key in claim and type(claim[key]) is not int:
+            raise ValueError(f"claim {key} must be an integer, got {claim[key]!r}")
     return dict(claim)
 
 
@@ -121,6 +127,13 @@ def document_to_json(doc: SetDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _field_int(payload: dict, key: str) -> int:
+    value = payload[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def document_from_json(text: str) -> SetDocument:
     try:
         payload = json.loads(text)
@@ -132,32 +145,37 @@ def document_from_json(text: str) -> SetDocument:
     if schema != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {schema!r}")
     try:
-        modulus = int(payload["lambda"])
-        length = int(payload["length"])
-        set_size = int(payload["set_size"])
+        modulus = _field_int(payload, "lambda")
+        length = _field_int(payload, "length")
+        set_size = _field_int(payload, "set_size")
         claim = _check_claim(payload["claim"])
-        provenance = dict(payload["provenance"])
+        provenance = payload["provenance"]
         rows = payload["sequences"]
     except KeyError as exc:
         raise ValueError(f"document is missing field {exc.args[0]!r}") from None
+    if not isinstance(provenance, dict):
+        raise ValueError("provenance must be an object")
     if modulus < 2:
         raise ValueError(f"lambda {modulus} must be >= 2")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("sequences must be a list of lists")
     if len(rows) != set_size:
         raise ValueError(f"document lists {len(rows)} sequences, set_size says {set_size}")
     sequences = []
     for row in rows:
         if len(row) != length:
             raise ValueError(f"sequence of length {len(row)} does not match length {length}")
-        vals = [int(v) for v in row]
-        if any(not (0 <= v < modulus) for v in vals):
+        if row and set(map(type, row)) != {int}:
+            raise ValueError("sequence entries must be integers")
+        if row and not (0 <= min(row) and max(row) < modulus):
             raise ValueError("sequence entries must lie in [0, lambda)")
-        sequences.append(tuple(vals))
+        sequences.append(tuple(row))
     return SetDocument(
         modulus=modulus,
         length=length,
         set_size=set_size,
         claim=claim,
-        provenance=provenance,
+        provenance=dict(provenance),
         sequences=tuple(sequences),
         schema=schema,
     )
@@ -480,6 +498,14 @@ def _selftest_checks():
             return f"degenerate split: {zeros} zeros, {nonzeros} nonzeros"
         return None
 
+    def check_all_shift_counts():
+        for sset in (reference_sets.mscs_3_27_3(), reference_sets.mscs_3_54_2()):
+            shifts = range(1, sset.length)
+            for tau, row in zip(shifts, aacf_set_counts(sset, shifts)):
+                if not np.array_equal(row, aacf_set_sum(sset, tau).counts):
+                    return f"L={sset.length} tau={tau}: all-shift counts {row.tolist()} differ"
+        return None
+
     def check_iapr_curves():
         sset = reference_sets.mscs_3_54_2()
         report = pmepr_set(sset, 2)
@@ -505,6 +531,7 @@ def _selftest_checks():
         ("kronecker-split", check_kronecker_split),
         ("energy-identity", check_energy_identity),
         ("exact-float-separation", check_exact_float_separation),
+        ("all-shift-counts", check_all_shift_counts),
         ("iapr-curves", check_iapr_curves),
     ]
 
@@ -583,6 +610,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

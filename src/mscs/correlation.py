@@ -5,15 +5,33 @@ a multiset of lambda-th roots of unity, stored as an integer count per
 exponent (:class:`CyclotomicSum`).  Such a sum is exactly zero iff its
 generating polynomial sum_j counts[j] x^j is divisible by the lambda-th
 cyclotomic polynomial, the minimal polynomial of exp(2*pi*1j/lambda).  The
-divisibility test runs in integer arithmetic, so GCS / MSCS / type-II ZCS
-verdicts carry no floating point tolerance.
+test multiplies the counts by the integer matrix of the residues
+x^j mod Phi_lambda, so GCS / MSCS / type-II ZCS verdicts carry no floating
+point tolerance.
 
-A floating point path evaluates every tested sum independently in complex
-doubles.  Exact and float verdicts must agree (zero below ``ZERO_TOL``,
-nonzero above ``NONZERO_TOL``); a sum landing between the two thresholds,
-or on the wrong side of its exact verdict, raises, because at these sizes
-(at most 10^6 terms, lambda at most a few dozen in practice) nonzero sums
-of roots of unity are bounded far away from zero.
+Exact verification takes one of two paths, chosen from the input size:
+
+* per-shift: one O(M*L) bincount (:func:`aacf_set_sum`) per tested shift.
+* all-shift: the count vectors of every tested shift at once
+  (:func:`aacf_set_counts`).  For k = 0..lambda//2 the members' lifts
+  w^(k*x) are autocorrelated with zero-padded FFTs; embedding lambda-k is
+  the conjugate of embedding k.  A length-lambda DFT over k at each shift,
+  divided by lambda and rounded, gives
+  counts[tau, d] = #{(member, i): x_i - x_{i+tau} = d mod lambda}.
+
+The all-shift path runs when the per-shift work sum_tau (L - tau) exceeds
+(lambda//2 + 1) * n * log2(n), n = 2L, and the a-priori rounding bound of
+:func:`_rounding_bound` stays below 1/2, so rounding recovers every count.
+Its counts must also be non-negative and sum to M*(L - tau) at every shift,
+and the shift with the largest rounding residual is recomputed by
+:func:`aacf_set_sum`; a violation raises ``RuntimeError``.
+
+A floating point path evaluates every tested sum in complex doubles (the
+k = 1 embedding).  Exact and float verdicts must agree (zero below
+``ZERO_TOL``, nonzero above ``NONZERO_TOL``); a sum landing between the two
+thresholds, or on the wrong side of its exact verdict, raises, because at
+these sizes (at most 10^6 terms, lambda at most a few dozen in practice)
+nonzero sums of roots of unity are bounded far away from zero.
 
 Moduli above ``EXACT_MODULUS_CAP`` fall back to the float path alone and
 reports are marked ``mode="numerical"``.
@@ -22,6 +40,7 @@ reports are marked ``mode="numerical"``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -117,42 +136,59 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact quotient of integer polynomials; den must be monic and divide num."""
-    num = list(num)
+def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, ascending; den must be monic."""
     dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+    rem = list(num) + [0] * max(0, dd - len(num))
+    quot = [0] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
         if c:
             quot[i - dd] = c
             for j, dc in enumerate(den):
-                num[i - dd + j] -= c * dc
-    if any(num):
+                rem[i - dd + j] -= c * dc
+    return quot, rem[:dd]
+
+
+def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """Exact quotient of integer polynomials; den must be monic and divide num."""
+    quot, rem = _poly_divmod(num, den)
+    if any(rem):
         raise ValueError("polynomial division left a remainder")
     return quot
 
 
-def is_zero(s: CyclotomicSum) -> bool:
+@functools.lru_cache(maxsize=None)
+def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
+    """Row j holds x^j mod Phi_n (n x phi(n), int64); also the largest |entry|."""
+    phi = cyclotomic_polynomial(n)
+    rows = [_poly_divmod([0] * j + [1], phi)[1] for j in range(n)]
+    matrix = np.array(rows, dtype=np.int64).reshape(n, len(phi) - 1)
+    matrix.flags.writeable = False
+    return matrix, int(np.abs(matrix).max(initial=0))
+
+
+def is_zero(s: CyclotomicSum | np.ndarray):
     """Exact test of sum_j counts[j] * w^j == 0.
 
     True iff the counts polynomial is divisible by the lambda-th cyclotomic
     polynomial: w is a root of a rational polynomial exactly when its
-    minimal polynomial divides it.  Divisor is monic, so the division stays
-    in integers.
+    minimal polynomial divides it.  The remainder is counts @ R, R holding
+    x^j mod Phi_lambda, so it stays in integers.  Accepts one
+    :class:`CyclotomicSum` (returns a bool) or an integer array of count
+    vectors along its last axis, whose length is lambda (returns a bool
+    array).  When max|R| * sum|counts| could overflow int64 the product is
+    taken in Python integers.
     """
-    if not s.counts.any():
-        return True
-    phi = cyclotomic_polynomial(s.modulus)
-    dd = len(phi) - 1
-    rem = [int(c) for c in s.counts]
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for j in range(dd):
-                rem[i - dd + j] -= c * phi[j]
-    return not any(rem[:dd])
+    counts = s.counts if isinstance(s, CyclotomicSum) else np.asarray(s, dtype=np.int64)
+    matrix, largest = _reduction_matrix(counts.shape[-1])
+    size = np.add.reduce(np.abs(counts, dtype=np.float64), axis=-1)
+    if largest * np.maximum.reduce(size, axis=None, initial=0.0) < 2.0**62:
+        rem = counts @ matrix
+    else:
+        rem = counts.astype(object) @ matrix.astype(object) != 0
+    zero = np.logical_not(np.logical_or.reduce(rem, axis=-1))
+    return bool(zero) if counts.ndim == 1 else zero
 
 
 def _check_pair(a: PhaseSequence, b: PhaseSequence, tau: int) -> int:
@@ -204,23 +240,153 @@ def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
     return CyclotomicSum(lam, np.bincount(diffs.ravel(), minlength=lam))
 
 
-def _aacf_float_all(seq: PhaseSequence) -> np.ndarray:
-    """Autocorrelation at every shift 0..L-1 via one zero-padded FFT."""
-    c = to_complex(seq)
-    L = len(c)
+def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> np.ndarray:
+    """Sum over members of the autocorrelation of w^(k*x) at each shift, one row per k.
+
+    Row k = 1 is the float autocorrelation sum of the set.  Each member and
+    embedding takes one zero-padded length-2L FFT; the power spectra are
+    summed over members before one inverse FFT per embedding.
+    """
+    L, lam = sset.length, sset.modulus
+    shifts = np.asarray(shifts, dtype=np.intp)
+    roots = np.exp(2j * np.pi * np.arange(lam) / lam)
     padded = np.zeros(2 * L, dtype=complex)
-    padded[:L] = c
-    spec = np.fft.fft(padded)
-    corr = np.fft.ifft(spec * np.conj(spec))
-    # corr[t] = sum_i c_{i+t} conj(c_i); the definition conjugates the lagged copy
-    return np.conj(corr[:L])
-
-
-def _set_aacf_float_all(sset: SequenceSet) -> np.ndarray:
-    out = np.zeros(sset.length, dtype=complex)
-    for s in sset.sequences:
-        out += _aacf_float_all(s)
+    out = np.empty((len(ks), len(shifts)), dtype=complex)
+    for row, k in enumerate(ks):
+        power = np.zeros(2 * L)
+        for s in sset.sequences:
+            padded[:L] = roots[(k * s.values) % lam]
+            spec = np.fft.fft(padded)
+            power += spec.real**2 + spec.imag**2
+        # ifft(power)[t] = sum_i c_{i+t} conj(c_i); the definition conjugates the lagged copy
+        out[row] = np.conj(np.fft.ifft(power)[shifts])
     return out
+
+
+def _fft_bound_applies(n: int) -> bool:
+    """True when pocketfft plans a length-n transform as radix passes of at most 31 points.
+
+    It does so when n < 50 or the largest prime factor p of n has p*p <= n;
+    otherwise it may choose Bluestein's algorithm, which
+    :func:`_rounding_bound` does not cover.
+    """
+    rest, largest = n, 1
+    for p in range(2, 32):
+        while rest % p == 0:
+            rest //= p
+            largest = p
+    return rest == 1 and (n < 50 or largest * largest <= n)
+
+
+def _rounding_bound(M: int, L: int, lam: int) -> float:
+    """A-priori bound on |computed - exact| of every all-shift count before rounding.
+
+    With u = 2^-53 and n = 2L the bound is c*u*log2(n)*M*L, where
+    c*log2(n) = 24*log2(n) + M + 2*lam + 90 collects, to first order in u:
+
+    * Transforms.  A radix-r pass forms each output from r inputs and
+      unit-modulus twiddles, erring by at most (r + 6)u against the l1 norm
+      of its inputs (and relatively in l2).  (r + 6)/log2(r) <= 8 for
+      r <= 31, and every output of a DFT is reached from every input along
+      exactly one path of unit weight, so a length-n transform errs by at
+      most eps = 8u*log2(n) per output against the l1 norm of its input,
+      and by eps relatively in l2.
+    * Forward.  A lift has L entries of modulus 1, each within 24u of its
+      root of unity, so ||X||_2^2 = n*L and ||dX||_2 <= (eps + 24u)||X||_2.
+    * Power spectra |X|^2 (3u), summed over M members ((M - 1)u):
+      ||dP||_1 <= (2 eps + 51u + (M - 1)u) * n*M*L.
+    * Inverse, scaled by 1/n (2u): an output errs by at most eps*M*L
+      (sum P = n*M*L) plus ||dP||_1 / n, so every embedding sum E_k(tau)
+      errs by at most u*M*L*(24*log2(n) + M + 53).
+    * The length-lambda transform over k is a dense product with weights
+      a_k*cos, a_k*sin (each within 24u) summing 2*(lambda//2 + 1) <=
+      lambda + 2 terms whose absolute values total at most sqrt(2)*M*L:
+      sqrt(2)*(lambda + 26)*u*M*L <= (2*lambda + 37)*u*M*L more.
+
+    Below 1/2 the bound guarantees that rint recovers every count; the
+    neglected second-order terms are then smaller by a factor of about
+    10^13.  Lengths whose transform plan the first point does not cover get
+    an infinite bound.
+    """
+    n = 2 * L
+    if not _fft_bound_applies(n):
+        return math.inf
+    return 2.0**-53 * M * L * (24 * math.log2(n) + M + 2 * lam + 90)
+
+
+def _choose_path(M: int, L: int, lam: int, shifts: range) -> str:
+    """Verification path for a set of these sizes: numerical, all-shift or per-shift.
+
+    All-shift when the per-shift bincount work sum_tau (L - tau) exceeds the
+    all-shift FFT work (lambda//2 + 1) * n * log2(n), n = 2L, and the
+    rounding bound is below 1/2.  Decided from the sizes alone.
+    """
+    if lam > EXACT_MODULUS_CAP:
+        return "numerical"
+    n = 2 * L
+    shift_sum = len(shifts) * (shifts[0] + shifts[-1]) // 2 if shifts else 0
+    per_shift_work = len(shifts) * L - shift_sum
+    if per_shift_work > (lam // 2 + 1) * n * math.log2(n) and _rounding_bound(M, L, lam) < 0.5:
+        return "all-shift"
+    return "per-shift"
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_dft_weights(lam: int) -> np.ndarray:
+    """Table W with counts = [Re E_0..E_K-1, Im E_0..E_K-1] @ W, K = lambda//2 + 1.
+
+    counts[d] = (1/lambda) sum_k E_k w^(-kd) over k = 0..lambda-1.  Row
+    lambda - k is the conjugate of row k, so k = 0 and k = lambda/2 enter
+    with weight 1 and every other k <= lambda//2 with weight 2.
+    """
+    k = np.arange(lam // 2 + 1)[:, None]
+    weight = np.where((k == 0) | (2 * k == lam), 1.0, 2.0) / lam
+    angle = 2 * np.pi * ((k * np.arange(lam)) % lam) / lam
+    table = np.concatenate([weight * np.cos(angle), weight * np.sin(angle)])
+    table.flags.writeable = False
+    return table
+
+
+def _counts_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
+                           sums: np.ndarray) -> np.ndarray:
+    """Exact count vectors, one row per shift, from the embedding sums k = 1..lambda//2.
+
+    Raises RuntimeError when a count is negative, a shift's counts do not
+    sum to M*(L - tau), or the counts of the shift with the largest rounding
+    residual differ from :func:`aacf_set_sum`.
+    """
+    shifts = np.asarray(shifts, dtype=np.int64)
+    terms = len(sset) * (sset.length - shifts)
+    embeddings = np.concatenate([terms[None].astype(complex), sums])
+    approx = np.concatenate([embeddings.real, embeddings.imag]).T @ _inverse_dft_weights(
+        sset.modulus)
+    rounded = np.rint(approx)
+    residual = np.abs(approx - rounded).max(axis=1)
+    counts = rounded.astype(np.int64)
+    if (counts < 0).any() or not np.array_equal(counts.sum(axis=1), terms):
+        raise RuntimeError("all-shift counts break the count invariants "
+                           "(non-negative, summing to M*(L - tau) at every shift)")
+    if len(shifts):
+        i = int(np.argmax(residual))
+        tau = int(shifts[i])
+        if not np.array_equal(counts[i], aacf_set_sum(sset, tau).counts):
+            raise RuntimeError(f"all-shift counts disagree with aacf_set_sum at shift {tau}")
+    return counts
+
+
+def aacf_set_counts(sset: SequenceSet, shifts: Sequence[int]) -> np.ndarray:
+    """Count vectors of the set autocorrelation sum at many shifts 0 <= tau < L.
+
+    Row i equals ``aacf_set_sum(sset, shifts[i]).counts``, computed for all
+    shifts at once from lambda//2 + 1 FFT embeddings (see the module
+    docstring) and checked as described in :func:`_counts_from_lift_sums`.
+    """
+    L, lam = sset.length, sset.modulus
+    if any(not 0 <= tau < L for tau in shifts):
+        raise ValueError(f"shifts must lie in [0, {L})")
+    if _rounding_bound(len(sset), L, lam) >= 0.5:
+        raise ValueError("FFT rounding bound reaches 1/2 for this set; use aacf_set_sum")
+    return _counts_from_lift_sums(sset, shifts, _lift_sums(sset, range(1, lam // 2 + 1), shifts))
 
 
 @dataclass(frozen=True)
@@ -234,7 +400,11 @@ class ShiftCheck:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Outcome of a GCS / MSCS / type-II ZCS verification run."""
+    """Outcome of a GCS / MSCS / type-II ZCS verification run.
+
+    ``path`` names how the verdicts were reached: "all-shift" or
+    "per-shift" exact counting, or "numerical".
+    """
 
     claim: str
     parameter: int | None
@@ -243,6 +413,7 @@ class CorrelationReport:
     modulus: int
     mode: str
     shifts: tuple[ShiftCheck, ...]
+    path: str = "per-shift"
 
     @property
     def passed(self) -> bool:
@@ -253,23 +424,27 @@ class CorrelationReport:
         return tuple(c.shift for c in self.shifts if not c.exact_zero)
 
 
-def _verify(sset: SequenceSet, shifts: Iterable[int], claim: str, parameter: int | None,
+def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
             early_exit: bool) -> CorrelationReport:
     lam = sset.modulus
-    exact_mode = lam <= EXACT_MODULUS_CAP
-    float_all = _set_aacf_float_all(sset)
+    path = _choose_path(len(sset), sset.length, lam, shifts)
+    ks = range(1, lam // 2 + 1) if path == "all-shift" else range(1, 2)
+    sums = _lift_sums(sset, ks, shifts)
+    magnitudes = np.abs(sums[0])
+    if path == "all-shift":
+        zeros = is_zero(_counts_from_lift_sums(sset, shifts, sums))
     checks = []
-    for tau in shifts:
-        mag = float(abs(float_all[tau]))
-        if exact_mode:
-            zero = is_zero(aacf_set_sum(sset, tau))
+    for i, tau in enumerate(shifts):
+        mag = float(magnitudes[i])
+        if path == "numerical":
+            zero = mag < ZERO_TOL
+        else:
+            zero = bool(zeros[i]) if path == "all-shift" else is_zero(aacf_set_sum(sset, tau))
             if zero and mag >= ZERO_TOL or not zero and mag <= NONZERO_TOL:
                 raise RuntimeError(
                     f"exact/float separation violated at shift {tau}: "
                     f"exact_zero={zero}, |sum|={mag:.3e}"
                 )
-        else:
-            zero = mag < ZERO_TOL
         checks.append(ShiftCheck(tau, zero, mag))
         if early_exit and not zero:
             break
@@ -279,8 +454,9 @@ def _verify(sset: SequenceSet, shifts: Iterable[int], claim: str, parameter: int
         set_size=len(sset),
         length=sset.length,
         modulus=lam,
-        mode="exact" if exact_mode else "numerical",
+        mode="numerical" if path == "numerical" else "exact",
         shifts=tuple(checks),
+        path=path,
     )
 
 

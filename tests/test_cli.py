@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import mscs.correlation
 import mscs.reference_sets
 from mscs.cli import (
     SetDocument,
@@ -66,6 +67,37 @@ def test_document_parse_errors():
     with pytest.raises(ValueError, match="root must be an object"):
         document_from_json("[1, 2]")
     assert payload["lambda"] == 6
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(claim=[d["claim"]]),
+    lambda d: d.update(sequences=3),
+    lambda d: d.update(provenance=[d["provenance"]]),
+    lambda d: d["sequences"][0].__setitem__(0, 1.7),
+    lambda d: d["sequences"][0].__setitem__(0, True),
+    lambda d: d["claim"].update(S="3"),
+    lambda d: d["claim"].update(S=2.5),
+], ids=["claim-list", "sequences-int", "provenance-list", "phase-float", "phase-bool",
+        "S-string", "S-float"])
+def test_verify_rejects_malformed_document(tmp_path, capsys, mutate):
+    path = tmp_path / "set.json"
+    write_document(document_from_set(mscs_3_27_3()), str(path))
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    path = _example_doc_path(tmp_path)
+    monkeypatch.setattr(mscs.correlation, "is_zero", lambda s: True)
+    assert main(["verify", path, "--claim", "gcs"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: exact/float separation")
+    assert err.count("\n") == 1
 
 
 def test_generate_explicit_flags(tmp_path, capsys):
@@ -223,8 +255,8 @@ def test_pmepr_rejects_bad_oversampling(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "selftest: 10/10 ok" in out
-    assert out.count("ok   ") == 10
+    assert "selftest: 11/11 ok" in out
+    assert out.count("ok   ") == 11
     assert "FAIL" not in out
 
 

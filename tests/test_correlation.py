@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -17,6 +18,7 @@ from mscs.constructions import (
 from mscs.correlation import (
     EXACT_MODULUS_CAP,
     CyclotomicSum,
+    aacf_set_counts,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -27,7 +29,7 @@ from mscs.correlation import (
     verify_mscs,
     verify_type2_zcs,
 )
-from mscs.reference_sets import mscs_3_27_3
+from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
 from mscs.seqcore import PhaseSequence, SequenceSet
 
 
@@ -70,17 +72,26 @@ def test_is_zero_root_of_unity_sums():
 
 
 @given(
-    st.integers(2, 12),
+    st.one_of(st.integers(2, 12), st.just(105)),
     st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+    st.lists(st.integers(-3, 3), max_size=4),
 )
 @settings(max_examples=200)
-def test_is_zero_against_mpmath(lam, raw):
+def test_is_zero_against_mpmath(lam, raw, multiplier):
+    # Phi_105 has coefficient -2 at x^7 and x^41; adding a multiple of
+    # Phi_lam (mod x^lam - 1) moves the counts without changing the value
     import mpmath
 
     counts = np.zeros(lam, dtype=int)
     for j, c in enumerate(raw[:lam]):
         counts[j] = c
-    s = CyclotomicSum(lam, counts)
+    phi = np.zeros(lam, dtype=int)
+    phi[: len(cyclotomic_polynomial(lam))] = cyclotomic_polynomial(lam)
+    q = np.zeros(lam, dtype=int)
+    for j, c in enumerate(multiplier[:lam]):
+        q[j] = c
+    s = CyclotomicSum(lam, counts) + CyclotomicSum(lam, q) * CyclotomicSum(lam, phi)
+    counts = s.counts
     with mpmath.workdps(50):
         value = mpmath.fsum(
             int(counts[j]) * mpmath.e ** (2j * mpmath.pi * j / lam) for j in range(lam)
@@ -345,3 +356,143 @@ def test_gcs_implies_any_mscs():
     assert verify_gcs(sset).passed
     for S in (1, 2, 3, 5, 11):
         assert verify_mscs(sset, S).passed
+
+
+def _random_set(rng, lam, M, L):
+    return SequenceSet(
+        [PhaseSequence(lam, [rng.randrange(lam) for _ in range(L)]) for _ in range(M)]
+    )
+
+
+def _flipped(sset, index=0):
+    members = list(sset.sequences)
+    vals = members[0].values.copy()
+    vals[index] = (vals[index] + 1) % sset.modulus
+    members[0] = PhaseSequence(sset.modulus, vals)
+    return SequenceSet(members)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 6, 9, 30])
+def test_all_shift_counts_match_bincount(lam):
+    # odd lambda has no self-conjugate embedding; even lambda has k = lambda/2
+    rng = random.Random(1000 + lam)
+    L = rng.choice([48, 64, 81, 100, 125, 144, 243, 360])
+    sset = _random_set(rng, lam, rng.randint(1, 5), L)
+    shifts = sorted(rng.sample(range(sset.length), 25))
+    counts = aacf_set_counts(sset, shifts)
+    assert counts.shape == (25, lam)
+    for tau, row in zip(shifts, counts):
+        assert list(row) == list(aacf_set_sum(sset, tau).counts)
+
+
+def test_all_shift_counts_validation():
+    sset = mscs_3_27_3()
+    with pytest.raises(ValueError, match="shifts must lie"):
+        aacf_set_counts(sset, [27])
+    with pytest.raises(ValueError, match="shifts must lie"):
+        aacf_set_counts(sset, [-1])
+    assert aacf_set_counts(sset, []).shape == (0, 6)
+    # 2L = 136 = 8 * 17: a transform plan the rounding bound does not cover
+    with pytest.raises(ValueError, match="rounding bound"):
+        aacf_set_counts(_random_set(random.Random(5), 6, 2, 68), [1])
+
+
+def _both_paths(monkeypatch, verify):
+    reports = {}
+    for path in ("all-shift", "per-shift"):
+        monkeypatch.setattr(correlation, "_choose_path", lambda *args, path=path: path)
+        reports[path] = verify()
+    monkeypatch.undo()
+    return reports["all-shift"], reports["per-shift"]
+
+
+@pytest.mark.parametrize("case", ["3-27-3", "3-27-3-gcs", "3-54-2", "flipped", "flipped-zcs"])
+def test_both_paths_give_identical_reports(monkeypatch, case):
+    verify = {
+        "3-27-3": lambda: verify_mscs(mscs_3_27_3(), 3),
+        "3-27-3-gcs": lambda: verify_gcs(mscs_3_27_3()),
+        "3-54-2": lambda: verify_mscs(mscs_3_54_2(), 2),
+        "flipped": lambda: verify_mscs(_flipped(mscs_3_27_3()), 3),
+        "flipped-zcs": lambda: verify_type2_zcs(_flipped(mscs_3_54_2(), 40), 30),
+    }[case]
+    fast, slow = _both_paths(monkeypatch, verify)
+    assert (fast.path, slow.path) == ("all-shift", "per-shift")
+    assert dataclasses.replace(fast, path="per-shift") == slow
+    if case.startswith("flipped"):
+        assert not fast.passed
+
+
+def test_early_exit_truncates_alike_on_both_paths(monkeypatch):
+    flipped = _flipped(mscs_3_27_3())
+    for verify in (lambda: verify_gcs(mscs_3_27_3(), early_exit=True),
+                   lambda: verify_mscs(flipped, 3, early_exit=True)):
+        fast, slow = _both_paths(monkeypatch, verify)
+        assert fast.shifts == slow.shifts
+        assert not fast.shifts[-1].exact_zero
+        assert all(c.exact_zero for c in fast.shifts[:-1])
+    assert len(verify_mscs(flipped, 3).shifts) > len(fast.shifts)
+
+
+def test_perturbed_count_raises():
+    sset = mscs_3_27_3()
+    shifts = range(1, 27)
+    sums = correlation._lift_sums(sset, range(1, 4), shifts)
+    counts = correlation._counts_from_lift_sums(sset, shifts, sums)
+    assert counts.tolist() == [list(aacf_set_sum(sset, t).counts) for t in shifts]
+    # counts at shift 11 are (16, 0, 16, 0, 16, 0); -2 on the k = 1
+    # embedding there moves counts[0] down and counts[3] up by one, which
+    # keeps the invariants but not the cross-check
+    bumped = sums.copy()
+    bumped[0, 10] -= 2
+    with pytest.raises(RuntimeError, match="disagree with aacf_set_sum at shift 11"):
+        correlation._counts_from_lift_sums(sset, shifts, bumped)
+    # +2 drives counts[3] to -1
+    bumped = sums.copy()
+    bumped[0, 10] += 2
+    with pytest.raises(RuntimeError, match="count invariants"):
+        correlation._counts_from_lift_sums(sset, shifts, bumped)
+
+
+def test_size_rule_picks_the_path():
+    # the benchmark's two shapes, decided from sizes alone
+    assert correlation._choose_path(3, 19683, 6, range(9, 19683, 9)) == "all-shift"
+    assert correlation._choose_path(3, 177147, 6, range(3**7, 177147, 3**7)) == "per-shift"
+    assert correlation._choose_path(3, 177147, 6, range(177147 - 23, 177147)) == "per-shift"
+    assert correlation._choose_path(3, 27, 1009 * 2, range(1, 27)) == "numerical"
+    # the same ratios at L = 2187, built and verified
+    fine = single_prime_mscs(PrimeBlock(p=3, m=7, s=3), 6)
+    report = verify_mscs(fine, 9)
+    assert report.passed and report.path == "all-shift" and len(report.shifts) == 242
+    sparse = single_prime_mscs(PrimeBlock(p=3, m=7, s=4), 6)
+    report = verify_mscs(sparse, 27)
+    assert report.passed and report.path == "per-shift" and len(report.shifts) == 80
+    # the rule's arithmetic: sum_tau (L - tau) against (lambda//2 + 1) * n * log2(n)
+    L, n = 2187, 2 * 2187
+    fft_work = 4 * n * math.log2(n)
+    assert sum(L - t for t in range(9, L, 9)) > fft_work > sum(L - t for t in range(27, L, 27))
+
+
+def test_rounding_bound_sends_large_sets_to_per_shift():
+    L = 3**19
+    gcs = range(1, L)
+    assert correlation._rounding_bound(3, L, 6) < 1e-3
+    assert correlation._choose_path(3, L, 6, gcs) == "all-shift"
+    assert correlation._rounding_bound(10**6, L, 6) >= 0.5
+    assert correlation._choose_path(10**6, L, 6, gcs) == "per-shift"
+    # a length whose FFT plan the bound does not cover
+    L = 37**4
+    assert correlation._rounding_bound(3, L, 6) == math.inf
+    assert correlation._choose_path(3, L, 6, range(1, L)) == "per-shift"
+
+
+def test_is_zero_batches_and_overflow_guard():
+    sset = mscs_3_27_3()
+    counts = np.array([aacf_set_sum(sset, t).counts for t in range(1, 27)])
+    flags = is_zero(counts)
+    assert flags.dtype == bool and flags.shape == (26,)
+    assert list(flags) == [is_zero(aacf_set_sum(sset, t)) for t in range(1, 27)]
+    assert is_zero(np.zeros((0, 6), dtype=np.int64)).shape == (0,)
+    # 2^61 (1 + w^2 + w^4) = 0 at lambda = 6, past the int64 guard
+    big = 2**61
+    assert is_zero(CyclotomicSum(6, [big, 0, big, 0, big, 0]))
+    assert not is_zero(CyclotomicSum(6, [big, 0, big, 0, big - 1, 0]))
