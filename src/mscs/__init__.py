@@ -38,6 +38,7 @@ from .pmepr import (
     iapr_curve,
     modulated_family,
     pmepr,
+    pmepr_report,
     pmepr_set,
 )
 from .reference_sets import mscs_3_27_3, mscs_3_54_2
@@ -84,6 +85,7 @@ __all__ = [
     "iapr_curve",
     "modulated_family",
     "pmepr",
+    "pmepr_report",
     "pmepr_set",
     "mscs_3_27_3",
     "mscs_3_54_2",

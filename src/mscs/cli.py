@@ -50,6 +50,7 @@ from .pmepr import (
     DEFAULT_OVERSAMPLING,
     energy_identity_check,
     iapr_curve,
+    pmepr_report,
     pmepr_set,
 )
 from .seqcore import PhaseSequence, SequenceSet
@@ -127,8 +128,9 @@ def document_to_json(doc: SetDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _field_int(payload: dict, key: str) -> int:
-    value = payload[key]
+def _field_int(payload: dict, key: str, default: int | None = None) -> int:
+    """``payload[key]``, which must be an int (a bool is not); ``default`` if absent."""
+    value = payload[key] if default is None else payload.get(key, default)
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
@@ -195,44 +197,61 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _field_int_list(rec: dict, key: str) -> tuple[int, ...] | None:
+    value = rec.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def _block_from_dict(rec: dict, modulus: int, rng: random.Random | None) -> PrimeBlock:
+    if not isinstance(rec, dict):
+        raise ValueError(f"block parameters must be an object, got {rec!r}")
     if "p" not in rec or "m" not in rec:
         raise ValueError("block parameters need at least p and m")
-    p, m, s = int(rec["p"]), int(rec["m"]), int(rec.get("s", 1))
+    p, m, s = _field_int(rec, "p"), _field_int(rec, "m"), _field_int(rec, "s", 1)
     base = random_block(rng, p, m, s, modulus) if rng is not None else PrimeBlock(p, m, s)
-    pi = rec.get("pi")
-    linear = rec.get("linear")
-    h_table = rec.get("h_table")
+    pi = _field_int_list(rec, "pi")
+    linear = _field_int_list(rec, "linear")
+    h_table = _field_int_list(rec, "h_table")
     return PrimeBlock(
         p=p,
         m=m,
         s=s,
-        pi=tuple(pi) if pi is not None else base.pi,
-        linear=tuple(linear) if linear is not None else base.linear,
-        constant=int(rec["constant"]) if "constant" in rec else base.constant,
-        h_table=tuple(h_table) if h_table is not None else base.h_table,
+        pi=pi if pi is not None else base.pi,
+        linear=linear if linear is not None else base.linear,
+        constant=_field_int(rec, "constant", base.constant),
+        h_table=h_table if h_table is not None else base.h_table,
     )
 
 
 def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
     """Construct a set from a parameter-file record (flag names as keys)."""
+    if not isinstance(params, dict):
+        raise ValueError("parameter file must hold an object")
     if "lambda" not in params:
         raise ValueError("parameter file needs lambda")
-    modulus = int(params["lambda"])
+    modulus = _field_int(params, "lambda")
     if "blocks" in params:
+        if not isinstance(params["blocks"], list):
+            raise ValueError(f"blocks must be a list of objects, got {params['blocks']!r}")
         blocks = [_block_from_dict(rec, modulus, rng) for rec in params["blocks"]]
     else:
         blocks = [_block_from_dict(params, modulus, rng)]
     if "extension" in params:
         ext = params["extension"]
+        if not isinstance(ext, dict):
+            raise ValueError(f"extension must be an object, got {ext!r}")
         if "p" not in ext:
             raise ValueError("extension needs p")
         return length_extended_mscs(
             blocks,
-            ext_prime=int(ext["p"]),
+            ext_prime=_field_int(ext, "p"),
             modulus=modulus,
-            ext_linear=int(ext.get("linear", 0)),
-            ext_constant=int(ext.get("constant", 0)),
+            ext_linear=_field_int(ext, "linear", 0),
+            ext_constant=_field_int(ext, "constant", 0),
         )
     if len(blocks) == 1:
         return single_prime_mscs(blocks[0], modulus)
@@ -345,23 +364,25 @@ def cmd_pmepr(args) -> int:
     print(f"document: {args.input}")
     print(f"set: M={doc.set_size} L={doc.length} lambda={doc.modulus}")
     print(f"oversampling: {args.n_os}")
+    # pmepr() of a member is the max of its IAPR curve.  The curves are held
+    # only for the CSV export; otherwise each is freed before the next
+    # member's grid is allocated, so peak memory stays at one curve.
+    curves, per = [], []
+    for s in sset.sequences:
+        curve = iapr_curve(s, args.n_os)
+        per.append(float(np.max(curve)))
+        if args.iapr_out is not None:
+            curves.append(curve)
+        del curve
     S = _claim_shift_parameter(doc.claim)
-    if S is not None:
-        report = pmepr_set(sset, S, args.n_os)
-        for i, v in enumerate(report.per_sequence):
-            print(f"pmepr[{i}]: {v:.6f}")
-        print(f"set pmepr: {report.set_pmepr:.6f}")
+    report = pmepr_report(per, S, args.n_os) if S is not None else None
+    for i, v in enumerate(per):
+        print(f"pmepr[{i}]: {v:.6f}")
+    print(f"set pmepr: {max(per):.6f}")
+    if report is not None:
         print(f"bound (M*S): {report.bound:g}")
         print(f"bound satisfied: {'yes' if report.bound_satisfied else 'NO'}")
-    else:
-        from .pmepr import pmepr as pmepr_one
-
-        vals = [pmepr_one(s, args.n_os) for s in sset.sequences]
-        for i, v in enumerate(vals):
-            print(f"pmepr[{i}]: {v:.6f}")
-        print(f"set pmepr: {max(vals):.6f}")
     if args.iapr_out is not None:
-        curves = [iapr_curve(s, args.n_os) for s in sset.sequences]
         n = args.n_os * doc.length
         u = np.arange(n) / n
         with open(args.iapr_out, "w") as fh:
@@ -379,27 +400,23 @@ def cmd_pmepr(args) -> int:
 def _selftest_checks():
     """Named reduced-scale checks; each returns None or a failure detail."""
 
-    def check_mscs_3_27_3():
-        report = verify_mscs(reference_sets.mscs_3_27_3(), 3)
-        if report.mode != "exact":
-            return f"expected exact mode, got {report.mode}"
-        if not report.passed:
-            return f"failing shifts {report.failing_shifts[:5]}"
-        return None
+    def reference_check(build, verify, param, exact):
+        def check():
+            report = verify(build(), param)
+            if exact and report.mode != "exact":
+                return f"expected exact mode, got {report.mode}"
+            if not report.passed:
+                return f"failing shifts {report.failing_shifts[:5]}"
+            return None
 
-    def check_zcs_3_27_24():
-        report = verify_type2_zcs(reference_sets.mscs_3_27_3(), 24)
-        if not report.passed:
-            return f"failing shifts {report.failing_shifts[:5]}"
-        return None
+        return check
 
-    def check_mscs_3_54_2():
-        report = verify_mscs(reference_sets.mscs_3_54_2(), 2)
-        if report.mode != "exact":
-            return f"expected exact mode, got {report.mode}"
-        if not report.passed:
-            return f"failing shifts {report.failing_shifts[:5]}"
-        return None
+    # (name, set, verifier, parameter, exact mode expected)
+    references = (
+        ("mscs-3-27-3", reference_sets.mscs_3_27_3, verify_mscs, 3, True),
+        ("zcs-3-27-24", reference_sets.mscs_3_27_3, verify_type2_zcs, 24, False),
+        ("mscs-3-54-2", reference_sets.mscs_3_54_2, verify_mscs, 2, True),
+    )
 
     def check_pmepr_3_54_2():
         report = pmepr_set(reference_sets.mscs_3_54_2(), 2)
@@ -521,10 +538,7 @@ def _selftest_checks():
             return f"curve peak {peak} != set pmepr {report.set_pmepr}"
         return None
 
-    return [
-        ("mscs-3-27-3", check_mscs_3_27_3),
-        ("zcs-3-27-24", check_zcs_3_27_24),
-        ("mscs-3-54-2", check_mscs_3_54_2),
+    return [(name, reference_check(*row)) for name, *row in references] + [
         ("pmepr-3-54-2", check_pmepr_3_54_2),
         ("single-prime-sweep", check_single_prime_sweep),
         ("multi-prime-sweep", check_multi_prime_sweep),

@@ -1,31 +1,35 @@
 """Direct constructions of MSCS, GCS and type-II ZCS families.
 
-Three constructions are provided, all built from degree-2 functions over
-prime-base digit variables:
+Every set built here is one object: a degree-2 function over prime-base
+digit blocks Z_{p_a}^{m_a}, optionally extended by one extra prime as the
+most significant length factor, whose member gamma = (gamma_1, ..., gamma_k)
+adds the tag sum_a (lambda/p_a) * gamma_a * v_{a,pi_a(s_a)}.  The three
+public constructions differ only in the blocks they accept and the claims
+they attach:
 
 * ``single_prime_mscs``: p sequences of length p^m forming a
   (p, p^m, p^(s-1))-MSCS.  The same set is a type-II ZCS whose zero zone
   covers every shift with |tau| > p^(s-1), i.e. width Z = p^m - p^(s-1).
-* ``multi_prime_mscs``: the per-prime construction applied to k distinct
-  primes at once, giving a (prod p_a, prod p_a^{m_a}, prod p_a^{s_a-1})
-  MSCS.  With every s_a = 1 the set is a GCS.
+* ``multi_prime_mscs``: k distinct primes at once, giving a
+  (prod p_a, prod p_a^{m_a}, prod p_a^{s_a-1})-MSCS.  With every s_a = 1
+  the set is a GCS.
 * ``length_extended_mscs``: an all-s=1 multi-prime set with one extra
   distinct prime appended as the most significant length factor, giving a
   (prod p_a, p_ext * prod p_a^{m_a}, p_ext)-MSCS.
 
-Each member sequence is the materialization of the block function plus a
-member-dependent linear tag (lambda/p) * v_{a,pi_a(s_a)} * gamma_a; the
-member index enumerates the tag vector gamma with block 1 fastest,
-mirroring the flat index convention of :mod:`mscs.seqcore`.
+All three go through one builder, ``_build``.  It materializes the base
+function once and each block's tag (lambda/p_a) * v_{a,pi_a(s_a)} once;
+member gamma is then (base + sum_a gamma_a * tag_a) mod lambda.  The member
+index enumerates gamma with block 1 fastest, mirroring the flat index
+convention of :mod:`mscs.seqcore`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .seqcore import (
     MixedDomain,
@@ -62,8 +66,8 @@ class PrimeBlock:
     h_table: tuple[int, ...] | None = None
 
 
-def _check_block(block: PrimeBlock, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...] | None]:
-    """Validate one block against the modulus; return (pi, linear, h) normalized."""
+def _block_record(block: PrimeBlock, modulus: int) -> dict:
+    """Validate one block against the modulus; return its normalized parameters."""
     p, m, s = block.p, block.m, block.s
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -74,11 +78,11 @@ def _check_block(block: PrimeBlock, modulus: int) -> tuple[tuple[int, ...], tupl
     if modulus % p != 0:
         raise ValueError(f"p={p} must divide the modulus {modulus}")
 
-    pi = tuple(block.pi) if block.pi is not None else tuple(range(s, m + 1))
+    pi = list(block.pi) if block.pi is not None else list(range(s, m + 1))
     if sorted(pi) != list(range(s, m + 1)):
-        raise ValueError(f"pi={pi} is not a permutation of {{{s},...,{m}}}")
+        raise ValueError(f"pi={tuple(pi)} is not a permutation of {{{s},...,{m}}}")
 
-    linear = tuple(int(g) % modulus for g in block.linear) if block.linear is not None else (0,) * m
+    linear = [int(g) % modulus for g in block.linear] if block.linear is not None else [0] * m
     if len(linear) != m:
         raise ValueError(f"linear coefficients need length m={m}, got {len(linear)}")
 
@@ -90,48 +94,73 @@ def _check_block(block: PrimeBlock, modulus: int) -> tuple[tuple[int, ...], tupl
             raise ValueError(
                 f"h_table needs {p ** (s - 1)} entries for s={s}, got {len(block.h_table)}"
             )
-        h = tuple(int(t) % modulus for t in block.h_table)
-    return pi, linear, h
-
-
-def _block_terms(block: PrimeBlock, modulus: int, a: int):
-    """Terms, constant and tabulated parts of one block's base function.
-
-    ``a`` is the block position in the enclosing domain.  The quadratic
-    path (lambda/p) * sum v_{pi(i)} v_{pi(i+1)} runs along the permuted
-    variables; it is empty when s = m.
-    """
-    pi, linear, h = _check_block(block, modulus)
-    q = modulus // block.p
-    terms = []
-    for i in range(block.s, block.m):
-        u, v = pi[i - block.s], pi[i - block.s + 1]
-        terms.append((q, (((a, u), 1), ((a, v), 1))))
-    for i, g in enumerate(linear, start=1):
-        if g:
-            terms.append((g, (((a, i), 1),)))
-    tabulated = []
-    if h is not None:
-        tabulated.append(TabulatedComponent(tuple((a, b) for b in range(1, block.s)), h))
-    return terms, int(block.constant) % modulus, tabulated, pi
-
-
-def _gamma_term(block: PrimeBlock, modulus: int, a: int, pi: tuple[int, ...], gamma: int):
-    q = modulus // block.p
-    return (q * gamma % modulus, (((a, pi[0]), 1),))
-
-
-def _block_params_record(block: PrimeBlock, modulus: int) -> dict:
-    pi, linear, h = _check_block(block, modulus)
+        h = [int(t) % modulus for t in block.h_table]
     return {
-        "p": block.p,
-        "m": block.m,
-        "s": block.s,
-        "pi": list(pi),
-        "linear": list(linear),
+        "p": p,
+        "m": m,
+        "s": s,
+        "pi": pi,
+        "linear": linear,
         "constant": int(block.constant) % modulus,
-        "h_table": list(h) if h is not None else None,
+        "h_table": h,
     }
+
+
+def _build(
+    blocks: Sequence[PrimeBlock],
+    modulus: int,
+    extension: tuple[int, int, int] | None = None,
+) -> tuple[list[PhaseSequence], dict]:
+    """Members and parameter record of the family over ``blocks``.
+
+    ``extension`` is (prime, g1, g0): one more digit w, most significant,
+    that adds g1*w + g0 to the base function.  Block a contributes
+    (lambda/p_a) * sum v_{pi(i)} v_{pi(i+1)} along its permuted variables
+    (empty when s = m), its linear part, its constant and its head table.
+    The base function and each block's tag (lambda/p_a) * v_{a,pi_a(s_a)}
+    are materialized once; member gamma (gamma_1 fastest) is
+    (base + sum_a gamma_a * tag_a) mod lambda.
+    """
+    if not blocks:
+        raise ValueError("need at least one prime block")
+    primes = [b.p for b in blocks]
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"primes must be pairwise distinct, got {primes}")
+    records = [_block_record(b, modulus) for b in blocks]
+
+    factors = [(b.p, b.m) for b in blocks]
+    terms, tabulated, tag_terms = [], [], []
+    constant = 0
+    for a, rec in enumerate(records, start=1):
+        q = modulus // rec["p"]
+        pi = rec["pi"]
+        terms += [(q, (((a, u), 1), ((a, v), 1))) for u, v in zip(pi, pi[1:])]
+        terms += [(g, (((a, i), 1),)) for i, g in enumerate(rec["linear"], start=1) if g]
+        if rec["h_table"] is not None:
+            variables = [(a, b) for b in range(1, rec["s"])]
+            tabulated.append(TabulatedComponent(variables, rec["h_table"]))
+        constant += rec["constant"]
+        tag_terms.append((q, (((a, pi[0]), 1),)))
+    params = {"lambda": modulus, "blocks": records}
+    if extension is not None:
+        ext_prime, g1, g0 = extension
+        ext = {"p": ext_prime, "linear": int(g1) % modulus, "constant": int(g0) % modulus}
+        params["extension"] = ext
+        factors.append((ext_prime, 1))
+        terms.append((ext["linear"], (((len(blocks) + 1, 1), 1),)))
+        constant += ext["constant"]
+
+    domain = MixedDomain(factors)
+    base = materialize(MultivariableFunction(domain, modulus, terms, constant, tabulated))
+    tags = [materialize(MultivariableFunction(domain, modulus, [t])).values for t in tag_terms]
+    members = []
+    for member in range(math.prod(primes)):
+        phases = base.values.copy()
+        for p, tag in zip(primes, tags):
+            member, gamma = divmod(member, p)
+            phases += gamma * tag
+        members.append(PhaseSequence(modulus, phases))  # reduces mod lambda
+    return members, params
 
 
 def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:
@@ -141,28 +170,12 @@ def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:
     (lambda/p) * v_{pi(s)} * gamma.  The returned metadata also claims the
     type-II ZCS property of width p^m - p^(s-1).
     """
-    terms, constant, tabulated, pi = _block_terms(block, modulus, 1)
-    domain = MixedDomain(((block.p, block.m),))
-    members = []
-    for gamma in range(block.p):
-        f = MultivariableFunction(
-            domain,
-            modulus,
-            terms + [_gamma_term(block, modulus, 1, pi, gamma)],
-            constant,
-            tabulated,
-        )
-        members.append(materialize(f))
+    members, params = _build([block], modulus)
     S = block.p ** (block.s - 1)
-    Z = block.p**block.m - S
-    meta = {
-        "construction": "single_prime",
-        "params": {"lambda": modulus, "blocks": [_block_params_record(block, modulus)]},
-        "claims": [{"kind": "MSCS", "S": S}, {"kind": "ZCS", "Z": Z}],
-    }
+    claims = [{"kind": "MSCS", "S": S}, {"kind": "ZCS", "Z": block.p**block.m - S}]
     if S == 1:
-        meta["claims"].insert(1, {"kind": "GCS"})
-    return SequenceSet(members, meta)
+        claims.insert(1, {"kind": "GCS"})
+    return SequenceSet(members, {"construction": "single_prime", "params": params, "claims": claims})
 
 
 def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
@@ -173,42 +186,12 @@ def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
     block this reduces to :func:`single_prime_mscs`.
     """
     blocks = tuple(blocks)
-    if not blocks:
-        raise ValueError("need at least one prime block")
-    primes = [b.p for b in blocks]
-    if len(set(primes)) != len(primes):
-        raise ValueError(f"primes must be pairwise distinct, got {primes}")
-
-    compiled = [_block_terms(b, modulus, a) for a, b in enumerate(blocks, start=1)]
-    base_terms = [t for terms, _, _, _ in compiled for t in terms]
-    constant = sum(c for _, c, _, _ in compiled) % modulus
-    tabulated = [comp for _, _, tabs, _ in compiled for comp in tabs]
-    domain = MixedDomain(tuple((b.p, b.m) for b in blocks))
-
-    members = []
-    M = int(np.prod(primes))
-    for member in range(M):
-        rem = member
-        gamma_terms = []
-        for a, b in enumerate(blocks, start=1):
-            gamma = rem % b.p
-            rem //= b.p
-            if gamma:
-                gamma_terms.append(_gamma_term(b, modulus, a, compiled[a - 1][3], gamma))
-        f = MultivariableFunction(domain, modulus, base_terms + gamma_terms, constant, tabulated)
-        members.append(materialize(f))
-
-    S = 1
-    for b in blocks:
-        S *= b.p ** (b.s - 1)
-    meta = {
-        "construction": "multi_prime",
-        "params": {"lambda": modulus, "blocks": [_block_params_record(b, modulus) for b in blocks]},
-        "claims": [{"kind": "MSCS", "S": S}],
-    }
-    if all(b.s == 1 for b in blocks):
-        meta["claims"].append({"kind": "GCS"})
-    return SequenceSet(members, meta)
+    members, params = _build(blocks, modulus)
+    S = math.prod(b.p ** (b.s - 1) for b in blocks)
+    claims = [{"kind": "MSCS", "S": S}]
+    if S == 1:
+        claims.append({"kind": "GCS"})
+    return SequenceSet(members, {"construction": "multi_prime", "params": params, "claims": claims})
 
 
 def length_extended_mscs(
@@ -228,54 +211,18 @@ def length_extended_mscs(
     count as the base set.
     """
     blocks = tuple(blocks)
-    if not blocks:
-        raise ValueError("need at least one base prime block")
     for b in blocks:
         if b.s != 1:
             raise ValueError(f"length extension requires s=1 in every base block, got s={b.s}")
-    primes = [b.p for b in blocks]
-    if len(set(primes)) != len(primes):
-        raise ValueError(f"primes must be pairwise distinct, got {primes}")
     if not _is_prime(ext_prime):
         raise ValueError(f"extension prime must be prime, got {ext_prime}")
-    if ext_prime in primes:
+    if ext_prime in [b.p for b in blocks]:
         raise ValueError(f"extension prime {ext_prime} duplicates a base prime")
     if modulus % ext_prime != 0:
         raise ValueError(f"extension prime {ext_prime} must divide the modulus {modulus}")
-
-    k = len(blocks)
-    compiled = [_block_terms(b, modulus, a) for a, b in enumerate(blocks, start=1)]
-    base_terms = [t for terms, _, _, _ in compiled for t in terms]
-    ext_linear = int(ext_linear) % modulus
-    ext_constant = int(ext_constant) % modulus
-    if ext_linear:
-        base_terms.append((ext_linear, (((k + 1, 1), 1),)))
-    constant = (sum(c for _, c, _, _ in compiled) + ext_constant) % modulus
-    domain = MixedDomain(tuple((b.p, b.m) for b in blocks) + ((ext_prime, 1),))
-
-    members = []
-    M = int(np.prod(primes))
-    for member in range(M):
-        rem = member
-        gamma_terms = []
-        for a, b in enumerate(blocks, start=1):
-            gamma = rem % b.p
-            rem //= b.p
-            if gamma:
-                gamma_terms.append(_gamma_term(b, modulus, a, compiled[a - 1][3], gamma))
-        f = MultivariableFunction(domain, modulus, base_terms + gamma_terms, constant, ())
-        members.append(materialize(f))
-
-    meta = {
-        "construction": "length_extended",
-        "params": {
-            "lambda": modulus,
-            "blocks": [_block_params_record(b, modulus) for b in blocks],
-            "extension": {"p": ext_prime, "linear": ext_linear, "constant": ext_constant},
-        },
-        "claims": [{"kind": "MSCS", "S": ext_prime}],
-    }
-    return SequenceSet(members, meta)
+    members, params = _build(blocks, modulus, (ext_prime, ext_linear, ext_constant))
+    claims = [{"kind": "MSCS", "S": ext_prime}]
+    return SequenceSet(members, {"construction": "length_extended", "params": params, "claims": claims})
 
 
 def random_block(rng: random.Random, p: int, m: int, s: int, modulus: int) -> PrimeBlock:

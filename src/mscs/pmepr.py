@@ -108,11 +108,18 @@ def pmepr_set(sset: SequenceSet, S: int,
     every verified (M, L, S) set satisfies the bound, so a violated flag on
     one points at an implementation bug.
     """
+    per = [pmepr(s, oversampling) for s in sset.sequences]
+    return pmepr_report(per, S, oversampling)
+
+
+def pmepr_report(per_sequence, S: int,
+                 oversampling: int = DEFAULT_OVERSAMPLING) -> PmeprReport:
+    """Check measured member PMEPRs against the M*S bound, M = len(per_sequence)."""
     if S < 1:
         raise ValueError(f"S={S} must be >= 1")
-    per = tuple(pmepr(s, oversampling) for s in sset.sequences)
+    per = tuple(per_sequence)
     peak = max(per)
-    bound = float(len(sset) * S)
+    bound = float(len(per) * S)
     return PmeprReport(
         per_sequence=per,
         set_pmepr=peak,

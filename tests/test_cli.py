@@ -91,6 +91,37 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, mutate):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("params", [
+    [6, 3],
+    {"lambda": 6, "blocks": 3},
+    {"lambda": 6, "blocks": [3]},
+    {"lambda": 6, "p": 3, "m": 2, "extension": 2},
+    {"lambda": "6", "p": 3, "m": 2},
+    {"lambda": 6, "p": 3.9, "m": 2},
+    {"lambda": 6, "p": 3, "m": True},
+    {"lambda": 6, "p": 3, "m": 2.0},
+    {"lambda": 6, "p": 3, "m": 2, "s": "1"},
+    {"lambda": 6, "p": 3, "m": 2, "constant": 1.5},
+    {"lambda": 6, "p": 3, "m": 2, "linear": [True, 1]},
+    {"lambda": 6, "p": 3, "m": 2, "pi": 1},
+    {"lambda": 6, "p": 3, "m": 2, "s": 2, "h_table": [0, 1, 2.5]},
+    {"lambda": 6, "blocks": [{"p": 3, "m": 1}], "extension": {"p": "2"}},
+    {"lambda": 6, "blocks": [{"p": 3, "m": 1}], "extension": {"p": 2, "linear": 1.0}},
+    {"lambda": 6, "blocks": [{"p": 3, "m": 1}], "extension": {"p": 2, "constant": False}},
+], ids=["root-list", "blocks-int", "block-int", "extension-int", "lambda-string", "p-float",
+        "m-bool", "m-float", "s-string", "constant-float", "linear-bool", "pi-int",
+        "h_table-float", "ext-p-string", "ext-linear-float", "ext-constant-bool"])
+def test_generate_rejects_malformed_params(tmp_path, capsys, params):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "set.json"
+    assert main(["generate", "--params", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     path = _example_doc_path(tmp_path)
     monkeypatch.setattr(mscs.correlation, "is_zero", lambda s: True)
@@ -269,8 +300,10 @@ def test_selftest_catches_broken_reference(monkeypatch, capsys):
     monkeypatch.setattr(mscs.reference_sets, "mscs_3_27_3", lambda: broken)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL mscs-3-27-3" in out
-    assert "selftest: 10/10 ok" not in out
+    # three checks read the corrupted set; the other eight still pass
+    failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["mscs-3-27-3", "zcs-3-27-24", "energy-identity"]
+    assert "selftest: 8/11 ok" in out
 
 
 def test_module_entry_point(tmp_path):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import mscs.constructions
 from conftest import lift, naive_rho, naive_set_aacf
 from mscs.constructions import (
     PrimeBlock,
@@ -16,6 +17,9 @@ from mscs.seqcore import (
     MixedDomain,
     MultivariableFunction,
     PhaseSequence,
+    TabulatedComponent,
+    decode_index,
+    evaluate,
     materialize,
 )
 
@@ -121,6 +125,78 @@ def test_multi_prime_is_kronecker_chain():
         for f in factors[1:]:
             chain = kronecker_compose(f, chain)
         assert sset.sequences[member] == chain
+
+
+def _oracle_function(blocks, modulus, gammas, extension=None):
+    """Member function written out from the paper, block by block."""
+    factors = [(b.p, b.m) for b in blocks] + ([(extension[0], 1)] if extension else [])
+    terms, tabulated, constant = [], [], 0
+    for a, (b, gamma) in enumerate(zip(blocks, gammas), start=1):
+        q = modulus // b.p
+        pi = dict(zip(range(b.s, b.m + 1), b.pi))
+        for i in range(b.s, b.m):
+            terms.append((q, {(a, pi[i]): 1, (a, pi[i + 1]): 1}))
+        for i, g in enumerate(b.linear, start=1):
+            terms.append((g, {(a, i): 1}))
+        terms.append((q * gamma, {(a, pi[b.s]): 1}))
+        if b.h_table is not None:
+            tabulated.append(TabulatedComponent([(a, i) for i in range(1, b.s)], b.h_table))
+        constant += b.constant
+    if extension:
+        _, g1, g0 = extension
+        terms.append((g1, {(len(blocks) + 1, 1): 1}))
+        constant += g0
+    return MultivariableFunction(MixedDomain(factors), modulus, terms, constant, tabulated)
+
+
+@pytest.mark.parametrize("case", [
+    "single-prime-s2", "single-prime-s3", "two-prime-mixed-s", "three-prime",
+    "extended", "extended-two-block",
+])
+def test_builder_matches_evaluate_oracle(monkeypatch, case):
+    rng = random.Random(sum(map(ord, case)))
+    extension = None
+    if case == "single-prime-s2":
+        blocks, lam = [random_block(rng, 3, 3, 2, 6)], 6
+    elif case == "single-prime-s3":
+        blocks, lam = [random_block(rng, 2, 4, 3, 4)], 4
+    elif case == "two-prime-mixed-s":
+        blocks, lam = [random_block(rng, 2, 3, 2, 6), random_block(rng, 3, 2, 1, 6)], 6
+    elif case == "three-prime":
+        blocks = [random_block(rng, 5, 1, 1, 30), random_block(rng, 2, 2, 2, 30),
+                  random_block(rng, 3, 1, 1, 30)]
+        lam = 30
+    elif case == "extended":
+        blocks, lam = [random_block(rng, 3, 2, 1, 6)], 6
+        extension = (2, rng.randrange(6), rng.randrange(6))
+    else:
+        blocks, lam = [random_block(rng, 2, 2, 1, 30), random_block(rng, 5, 1, 1, 30)], 30
+        extension = (3, rng.randrange(30), rng.randrange(30))
+
+    calls = []
+
+    def counting_materialize(f, **kw):
+        calls.append(f)
+        return materialize(f, **kw)
+
+    monkeypatch.setattr(mscs.constructions, "materialize", counting_materialize)
+    if extension:
+        sset = length_extended_mscs(blocks, extension[0], lam, *extension[1:])
+    elif len(blocks) == 1:
+        sset = single_prime_mscs(blocks[0], lam)
+    else:
+        sset = multi_prime_mscs(blocks, lam)
+    assert len(calls) == 1 + len(blocks)
+
+    assert len(sset) == np.prod([b.p for b in blocks])
+    for member, seq in enumerate(sset.sequences):
+        gammas = []
+        for b in blocks:
+            member, gamma = divmod(member, b.p)
+            gammas.append(gamma)
+        f = _oracle_function(blocks, lam, gammas, extension)
+        expected = [evaluate(f, decode_index(x, f.domain)) for x in range(f.domain.length())]
+        assert seq.values.tolist() == expected
 
 
 def test_extension_basic():
