@@ -49,15 +49,19 @@ from .correlation import (
 from .pmepr import (
     DEFAULT_OVERSAMPLING,
     energy_identity_check,
+    grid_points,
     iapr_curve,
     pmepr_report,
     pmepr_set,
 )
-from .seqcore import PhaseSequence, SequenceSet
+from .seqcore import MAX_LENGTH, PhaseSequence, SequenceSet
 
 SCHEMA_VERSION = 1
 
 CLAIM_KINDS = ("GCS", "MSCS", "ZCS")
+
+# Values formatted per write of the IAPR export.
+CSV_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,12 +210,35 @@ def _field_int_list(rec: dict, key: str) -> tuple[int, ...] | None:
     return tuple(value)
 
 
-def _block_from_dict(rec: dict, modulus: int, rng: random.Random | None) -> PrimeBlock:
+def _block_shape(rec: dict) -> tuple[int, int]:
+    """The (p, m) of a block record, whose sequence length factor is p^m."""
     if not isinstance(rec, dict):
         raise ValueError(f"block parameters must be an object, got {rec!r}")
     if "p" not in rec or "m" not in rec:
         raise ValueError("block parameters need at least p and m")
-    p, m, s = _field_int(rec, "p"), _field_int(rec, "m"), _field_int(rec, "s", 1)
+    return _field_int(rec, "p"), _field_int(rec, "m")
+
+
+def _check_length(factors: list[tuple[int, int]]) -> None:
+    """Raise if prod p^m over ``factors`` exceeds ``MAX_LENGTH``.
+
+    Factors with p < 2 or m < 1 are left to the construction's own checks.
+    For m > 64, p^m > 2^64 is over the cap and is not formed.
+    """
+    length = 1
+    for p, m in factors:
+        if p < 2 or m < 1:
+            continue
+        if m > 64:
+            raise ValueError(f"sequence length {p}^{m} exceeds capacity limit {MAX_LENGTH}")
+        length *= p**m
+    if length > MAX_LENGTH:
+        raise ValueError(f"sequence length {length} exceeds capacity limit {MAX_LENGTH}")
+
+
+def _block_from_dict(rec: dict, modulus: int, rng: random.Random | None) -> PrimeBlock:
+    p, m = _block_shape(rec)
+    s = _field_int(rec, "s", 1)
     base = random_block(rng, p, m, s, modulus) if rng is not None else PrimeBlock(p, m, s)
     pi = _field_int_list(rec, "pi")
     linear = _field_int_list(rec, "linear")
@@ -234,18 +261,22 @@ def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
     if "lambda" not in params:
         raise ValueError("parameter file needs lambda")
     modulus = _field_int(params, "lambda")
-    if "blocks" in params:
-        if not isinstance(params["blocks"], list):
-            raise ValueError(f"blocks must be a list of objects, got {params['blocks']!r}")
-        blocks = [_block_from_dict(rec, modulus, rng) for rec in params["blocks"]]
-    else:
-        blocks = [_block_from_dict(params, modulus, rng)]
-    if "extension" in params:
+    recs = params.get("blocks", [params])
+    if not isinstance(recs, list):
+        raise ValueError(f"blocks must be a list of objects, got {recs!r}")
+    factors = [_block_shape(rec) for rec in recs]
+    extended = "extension" in params
+    if extended:
         ext = params["extension"]
         if not isinstance(ext, dict):
             raise ValueError(f"extension must be an object, got {ext!r}")
         if "p" not in ext:
             raise ValueError("extension needs p")
+        factors.append((_field_int(ext, "p"), 1))
+    # before any draw: a seeded head table alone takes p^(s-1) draws
+    _check_length(factors)
+    blocks = [_block_from_dict(rec, modulus, rng) for rec in recs]
+    if extended:
         return length_extended_mscs(
             blocks,
             ext_prime=_field_int(ext, "p"),
@@ -356,10 +387,34 @@ def _claim_shift_parameter(claim: dict) -> int | None:
     return None
 
 
+def _write_iapr_csv(path: str, doc: SetDocument, n_os: int, curves: list[np.ndarray]) -> None:
+    """Write the time column and one IAPR column per member, ``%.10g`` each.
+
+    Rows are formatted a block at a time: one ``%`` call per block of at
+    most ``CSV_CHUNK_VALUES`` values, so the transient stays the same size
+    whatever the member count.
+    """
+    n = n_os * doc.length
+    width = len(curves) + 1
+    rows = max(1, CSV_CHUNK_VALUES // width)
+    line = ",".join(["%.10g"] * width) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"# iapr curves: M={doc.set_size} L={doc.length} "
+                 f"lambda={doc.modulus} oversampling={n_os}\n")
+        cols = ", ".join(f"iapr_{i}" for i in range(doc.set_size))
+        fh.write(f"# columns: dft_t, {cols}\n")
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            block = np.empty((b - a, width))
+            block[:, 0] = np.arange(a, b) / n
+            for i, curve in enumerate(curves, 1):
+                block[:, i] = curve[a:b]
+            fh.write(line * (b - a) % tuple(block.ravel().tolist()))
+
+
 def cmd_pmepr(args) -> int:
-    if args.n_os < 1:
-        raise ValueError(f"oversampling {args.n_os} must be >= 1")
     doc = read_document(args.input)
+    grid_points(args.n_os, doc.length)
     sset = document_to_set(doc)
     print(f"document: {args.input}")
     print(f"set: M={doc.set_size} L={doc.length} lambda={doc.modulus}")
@@ -383,16 +438,7 @@ def cmd_pmepr(args) -> int:
         print(f"bound (M*S): {report.bound:g}")
         print(f"bound satisfied: {'yes' if report.bound_satisfied else 'NO'}")
     if args.iapr_out is not None:
-        n = args.n_os * doc.length
-        u = np.arange(n) / n
-        with open(args.iapr_out, "w") as fh:
-            fh.write(f"# iapr curves: M={doc.set_size} L={doc.length} "
-                     f"lambda={doc.modulus} oversampling={args.n_os}\n")
-            cols = ", ".join(f"iapr_{i}" for i in range(doc.set_size))
-            fh.write(f"# columns: dft_t, {cols}\n")
-            for j in range(n):
-                row = ",".join(f"{c[j]:.10g}" for c in curves)
-                fh.write(f"{u[j]:.10g},{row}\n")
+        _write_iapr_csv(args.iapr_out, doc, args.n_os, curves)
         print(f"iapr curves written to {args.iapr_out}")
     return 0
 

@@ -233,6 +233,8 @@ def random_block(rng: random.Random, p: int, m: int, s: int, modulus: int) -> Pr
     uniform over Z_modulus.  Any such draw satisfies the construction's
     claims, which makes seeded draws the property-test surface.
     """
+    if not (1 <= s <= m):  # checked before drawing p^(s-1) table entries
+        raise ValueError(f"s must satisfy 1 <= s <= m, got s={s} m={m}")
     pi = list(range(s, m + 1))
     rng.shuffle(pi)
     h_table = None

@@ -12,7 +12,15 @@ grid u_j = j/(N_os*L), computed as one zero-padded inverse DFT.
 PMEPR of a set is the max over members.  For an (M, L, S)-MSCS it is at
 most M*S; the bound rests on an exact energy identity for the family of S
 frequency-modulated companions of each member, which
-:func:`energy_identity_check` evaluates on the grid.
+:func:`energy_identity_check` evaluates on the grid.  Companion u of x
+(entry k multiplied by exp(2*pi*1j*k*u/S)) has envelope P_x(t + u/S), so on
+the grid of n = N_os*L points it is x's envelope rolled by u*n/S samples
+whenever S divides n: the family energy is then the sum of the M member
+powers folded into n/S bins, M FFTs in all.  When S does not divide n the
+companions are transformed one by one (S*M FFTs).
+
+Grids are capped at ``MAX_GRID`` points, the default oversampling of a
+sequence at the length cap; :func:`grid_points` checks before allocating.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import PhaseSequence, SequenceSet, to_complex
+from .seqcore import MAX_LENGTH, PhaseSequence, SequenceSet, to_complex
 
 DEFAULT_OVERSAMPLING = 64
+MAX_GRID = DEFAULT_OVERSAMPLING * MAX_LENGTH
 BOUND_SLACK = 1e-9
 
 
@@ -60,12 +69,20 @@ class EnvelopeGrid:
         return np.arange(n) / n
 
 
-def _complex_envelope(c: np.ndarray, oversampling: int) -> np.ndarray:
-    """Envelope samples of an arbitrary complex carrier vector."""
+def grid_points(oversampling: int, length: int) -> int:
+    """Size N_os*L of the envelope grid; raises unless 1 <= N_os and N_os*L <= MAX_GRID."""
     if oversampling < 1:
         raise ValueError(f"oversampling {oversampling} must be >= 1")
+    n = oversampling * length
+    if n > MAX_GRID:
+        raise ValueError(f"envelope grid of {n} points exceeds capacity limit {MAX_GRID}")
+    return n
+
+
+def _complex_envelope(c: np.ndarray, oversampling: int) -> np.ndarray:
+    """Envelope samples of an arbitrary complex carrier vector."""
     L = len(c)
-    n = oversampling * L
+    n = grid_points(oversampling, L)
     padded = np.zeros(n, dtype=complex)
     padded[:L] = c
     # n * ifft evaluates sum_i c_i exp(2*pi*1j*i*j/n) at every grid point
@@ -149,13 +166,27 @@ def energy_identity_check(sset: SequenceSet, S: int,
     Summing |P|^2 over all members and all S modulated companions gives
     exactly M*L*S at every time for an (M, L, S)-MSCS.  Returns the largest
     |total - M*L*S| / (M*L*S) over the grid; below 1e-9 for verified sets.
+    Companion u's power is the member's power rolled by u*n/S grid samples
+    when S divides the grid size n, so the total is then the M member
+    powers folded into n/S bins; otherwise each companion is transformed.
     """
     if S < 1:
         raise ValueError(f"S={S} must be >= 1")
-    M, L = len(sset), sset.length
-    total = np.zeros(oversampling * L)
-    for s in sset.sequences:
-        for c in modulated_family(s, S):
-            total += np.abs(_complex_envelope(c, oversampling)) ** 2
-    target = M * L * S
+    target = len(sset) * sset.length * S
+    total = _family_energy(sset, S, oversampling)
     return float(np.max(np.abs(total - target)) / target)
+
+
+def _family_energy(sset: SequenceSet, S: int, oversampling: int) -> np.ndarray:
+    """Sum of |P|^2 over every member's S modulated companions on the grid.
+
+    With n = N_os*L, the sum has period n/S when S divides n and only its
+    first n/S samples are returned; otherwise all n samples are.
+    """
+    n = grid_points(oversampling, sset.length)
+    fold = n % S == 0
+    total = np.zeros(n)
+    for s in sset.sequences:
+        for c in [to_complex(s)] if fold else modulated_family(s, S):
+            total += np.abs(_complex_envelope(c, oversampling)) ** 2
+    return total.reshape(S, n // S).sum(axis=0) if fold else total

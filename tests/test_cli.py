@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+import mscs.cli
 import mscs.correlation
 import mscs.reference_sets
 from mscs.cli import (
+    CSV_CHUNK_VALUES,
     SetDocument,
     document_from_json,
     document_from_set,
@@ -17,6 +19,7 @@ from mscs.cli import (
     read_document,
     write_document,
 )
+from mscs.pmepr import iapr_curve
 from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
 from mscs.seqcore import PhaseSequence, SequenceSet
 
@@ -120,6 +123,39 @@ def test_generate_rejects_malformed_params(tmp_path, capsys, params):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def _refuse_draws(*args):
+    raise AssertionError("random_block called before the length check")
+
+
+@pytest.mark.parametrize("params", [
+    {"lambda": 2, "p": 2, "m": 21, "s": 21},
+    {"lambda": 6, "blocks": [{"p": 3, "m": 12}], "extension": {"p": 2}},
+    {"lambda": 6, "blocks": [{"p": 2, "m": 10, "s": 10}, {"p": 3, "m": 7}]},
+    {"lambda": 2, "p": 2, "m": 10**9},
+], ids=["single", "extension", "two-primes", "huge-m"])
+def test_generate_checks_length_before_drawing(tmp_path, capsys, monkeypatch, params):
+    monkeypatch.setattr(mscs.cli, "random_block", _refuse_draws)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "set.json"
+    assert main(["generate", "--params", str(path), "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: sequence length ")
+    assert captured.err.endswith(" exceeds capacity limit 1000000\n")
+    assert not out.exists()
+
+
+def test_generate_flags_check_length_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mscs.cli, "random_block", _refuse_draws)
+    code = main(["generate", "--p", "2", "--m", "21", "--s", "21", "--lambda", "2",
+                 "--seed", "1", "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: sequence length 2097152 exceeds capacity limit 1000000\n"
 
 
 def test_verify_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -262,6 +298,43 @@ def test_pmepr_iapr_export(tmp_path, capsys):
     assert abs(data[:, 1:].max() - printed) < 1e-6
 
 
+def _reference_iapr_csv(doc, n_os):
+    """The IAPR export written one cell at a time, as ``f"{v:.10g}"``."""
+    curves = [iapr_curve(s, n_os) for s in document_to_set(doc).sequences]
+    n = n_os * doc.length
+    u = np.arange(n) / n
+    cols = ", ".join(f"iapr_{i}" for i in range(doc.set_size))
+    lines = [f"# iapr curves: M={doc.set_size} L={doc.length} "
+             f"lambda={doc.modulus} oversampling={n_os}",
+             f"# columns: dft_t, {cols}"]
+    for j in range(n):
+        lines.append(",".join([f"{u[j]:.10g}"] + [f"{c[j]:.10g}" for c in curves]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+_ONE_MEMBER = SetDocument(
+    modulus=5, length=64, set_size=1,
+    claim={"kind": "MSCS", "S": 64},
+    provenance={"construction": "external"},
+    sequences=(tuple((i * i) % 5 for i in range(64)),),
+)
+
+
+@pytest.mark.parametrize("doc, n_os", [
+    (document_from_set(mscs_3_54_2()), 400),
+    (_ONE_MEMBER, 600),
+], ids=["mscs-3-54-2", "one-member"])
+def test_pmepr_iapr_export_bytes(tmp_path, capsys, doc, n_os):
+    # more values than one chunk holds, so the rows cross a chunk boundary
+    assert n_os * doc.length * (doc.set_size + 1) > CSV_CHUNK_VALUES
+    path = str(tmp_path / "set.json")
+    write_document(doc, path)
+    csv = tmp_path / "iapr.csv"
+    assert main(["pmepr", path, "--n-os", str(n_os), "--iapr-out", str(csv)]) == 0
+    capsys.readouterr()
+    assert csv.read_bytes() == _reference_iapr_csv(doc, n_os)
+
+
 def test_pmepr_single_carrier_external(tmp_path, capsys):
     doc = SetDocument(
         modulus=2, length=1, set_size=1,
@@ -281,6 +354,19 @@ def test_pmepr_rejects_bad_oversampling(tmp_path, capsys):
     path = _example_doc_path(tmp_path)
     assert main(["pmepr", path, "--n-os", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_pmepr_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("iapr_curve called before the grid check")
+
+    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    path = _example_doc_path(tmp_path)
+    assert main(["pmepr", path, "--n-os", str(10**9)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: envelope grid of 27000000000 points exceeds "
+                            "capacity limit 64000000\n")
 
 
 def test_selftest_passes(capsys):

@@ -108,6 +108,14 @@ def test_multi_prime_rejects_duplicates():
         multi_prime_mscs([], 6)
 
 
+def test_random_block_checks_s_before_drawing():
+    # s = 40 would draw a head table of 2^39 entries before the builder's check
+    with pytest.raises(ValueError, match="1 <= s <= m"):
+        random_block(random.Random(1), 2, 1, 40, 2)
+    with pytest.raises(ValueError, match="1 <= s <= m"):
+        random_block(random.Random(1), 3, 2, 0, 3)
+
+
 def test_multi_prime_is_kronecker_chain():
     rng = random.Random(77)
     blocks = [

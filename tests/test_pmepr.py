@@ -3,19 +3,28 @@ import random
 import numpy as np
 import pytest
 
-from mscs.constructions import PrimeBlock, random_block, single_prime_mscs
+from mscs.constructions import (
+    PrimeBlock,
+    length_extended_mscs,
+    multi_prime_mscs,
+    random_block,
+    single_prime_mscs,
+)
 from mscs.pmepr import (
     DEFAULT_OVERSAMPLING,
+    MAX_GRID,
     EnvelopeGrid,
+    _family_energy,
     energy_identity_check,
     envelope,
+    grid_points,
     iapr_curve,
     modulated_family,
     pmepr,
     pmepr_set,
 )
 from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
-from mscs.seqcore import PhaseSequence, SequenceSet
+from mscs.seqcore import MAX_LENGTH, PhaseSequence, SequenceSet
 
 
 def test_envelope_zero_phase_peak():
@@ -144,6 +153,66 @@ def test_energy_identity_detects_tampering():
     )
     # flipping one entry breaks the flat-power sum across the modulated family
     assert energy_identity_check(tampered, 3, oversampling=8) > 1e-6
+    # S = 3 divides the 216-point grid: the check ran on the folded sum
+    assert _family_energy(tampered, 3, oversampling=8).shape == (8 * 27 // 3,)
+
+
+def _direct_family_energy(sset, S, oversampling):
+    """Sum of |P|^2 over each member's S companions, one FFT per companion."""
+    n = oversampling * sset.length
+    total = np.zeros(n)
+    for s in sset.sequences:
+        for c in modulated_family(s, S):
+            padded = np.zeros(n, dtype=complex)
+            padded[:len(c)] = c
+            total += np.abs(n * np.fft.ifft(padded)) ** 2
+    return total
+
+
+def _energy_sets():
+    rng = random.Random(41)
+    single = single_prime_mscs(random_block(rng, 3, 3, 2, 6), 6)
+    multi = multi_prime_mscs([random_block(rng, 2, 3, 3, 6), random_block(rng, 3, 2, 2, 6)], 6)
+    extended = length_extended_mscs([random_block(rng, 3, 2, 1, 6)], 2, 6, 5, 1)
+    return [pytest.param(single, 3, id="single-prime"),
+            pytest.param(multi, 12, id="multi-prime"),
+            pytest.param(extended, 2, id="length-extended")]
+
+
+@pytest.mark.parametrize("sset, S", _energy_sets())
+@pytest.mark.parametrize("oversampling", [1, 4])
+def test_energy_fold_matches_direct_sum(sset, S, oversampling):
+    n = oversampling * sset.length
+    assert n % S == 0
+    folded = _family_energy(sset, S, oversampling)
+    assert folded.shape == (n // S,)
+    direct = _direct_family_energy(sset, S, oversampling)
+    target = len(sset) * sset.length * S
+    assert np.max(np.abs(np.tile(folded, S) - direct)) <= 1e-12 * target
+    assert energy_identity_check(sset, S, oversampling) < 1e-9
+
+
+def test_energy_identity_direct_path_when_S_does_not_divide_grid():
+    # a Golay pair (L = 4) is an MSCS for every S; S = 3 does not divide 1 * 4
+    sset = single_prime_mscs(PrimeBlock(p=2, m=2), 2)
+    total = _family_energy(sset, 3, oversampling=1)
+    assert total.shape == (4,)
+    assert np.allclose(total, _direct_family_energy(sset, 3, 1), rtol=0, atol=1e-12 * 24)
+    assert energy_identity_check(sset, 3, oversampling=1) < 1e-9
+    assert energy_identity_check(sset, 3, oversampling=2) < 1e-9
+
+
+def test_grid_cap():
+    assert MAX_GRID == DEFAULT_OVERSAMPLING * MAX_LENGTH
+    assert grid_points(DEFAULT_OVERSAMPLING, MAX_LENGTH) == MAX_GRID
+    assert grid_points(4, 531441) == 4 * 531441
+    with pytest.raises(ValueError, match="exceeds capacity limit"):
+        grid_points(DEFAULT_OVERSAMPLING, MAX_LENGTH + 1)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        grid_points(0, 8)
+    # the envelope checks the cap before it allocates its grid
+    with pytest.raises(ValueError, match="exceeds capacity limit"):
+        iapr_curve(PhaseSequence(2, [0, 1]), MAX_GRID)
 
 
 def test_bound_holds_for_random_draws():
