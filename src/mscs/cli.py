@@ -106,7 +106,7 @@ def document_from_set(sset: SequenceSet) -> SetDocument:
         set_size=len(sset),
         claim=_check_claim(claims[0]),
         provenance=provenance,
-        sequences=tuple(tuple(int(v) for v in s.values) for s in sset.sequences),
+        sequences=tuple(tuple(s.values.tolist()) for s in sset.sequences),
     )
 
 
@@ -119,17 +119,35 @@ def document_to_set(doc: SetDocument) -> SequenceSet:
     return SequenceSet(members, meta)
 
 
-def document_to_json(doc: SetDocument) -> str:
-    payload = {
-        "schema": doc.schema,
+def _document_chunks(doc: SetDocument):
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, in pieces.
+
+    The indenting encoder has no C implementation and would handle every
+    phase in Python, so only the small fields go through it.  Each sequence
+    is one string join of its phases, formatted through a table of the
+    row's distinct values.
+    """
+    header = json.dumps({
+        "claim": doc.claim,
         "lambda": doc.modulus,
         "length": doc.length,
-        "set_size": doc.set_size,
-        "claim": doc.claim,
         "provenance": doc.provenance,
-        "sequences": [list(row) for row in doc.sequences],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        "schema": doc.schema,
+    }, indent=2, sort_keys=True)
+    # the header keys all sort before "sequences", which sorts before "set_size"
+    yield header[:-2] + ',\n  "sequences": ['
+    sep = "\n    "
+    for row in doc.sequences:
+        table = {v: str(v) for v in set(row)}
+        phases = ",\n      ".join(map(table.__getitem__, row))
+        yield f"{sep}[\n      {phases}\n    ]" if row else sep + "[]"
+        sep = ",\n    "
+    close = "\n  ]" if doc.sequences else "]"
+    yield f'{close},\n  "set_size": {json.dumps(doc.set_size)}\n}}\n'
+
+
+def document_to_json(doc: SetDocument) -> str:
+    return "".join(_document_chunks(doc))
 
 
 def _field_int(payload: dict, key: str, default: int | None = None) -> int:
@@ -148,7 +166,7 @@ def document_from_json(text: str) -> SetDocument:
     if not isinstance(payload, dict):
         raise ValueError("document root must be an object")
     schema = payload.get("schema")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {schema!r}")
     try:
         modulus = _field_int(payload, "lambda")
@@ -189,7 +207,7 @@ def document_from_json(text: str) -> SetDocument:
 
 def write_document(doc: SetDocument, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(document_to_json(doc))
+        fh.writelines(_document_chunks(doc))
 
 
 def read_document(path: str) -> SetDocument:

@@ -97,8 +97,10 @@ def envelope(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> Enve
 
 def iapr_curve(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
     """Instantaneous-to-average power ratio |P_x(u_j)|^2 / L at every grid point."""
-    grid = envelope(x, oversampling)
-    return np.abs(grid.samples) ** 2 / x.values.size
+    power = np.abs(_complex_envelope(to_complex(x), oversampling))
+    np.square(power, out=power)
+    power /= x.values.size
+    return power
 
 
 def pmepr(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> float:

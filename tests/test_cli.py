@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mscs.cli
 import mscs.correlation
@@ -19,9 +25,31 @@ from mscs.cli import (
     read_document,
     write_document,
 )
+from mscs.constructions import (
+    length_extended_mscs,
+    multi_prime_mscs,
+    random_block,
+    single_prime_mscs,
+)
 from mscs.pmepr import iapr_curve
 from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
 from mscs.seqcore import PhaseSequence, SequenceSet
+
+
+_ONE_MEMBER = SetDocument(
+    modulus=5, length=64, set_size=1,
+    claim={"kind": "MSCS", "S": 64},
+    provenance={"construction": "external"},
+    sequences=(tuple((i * i) % 5 for i in range(64)),),
+)
+
+
+_SINGLE_CARRIER = SetDocument(
+    modulus=2, length=1, set_size=1,
+    claim={"kind": "MSCS", "S": 1},
+    provenance={"construction": "external"},
+    sequences=((0,),),
+)
 
 
 def _example_doc_path(tmp_path, name="set.json"):
@@ -47,6 +75,40 @@ def test_document_json_is_sorted_and_stable():
     assert list(payload) == sorted(payload)
     assert text == document_to_json(document_from_set(mscs_3_54_2()))
     assert text.endswith("\n")
+
+
+def _seeded_documents():
+    rng = random.Random(17)
+    single = single_prime_mscs(random_block(rng, 3, 3, 2, 6), 6)
+    single_30 = single_prime_mscs(random_block(rng, 5, 2, 2, 30), 30)
+    multi_30 = multi_prime_mscs([random_block(rng, p, 2, 1, 30) for p in (2, 3, 5)], 30)
+    extended = length_extended_mscs([random_block(rng, 3, 2, 1, 6)], 2, 6, 5, 1)
+    return [document_from_set(sset) for sset in (single, single_30, multi_30, extended)]
+
+
+@pytest.mark.parametrize("doc", _seeded_documents() + [
+    _ONE_MEMBER, _SINGLE_CARRIER,
+    SetDocument(97, 4, 2, {"kind": "GCS"}, {"construction": "external", "note": "lambda > L"},
+                ((96, 0, 13, 50), (1, 1, 96, 10))),
+    SetDocument(2, 0, 0, {"kind": "GCS"}, {}, ()),
+    SetDocument(2, 0, 2, {"kind": "GCS"}, {}, ((), ())),
+], ids=["single-prime", "single-prime-lambda-30", "multi-prime-lambda-30", "length-extended",
+        "one-member", "single-carrier", "lambda-over-length", "no-members", "empty-members"])
+def test_document_bytes_are_indent_2_json(tmp_path, doc):
+    payload = {
+        "schema": doc.schema,
+        "lambda": doc.modulus,
+        "length": doc.length,
+        "set_size": doc.set_size,
+        "claim": doc.claim,
+        "provenance": doc.provenance,
+        "sequences": [list(row) for row in doc.sequences],
+    }
+    text = document_to_json(doc)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "set.json"
+    write_document(doc, str(path))
+    assert path.read_bytes() == text.encode()
 
 
 def test_document_parse_errors():
@@ -92,6 +154,85 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, mutate):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_FUZZ_BASE = json.loads(document_to_json(document_from_set(mscs_3_27_3())))
+_OTHER = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+                   st.lists(st.integers(0, 5), max_size=2))
+# neither is an int or a list of 27 phases
+_NOT_INT = st.one_of(_OTHER, st.just({}))
+_NOT_OBJECT = st.one_of(st.integers(-9, 9), _OTHER)
+_BAD_PHASE = st.one_of(_NOT_INT, st.integers(-10**30, -1), st.integers(6, 10**30))
+
+
+@st.composite
+def _document_mutants(draw):
+    """A mutated (3,27,3) document and whether it is malformed."""
+    doc = copy.deepcopy(_FUZZ_BASE)
+    rows = doc["sequences"]
+    for _ in range(draw(st.integers(0, 3))):  # in-range phase edits keep it well-formed
+        rows[draw(st.integers(0, 2))][draw(st.integers(0, 26))] = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from([
+        "none", "drop", "drop-claim-field", "retype-int", "retype-object", "retype-sequences",
+        "retype-row", "phase", "truncate", "set_size", "length", "lambda", "S", "claim-kind",
+        "provenance",
+    ]))
+    malformed = True
+    if kind == "none":
+        malformed = False
+    elif kind == "drop":
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    elif kind == "drop-claim-field":
+        doc["claim"].pop(draw(st.sampled_from(["S", "kind"])))
+    elif kind == "retype-int":
+        doc[draw(st.sampled_from(["schema", "lambda", "length", "set_size"]))] = draw(_NOT_INT)
+    elif kind == "retype-object":
+        doc[draw(st.sampled_from(["claim", "provenance"]))] = draw(_NOT_OBJECT)
+    elif kind == "retype-sequences":
+        doc["sequences"] = draw(_NOT_INT)
+    elif kind == "retype-row":
+        rows[draw(st.integers(0, 2))] = draw(_NOT_INT)
+    elif kind == "phase":
+        rows[draw(st.integers(0, 2))][draw(st.integers(0, 26))] = draw(_BAD_PHASE)
+    elif kind == "truncate":
+        i = draw(st.integers(0, 2))
+        rows[i] = rows[i][:draw(st.integers(0, 26))]
+    elif kind in ("set_size", "length"):
+        value = doc[kind]
+        doc[kind] = draw(st.integers(-5, 60).filter(lambda v: v != value))
+    elif kind == "lambda":
+        doc["lambda"] = draw(st.integers(0, 12))
+        malformed = doc["lambda"] < 2 or max(map(max, rows)) >= doc["lambda"]
+    elif kind == "S":
+        doc["claim"]["S"] = draw(st.integers(-3, 40))
+        malformed = not 1 <= doc["claim"]["S"] < 27
+    elif kind == "claim-kind":
+        doc["claim"]["kind"] = draw(st.sampled_from(["GCS", "ZCS", "mscs", "", "MSCS "]))
+        malformed = doc["claim"]["kind"] != "GCS"  # a ZCS claim needs Z
+    else:
+        doc["provenance"] = draw(st.dictionaries(st.text(max_size=3), _NOT_OBJECT, max_size=2))
+        malformed = False
+    return doc, malformed
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutant=_document_mutants())
+@example(mutant=({**_FUZZ_BASE, "schema": True}, True))
+@example(mutant=({**_FUZZ_BASE, "schema": 1.0}, True))
+def test_verify_fuzzed_document(tmp_path_factory, mutant):
+    payload, malformed = mutant
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    if malformed:
+        assert rc == 2 and out == "", (rc, out, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert rc in (0, 1) and err == "", (rc, out, err)
+        assert (rc == 1) == out.endswith("verdict: fail\n"), out
 
 
 @pytest.mark.parametrize("params", [
@@ -312,14 +453,6 @@ def _reference_iapr_csv(doc, n_os):
     return ("\n".join(lines) + "\n").encode()
 
 
-_ONE_MEMBER = SetDocument(
-    modulus=5, length=64, set_size=1,
-    claim={"kind": "MSCS", "S": 64},
-    provenance={"construction": "external"},
-    sequences=(tuple((i * i) % 5 for i in range(64)),),
-)
-
-
 @pytest.mark.parametrize("doc, n_os", [
     (document_from_set(mscs_3_54_2()), 400),
     (_ONE_MEMBER, 600),
@@ -336,14 +469,8 @@ def test_pmepr_iapr_export_bytes(tmp_path, capsys, doc, n_os):
 
 
 def test_pmepr_single_carrier_external(tmp_path, capsys):
-    doc = SetDocument(
-        modulus=2, length=1, set_size=1,
-        claim={"kind": "MSCS", "S": 1},
-        provenance={"construction": "external"},
-        sequences=((0,),),
-    )
     path = str(tmp_path / "one.json")
-    write_document(doc, path)
+    write_document(_SINGLE_CARRIER, path)
     assert main(["pmepr", path]) == 0
     out = capsys.readouterr().out
     assert "set pmepr: 1.000000" in out

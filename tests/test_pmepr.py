@@ -77,6 +77,16 @@ def test_iapr_properties():
     assert abs(curve.mean() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("oversampling", [1, 3, 64])
+def test_iapr_curve_is_the_envelope_power_bit_for_bit(oversampling):
+    # the IAPR CSV bytes and the printed PMEPRs rest on these exact values
+    members = [s for sset, _ in (p.values for p in _energy_sets()) for s in sset.sequences]
+    members += list(mscs_3_54_2().sequences) + [PhaseSequence(2, [1])]
+    for x in members:
+        reference = np.abs(envelope(x, oversampling).samples) ** 2 / len(x)
+        assert np.array_equal(iapr_curve(x, oversampling), reference)
+
+
 def test_pmepr_constant_sequence():
     s = PhaseSequence(2, [0] * 16)
     assert abs(pmepr(s, oversampling=8) - 16) < 1e-9
