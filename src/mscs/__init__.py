@@ -20,6 +20,7 @@ from .correlation import (
     CyclotomicSum,
     ShiftCheck,
     aacf_set_counts,
+    aacf_set_residues,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -69,6 +70,7 @@ __all__ = [
     "CyclotomicSum",
     "ShiftCheck",
     "aacf_set_counts",
+    "aacf_set_residues",
     "aacf_set_sum",
     "accf_exact",
     "accf_float",

@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success / claim verified, 1 verification or selftest
 failure, 2 usage or parse error, 3 an internal check failed (exact and
-float verdicts disagree, or all-shift counts fail their checks).
+float verdicts disagree, or all-shift residues fail their checks).
 Documents are written with sorted keys and fixed layout, so identical
 flags (and seed) give identical bytes.
 """
@@ -19,6 +19,7 @@ flags (and seed) give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -38,7 +39,9 @@ from .constructions import (
 from .correlation import (
     NONZERO_TOL,
     ZERO_TOL,
+    CyclotomicSum,
     aacf_set_counts,
+    aacf_set_residues,
     aacf_set_sum,
     is_zero,
     kronecker_accf_identity_check,
@@ -220,9 +223,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _field_int_list(rec: dict, key: str) -> tuple[int, ...] | None:
-    value = rec.get(key)
-    if value is None:
+    if key not in rec:
         return None
+    value = rec[key]
     if not isinstance(value, list) or any(type(v) is not int for v in value):
         raise ValueError(f"{key} must be a list of integers, got {value!r}")
     return tuple(value)
@@ -587,6 +590,16 @@ def _selftest_checks():
                     return f"L={sset.length} tau={tau}: all-shift counts {row.tolist()} differ"
         return None
 
+    def check_residue_path():
+        for sset in (reference_sets.mscs_3_27_3(), reference_sets.mscs_3_54_2()):
+            lam, shifts = sset.modulus, range(1, sset.length)
+            for tau, row in zip(shifts, aacf_set_residues(sset, shifts)):
+                # the residue read as counts of w^0..w^(phi-1) is the same sum
+                as_counts = CyclotomicSum(lam, np.pad(row, (0, lam - len(row))))
+                if not is_zero(aacf_set_sum(sset, tau) - as_counts):
+                    return f"L={sset.length} tau={tau}: residues {row.tolist()} differ"
+        return None
+
     def check_iapr_curves():
         sset = reference_sets.mscs_3_54_2()
         report = pmepr_set(sset, 2)
@@ -610,6 +623,7 @@ def _selftest_checks():
         ("energy-identity", check_energy_identity),
         ("exact-float-separation", check_exact_float_separation),
         ("all-shift-counts", check_all_shift_counts),
+        ("residue-path", check_residue_path),
         ("iapr-curves", check_iapr_curves),
     ]
 
@@ -633,7 +647,9 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mscs",
         description="Construct, verify and measure complementary sequence sets.",
@@ -654,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--verify", action="store_true",
                      help="exactly verify the claim before writing")
     gen.add_argument("--out", required=True, help="output document path")
-    gen.set_defaults(func=cmd_generate)
 
     ver = sub.add_parser("verify", help="verify the correlation claim of a document")
     ver.add_argument("input", help="set document path")
@@ -662,29 +677,29 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the document claim")
     ver.add_argument("--S", type=int, help="shift parameter for an MSCS claim")
     ver.add_argument("--Z", type=int, help="zone width for a ZCS claim")
-    ver.set_defaults(func=cmd_verify)
 
     pme = sub.add_parser("pmepr", help="measure PMEPR of a document")
     pme.add_argument("input", help="set document path")
     pme.add_argument("--n-os", type=int, default=DEFAULT_OVERSAMPLING,
                      help=f"oversampling factor (default {DEFAULT_OVERSAMPLING})")
     pme.add_argument("--iapr-out", help="write IAPR curves to this path")
-    pme.set_defaults(func=cmd_pmepr)
 
-    selftest = sub.add_parser("selftest", help="run the bundled checks")
-    selftest.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run the bundled checks")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # looked up per call rather than stored in the cached parser, so a
+    # command rebound on this module is the one that runs
+    command = {"generate": cmd_generate, "verify": cmd_verify,
+               "pmepr": cmd_pmepr, "selftest": cmd_selftest}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

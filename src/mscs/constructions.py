@@ -121,6 +121,8 @@ def _build(
     are materialized once; member gamma (gamma_1 fastest) is
     (base + sum_a gamma_a * tag_a) mod lambda.
     """
+    if modulus < 2:
+        raise ValueError(f"modulus {modulus} must be >= 2")
     if not blocks:
         raise ValueError("need at least one prime block")
     primes = [b.p for b in blocks]

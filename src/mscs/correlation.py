@@ -11,20 +11,28 @@ point tolerance.
 
 Exact verification takes one of two paths, chosen from the input size:
 
-* per-shift: one O(M*L) bincount (:func:`aacf_set_sum`) per tested shift.
-* all-shift: the count vectors of every tested shift at once
-  (:func:`aacf_set_counts`).  For k = 0..lambda//2 the members' lifts
-  w^(k*x) are autocorrelated with zero-padded FFTs; embedding lambda-k is
-  the conjugate of embedding k.  A length-lambda DFT over k at each shift,
-  divided by lambda and rounded, gives
-  counts[tau, d] = #{(member, i): x_i - x_{i+tau} = d mod lambda}.
+* per-shift: one O(M*L) bincount (:func:`aacf_set_sum`, the oracle) per
+  tested shift, reduced by :func:`is_zero`.
+* all-shift: the residues r(tau) = counts @ R of every tested shift at once
+  (:func:`aacf_set_residues`).  The embedding sums E_k(tau), the members'
+  autocorrelations of w^(k*x) summed, are the Galois conjugates of the
+  correlation value alpha(tau) = sum_j r_j w^j in Z[w].  For the
+  phi(lambda) units k they determine r through the Vandermonde system
+  E_k = sum_j r_j w^(kj) (the Minkowski embedding of Z[w]), and embedding
+  lambda - k is the conjugate of embedding k.  So phi(lambda)/2 FFT
+  autocorrelations, zero-padded to a 7-smooth length n >= 2L - 1, and one
+  cached real phi x phi inverse give every residue after rounding.  For
+  lambda in {2, 3, 4, 6} the only embedding is k = 1, which the float
+  check below computes anyway.
 
 The all-shift path runs when the per-shift work sum_tau (L - tau) exceeds
-(lambda//2 + 1) * n * log2(n), n = 2L, and the a-priori rounding bound of
-:func:`_rounding_bound` stays below 1/2, so rounding recovers every count.
-Its counts must also be non-negative and sum to M*(L - tau) at every shift,
-and the shift with the largest rounding residual is recomputed by
-:func:`aacf_set_sum`; a violation raises ``RuntimeError``.
+the work of the embeddings beyond k = 1, (phi(lambda)/2 - 1) * n * log2(n),
+and the a-priori rounding bound of :func:`_rounding_bound` stays below 1/2,
+so rounding recovers every residue.  The largest measured rounding residual
+must stay within that bound, and the residue of the shift with the largest
+residual is recomputed from :func:`aacf_set_sum`; a violation raises
+``RuntimeError``.  :func:`aacf_set_counts` gives full count vectors from
+lambda//2 + 1 embeddings for callers that need them.
 
 A floating point path evaluates every tested sum in complex doubles (the
 k = 1 embedding).  Exact and float verdicts must agree (zero below
@@ -47,11 +55,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constructions import kronecker_compose
-from .seqcore import PhaseSequence, SequenceSet, to_complex
+from .seqcore import PhaseSequence, SequenceSet, to_complex, unit_lift
 
 EXACT_MODULUS_CAP = 1000
 ZERO_TOL = 1e-9
 NONZERO_TOL = 1e-6
+# Largest modulus whose difference codes x + lambda - y fit uint16.
+SMALL_CODE_MODULUS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,35 +237,70 @@ def accf_float(a: PhaseSequence, b: PhaseSequence, tau: int) -> complex:
 
 
 def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
-    """Entrywise sum of the members' autocorrelations at one shift."""
+    """Entrywise sum of the members' autocorrelations at one shift.
+
+    For lambda <= ``SMALL_CODE_MODULUS`` each term x_i - x_{i+tau} is
+    counted by its code x_i + lambda - x_{i+tau} in [1, 2*lambda - 1], held
+    in uint16, and the 2*lambda bins are folded mod lambda; larger moduli
+    reduce int64 differences with ``%``.
+    """
     L = sset.length
     if abs(tau) >= L:
         raise ValueError(f"shift {tau} out of range for length {L}")
     lam = sset.modulus
+    lead, lag = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L),
+                                                                      slice(0, L + tau))
+    if lam <= SMALL_CODE_MODULUS:
+        stack = np.empty((len(sset), L), dtype=np.uint16)
+        for row, s in zip(stack, sset.sequences):
+            row[:] = s.values
+        codes = stack[:, lead] + np.uint16(lam)
+        codes -= stack[:, lag]
+        bins = np.bincount(codes.ravel(), minlength=2 * lam)
+        return CyclotomicSum(lam, bins[:lam] + bins[lam:])
     stack = np.stack([s.values for s in sset.sequences])
-    if tau >= 0:
-        diffs = (stack[:, : L - tau] - stack[:, tau:]) % lam
-    else:
-        diffs = (stack[:, -tau:] - stack[:, : L + tau]) % lam
+    diffs = (stack[:, lead] - stack[:, lag]) % lam
     return CyclotomicSum(lam, np.bincount(diffs.ravel(), minlength=lam))
+
+
+def _fft_length(L: int) -> int:
+    """Smallest 7-smooth n >= 2L - 1: long enough for aperiodic correlation.
+
+    Every such length is planned by pocketfft as radix passes of at most 7
+    points, which is what :func:`_embedding_bound` assumes.
+    """
+    target = max(2 * L - 1, 1)
+    best = 1 << (target - 1).bit_length()
+    p7 = 1
+    while p7 < best:
+        p57 = p7
+        while p57 < best:
+            p357 = p57
+            while p357 < best:
+                # smallest p357 * 2^a >= target
+                best = min(best, p357 << (-(-target // p357) - 1).bit_length())
+                p357 *= 3
+            p57 *= 5
+        p7 *= 7
+    return best
 
 
 def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> np.ndarray:
     """Sum over members of the autocorrelation of w^(k*x) at each shift, one row per k.
 
     Row k = 1 is the float autocorrelation sum of the set.  Each member and
-    embedding takes one zero-padded length-2L FFT; the power spectra are
-    summed over members before one inverse FFT per embedding.
+    embedding takes one FFT zero-padded to :func:`_fft_length`; the power
+    spectra are summed over members before one inverse FFT per embedding.
     """
     L, lam = sset.length, sset.modulus
+    n = _fft_length(L)
     shifts = np.asarray(shifts, dtype=np.intp)
-    roots = np.exp(2j * np.pi * np.arange(lam) / lam)
-    padded = np.zeros(2 * L, dtype=complex)
+    padded = np.zeros(n, dtype=complex)
     out = np.empty((len(ks), len(shifts)), dtype=complex)
     for row, k in enumerate(ks):
-        power = np.zeros(2 * L)
+        power = np.zeros(n)
         for s in sset.sequences:
-            padded[:L] = roots[(k * s.values) % lam]
+            padded[:L] = unit_lift((k * s.values) % lam, lam)
             spec = np.fft.fft(padded)
             power += spec.real**2 + spec.imag**2
         # ifft(power)[t] = sum_i c_{i+t} conj(c_i); the definition conjugates the lagged copy
@@ -263,31 +308,20 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
     return out
 
 
-def _fft_bound_applies(n: int) -> bool:
-    """True when pocketfft plans a length-n transform as radix passes of at most 31 points.
-
-    It does so when n < 50 or the largest prime factor p of n has p*p <= n;
-    otherwise it may choose Bluestein's algorithm, which
-    :func:`_rounding_bound` does not cover.
-    """
-    rest, largest = n, 1
-    for p in range(2, 32):
-        while rest % p == 0:
-            rest //= p
-            largest = p
-    return rest == 1 and (n < 50 or largest * largest <= n)
+_UNIT_ROUNDOFF = 2.0**-53
 
 
-def _rounding_bound(M: int, L: int, lam: int) -> float:
-    """A-priori bound on |computed - exact| of every all-shift count before rounding.
+def _embedding_bound(M: int, L: int) -> float:
+    """A-priori bound on |computed - exact| of every embedding sum E_k(tau).
 
-    With u = 2^-53 and n = 2L the bound is c*u*log2(n)*M*L, where
-    c*log2(n) = 24*log2(n) + M + 2*lam + 90 collects, to first order in u:
+    With u = 2^-53 and n = :func:`_fft_length` (L) the bound is
+    u*M*L*(24*log2(n) + M + 53), collecting to first order in u:
 
-    * Transforms.  A radix-r pass forms each output from r inputs and
+    * Transforms.  n is 7-smooth, so pocketfft plans it as radix-r passes
+      with r <= 7.  A radix-r pass forms each output from r inputs and
       unit-modulus twiddles, erring by at most (r + 6)u against the l1 norm
       of its inputs (and relatively in l2).  (r + 6)/log2(r) <= 8 for
-      r <= 31, and every output of a DFT is reached from every input along
+      r <= 7, and every output of a DFT is reached from every input along
       exactly one path of unit weight, so a length-n transform errs by at
       most eps = 8u*log2(n) per output against the l1 norm of its input,
       and by eps relatively in l2.
@@ -296,39 +330,113 @@ def _rounding_bound(M: int, L: int, lam: int) -> float:
     * Power spectra |X|^2 (3u), summed over M members ((M - 1)u):
       ||dP||_1 <= (2 eps + 51u + (M - 1)u) * n*M*L.
     * Inverse, scaled by 1/n (2u): an output errs by at most eps*M*L
-      (sum P = n*M*L) plus ||dP||_1 / n, so every embedding sum E_k(tau)
-      errs by at most u*M*L*(24*log2(n) + M + 53).
-    * The length-lambda transform over k is a dense product with weights
-      a_k*cos, a_k*sin (each within 24u) summing 2*(lambda//2 + 1) <=
-      lambda + 2 terms whose absolute values total at most sqrt(2)*M*L:
-      sqrt(2)*(lambda + 26)*u*M*L <= (2*lambda + 37)*u*M*L more.
-
-    Below 1/2 the bound guarantees that rint recovers every count; the
-    neglected second-order terms are then smaller by a factor of about
-    10^13.  Lengths whose transform plan the first point does not cover get
-    an infinite bound.
+      (sum P = n*M*L) plus ||dP||_1 / n.
     """
-    n = 2 * L
-    if not _fft_bound_applies(n):
-        return math.inf
-    return 2.0**-53 * M * L * (24 * math.log2(n) + M + 2 * lam + 90)
+    n = _fft_length(L)
+    return _UNIT_ROUNDOFF * M * L * (24 * math.log2(n) + M + 53)
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_table(lam: int) -> tuple[tuple[int, ...], np.ndarray, float, float]:
+    """Embeddings ks, table W with residues = [Re E_k, Im E_k over ks] @ W, and error constants.
+
+    ks are the units k of Z/lambda with k <= lambda/2, one per conjugate
+    pair (k = 1 alone for lambda = 2, whose Im E_1 is zero and is dropped):
+    phi(lambda)/2 embeddings.  W inverts the real phi x phi matrix B with
+    B[j, (cos|sin) k] = cos|sin(2*pi*k*j/lambda), j < phi(lambda), which
+    maps a residue r to [Re, Im] of its conjugates E_k = sum_j r_j w^(kj).
+
+    Also returned: c, the largest column l1 norm of W, and the constant
+    ``extra`` of :func:`_rounding_bound`.
+    """
+    phi = len(cyclotomic_polynomial(lam)) - 1
+    ks = tuple(k for k in range(1, lam // 2 + 1) if math.gcd(k, lam) == 1)
+    angle = 2 * np.pi * ((np.arange(phi)[:, None] * np.array(ks)) % lam) / lam
+    basis = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)[:, :phi]
+    table = np.linalg.inv(basis)
+    table.flags.writeable = False
+    c = float(np.abs(table).sum(axis=0).max())
+    off = float(np.abs(np.eye(phi) - basis @ table).max())
+    rho = int(np.abs(_reduction_matrix(lam)[0]).sum(axis=1).max())
+    extra = phi * c + rho * (off / _UNIT_ROUNDOFF + (phi + 24) * c)
+    return ks, table, c, extra
+
+
+def _rounding_bound(M: int, L: int, lam: int) -> float:
+    """A-priori bound on |computed - exact| of every all-shift residue before rounding.
+
+    The bound is c*B + u*M*L*extra, B = :func:`_embedding_bound`, with c
+    and extra from :func:`_residue_table`.  A residue is r = e @ W for the
+    exact [Re E_k, Im E_k] row e; the computed one is fl(e' @ W'), with e'
+    the computed sums and W' the computed table:
+
+    * Propagation.  |e' - e| <= B per entry, so at most c*B.
+    * Solve.  The phi-term dot product errs by phi*u * sum|W'||e'| <=
+      phi*u*c*M*L, as |E_k(tau)| <= M*L.
+    * Table.  e @ (W - W') = r @ (I - B @ W') with B the exact matrix,
+      and ||r||_1 <= rho*M*L, rho the largest l1 norm of a row of R.  An
+      entry of |I - B @ W'| is at most the largest entry ``off`` of the
+      computed |I - B' @ W'|, plus phi*u*c for computing it, plus 24u*c
+      (B' entries lie within 24u of B), so this term is at most
+      rho*M*L*(off + (phi + 24)*u*c).
+
+    c is at most 2.96 for lambda <= 60 (4.67 at lambda = 105).  Below 1/2
+    the bound guarantees that rint recovers every residue; the neglected
+    second-order terms are then smaller by a factor of about 10^13.
+    """
+    _, _, c, extra = _residue_table(lam)
+    return c * _embedding_bound(M, L) + _UNIT_ROUNDOFF * M * L * extra
 
 
 def _choose_path(M: int, L: int, lam: int, shifts: range) -> str:
     """Verification path for a set of these sizes: numerical, all-shift or per-shift.
 
     All-shift when the per-shift bincount work sum_tau (L - tau) exceeds the
-    all-shift FFT work (lambda//2 + 1) * n * log2(n), n = 2L, and the
+    work of the embeddings beyond k = 1, which the float check needs anyway,
+    (phi(lambda)/2 - 1) * n * log2(n), n = :func:`_fft_length` (L), and the
     rounding bound is below 1/2.  Decided from the sizes alone.
     """
     if lam > EXACT_MODULUS_CAP:
         return "numerical"
-    n = 2 * L
+    n = _fft_length(L)
     shift_sum = len(shifts) * (shifts[0] + shifts[-1]) // 2 if shifts else 0
     per_shift_work = len(shifts) * L - shift_sum
-    if per_shift_work > (lam // 2 + 1) * n * math.log2(n) and _rounding_bound(M, L, lam) < 0.5:
+    embeddings = len(cyclotomic_polynomial(lam)) // 2  # phi/2, or 1 when phi = 1
+    extra_work = (embeddings - 1) * n * math.log2(n)
+    if per_shift_work > extra_work and _rounding_bound(M, L, lam) < 0.5:
         return "all-shift"
     return "per-shift"
+
+
+def _residues_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
+                             sums: np.ndarray) -> np.ndarray:
+    """Exact residues counts @ R, one row per shift, from the embedding sums of ks.
+
+    ``sums`` holds one row per k of :func:`_residue_table`.  Raises
+    RuntimeError when the largest rounding residual exceeds
+    :func:`_rounding_bound`, or the residue of the shift with the largest
+    residual differs from that of :func:`aacf_set_sum`.
+    """
+    lam = sset.modulus
+    _, table, _, _ = _residue_table(lam)
+    phi = table.shape[0]
+    approx = np.concatenate([sums.real, sums.imag])[:phi].T @ table
+    rounded = np.rint(approx)
+    residues = rounded.astype(np.int64)
+    if len(shifts):
+        residual = np.abs(approx - rounded).max(axis=1)
+        i = int(np.argmax(residual))
+        bound = _rounding_bound(len(sset), sset.length, lam)
+        if residual[i] > bound:
+            raise RuntimeError(f"all-shift rounding residual {residual[i]:.3e} "
+                               f"exceeds its bound {bound:.3e}")
+        tau = int(shifts[i])
+        # x^j mod Phi_lambda is x^j for j < phi, so the residue read as
+        # counts is the same element of Z[w]
+        as_counts = CyclotomicSum(lam, np.pad(residues[i], (0, lam - phi)))
+        if not is_zero(aacf_set_sum(sset, tau) - as_counts):
+            raise RuntimeError(f"all-shift residues disagree with aacf_set_sum at shift {tau}")
+    return residues
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,6 +453,18 @@ def _inverse_dft_weights(lam: int) -> np.ndarray:
     table = np.concatenate([weight * np.cos(angle), weight * np.sin(angle)])
     table.flags.writeable = False
     return table
+
+
+def _counts_bound(M: int, L: int, lam: int) -> float:
+    """A-priori bound on |computed - exact| of every count of :func:`aacf_set_counts`.
+
+    :func:`_embedding_bound` plus the length-lambda transform over k, a
+    dense product with weights a_k*cos, a_k*sin (each within 24u) summing
+    2*(lambda//2 + 1) <= lambda + 2 terms whose absolute values total at
+    most sqrt(2)*M*L: sqrt(2)*(lambda + 26)*u*M*L <= (2*lambda + 37)*u*M*L
+    more.
+    """
+    return _embedding_bound(M, L) + _UNIT_ROUNDOFF * M * L * (2 * lam + 37)
 
 
 def _counts_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
@@ -378,15 +498,34 @@ def aacf_set_counts(sset: SequenceSet, shifts: Sequence[int]) -> np.ndarray:
     """Count vectors of the set autocorrelation sum at many shifts 0 <= tau < L.
 
     Row i equals ``aacf_set_sum(sset, shifts[i]).counts``, computed for all
-    shifts at once from lambda//2 + 1 FFT embeddings (see the module
-    docstring) and checked as described in :func:`_counts_from_lift_sums`.
+    shifts at once from lambda//2 + 1 FFT embeddings and a length-lambda
+    inverse DFT over k, and checked as described in
+    :func:`_counts_from_lift_sums`.
+    """
+    L, lam = sset.length, sset.modulus
+    if any(not 0 <= tau < L for tau in shifts):
+        raise ValueError(f"shifts must lie in [0, {L})")
+    if _counts_bound(len(sset), L, lam) >= 0.5:
+        raise ValueError("FFT rounding bound reaches 1/2 for this set; use aacf_set_sum")
+    return _counts_from_lift_sums(sset, shifts, _lift_sums(sset, range(1, lam // 2 + 1), shifts))
+
+
+def aacf_set_residues(sset: SequenceSet, shifts: Sequence[int]) -> np.ndarray:
+    """Residues of the set autocorrelation sum at many shifts 0 <= tau < L.
+
+    Row i equals ``aacf_set_sum(sset, shifts[i]).counts @ R``, R holding
+    x^j mod Phi_lambda, so the sum is zero exactly when its row is.  It is
+    computed for all shifts at once from phi(lambda)/2 FFT embeddings (see
+    the module docstring) and checked as described in
+    :func:`_residues_from_lift_sums`.
     """
     L, lam = sset.length, sset.modulus
     if any(not 0 <= tau < L for tau in shifts):
         raise ValueError(f"shifts must lie in [0, {L})")
     if _rounding_bound(len(sset), L, lam) >= 0.5:
         raise ValueError("FFT rounding bound reaches 1/2 for this set; use aacf_set_sum")
-    return _counts_from_lift_sums(sset, shifts, _lift_sums(sset, range(1, lam // 2 + 1), shifts))
+    sums = _lift_sums(sset, _residue_table(lam)[0], shifts)
+    return _residues_from_lift_sums(sset, shifts, sums)
 
 
 @dataclass(frozen=True)
@@ -428,11 +567,11 @@ def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
             early_exit: bool) -> CorrelationReport:
     lam = sset.modulus
     path = _choose_path(len(sset), sset.length, lam, shifts)
-    ks = range(1, lam // 2 + 1) if path == "all-shift" else range(1, 2)
+    ks = _residue_table(lam)[0] if path == "all-shift" else (1,)
     sums = _lift_sums(sset, ks, shifts)
     magnitudes = np.abs(sums[0])
     if path == "all-shift":
-        zeros = is_zero(_counts_from_lift_sums(sset, shifts, sums))
+        zeros = ~_residues_from_lift_sums(sset, shifts, sums).any(axis=1)
     checks = []
     for i, tau in enumerate(shifts):
         mag = float(magnitudes[i])

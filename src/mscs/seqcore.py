@@ -21,6 +21,7 @@ sequence; the complex lift maps phase x to exp(2*pi*1j*x/lambda).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -392,6 +393,25 @@ def materialize(f: MultivariableFunction, *, max_length: int | None = None) -> P
     return PhaseSequence(lam, out % lam)
 
 
+@functools.lru_cache(maxsize=None)
+def _roots_of_unity(modulus: int) -> np.ndarray:
+    roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
+    roots.flags.writeable = False
+    return roots
+
+
+def unit_lift(values: np.ndarray, modulus: int) -> np.ndarray:
+    """exp(2*pi*1j*x/lambda) of each phase x in 0..lambda-1.
+
+    Looked up in a cached table of the lambda roots, which gives the same
+    bits as evaluating each entry; evaluated directly when lambda exceeds
+    the number of values, so a huge modulus allocates no table.
+    """
+    if modulus > len(values):
+        return np.exp(2j * np.pi * values / modulus)
+    return _roots_of_unity(modulus)[values]
+
+
 def to_complex(s: PhaseSequence) -> np.ndarray:
     """Unit-circle lift entry x -> exp(2*pi*1j*x/lambda)."""
-    return np.exp(2j * np.pi * s.values / s.modulus)
+    return unit_lift(s.values, s.modulus)

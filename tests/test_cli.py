@@ -266,6 +266,133 @@ def test_generate_rejects_malformed_params(tmp_path, capsys, params):
     assert not out.exists()
 
 
+_PARAMS_BASE = {
+    "lambda": 30,
+    "blocks": [
+        {"p": 2, "m": 2, "s": 1, "pi": [2, 1], "linear": [1, 7], "constant": 3},
+        {"p": 3, "m": 1, "s": 1, "pi": [1], "linear": [4], "constant": 29},
+    ],
+    "extension": {"p": 5, "linear": 2, "constant": 11},
+}
+_INT_FIELDS = {"block": ["p", "m", "s", "constant"], "extension": ["p", "linear", "constant"]}
+_NOT_LIST = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+                      st.integers(-9, 9), st.just({}))
+_NOT_INT_ELEMENT = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+                             st.lists(st.integers(0, 5), max_size=2), st.just({}))
+
+
+@st.composite
+def _params_mutants(draw):
+    """A mutated length-extended lambda = 30 parameter file and whether it is malformed."""
+    params = copy.deepcopy(_PARAMS_BASE)
+    blocks = params["blocks"]
+    block = blocks[draw(st.integers(0, 1))]
+    kind = draw(st.sampled_from([
+        "none", "drop-required", "drop-optional", "drop-block", "drop-extension",
+        "retype-root", "retype-lambda", "retype-blocks", "retype-block", "retype-extension",
+        "retype-int", "retype-list", "retype-element", "lambda", "prime", "m", "s", "pi",
+        "wrap", "empty-blocks",
+    ]))
+    malformed = True
+    if kind == "none":
+        malformed = False
+    elif kind == "drop-required":
+        where = draw(st.sampled_from(["root", "block", "extension"]))
+        target = {"root": params, "block": block, "extension": params["extension"]}[where]
+        target.pop(draw(st.sampled_from({"root": ["lambda", "blocks"], "block": ["p", "m"],
+                                         "extension": ["p"]}[where])))
+    elif kind == "drop-optional":
+        # absent fields take their defaults: s = 1, identity pi, zeros
+        if draw(st.booleans()):
+            block.pop(draw(st.sampled_from(["s", "pi", "linear", "constant"])))
+        else:
+            params["extension"].pop(draw(st.sampled_from(["linear", "constant"])))
+        malformed = False
+    elif kind == "drop-block":
+        blocks.remove(block)
+        malformed = False
+    elif kind == "drop-extension":
+        params.pop("extension")
+        malformed = False
+    elif kind == "retype-root":
+        params = draw(st.one_of(_NOT_INT_ELEMENT, st.integers(-9, 9)))
+    elif kind == "retype-lambda":
+        params["lambda"] = draw(_NOT_INT_ELEMENT)
+    elif kind == "retype-blocks":
+        params["blocks"] = draw(_NOT_LIST)
+    elif kind == "retype-block":
+        blocks[blocks.index(block)] = draw(st.one_of(_NOT_LIST,
+                                                     st.lists(st.integers(), max_size=2)))
+    elif kind == "retype-extension":
+        params["extension"] = draw(st.one_of(_NOT_LIST, st.lists(st.integers(), max_size=2)))
+    elif kind == "retype-int":
+        where = draw(st.sampled_from(["block", "extension"]))
+        target = block if where == "block" else params["extension"]
+        target[draw(st.sampled_from(_INT_FIELDS[where]))] = draw(_NOT_INT_ELEMENT)
+    elif kind == "retype-list":
+        block[draw(st.sampled_from(["pi", "linear"]))] = draw(_NOT_LIST)
+    elif kind == "retype-element":
+        field = draw(st.sampled_from(["pi", "linear"]))
+        block[field][draw(st.integers(0, len(block[field]) - 1))] = draw(_NOT_INT_ELEMENT)
+    elif kind == "lambda":
+        # every lambda but a multiple of 30 misses a prime; 0 and negatives too
+        params["lambda"] = draw(st.integers(-60, 29))
+    elif kind == "prime":
+        # 2, 3 and 5 are taken and divide 30; no other p is admissible
+        target = draw(st.sampled_from([block, params["extension"]]))
+        target["p"] = draw(st.integers(-10, 40).filter(lambda p: p != target["p"]))
+    elif kind == "m":
+        # pi and linear fix m; huge m exceeds the length cap
+        block["m"] = draw(st.one_of(st.integers(-5, 6), st.integers(65, 10**30)).filter(
+            lambda m: m != block["m"]))
+    elif kind == "s":
+        block["s"] = draw(st.integers(-3, 4).filter(lambda s: s != 1))
+    elif kind == "pi":
+        i = draw(st.integers(0, len(block["pi"]) - 1))
+        block["pi"][i] = draw(st.integers(-5, 5).filter(lambda v: v != block["pi"][i]))
+        malformed = sorted(block["pi"]) != list(range(1, block["m"] + 1))
+    elif kind == "wrap":
+        # out-of-range coefficients and constants are reduced mod lambda
+        target, field = draw(st.sampled_from([(block, "constant"),
+                                              (params["extension"], "linear"),
+                                              (params["extension"], "constant")]))
+        target[field] = draw(st.one_of(st.integers(-10**30, -1), st.integers(30, 10**30)))
+        malformed = False
+    else:
+        params["blocks"] = []
+    return params, malformed
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutant=_params_mutants())
+@example(mutant=({**_PARAMS_BASE, "lambda": 0}, True))
+@example(mutant=({**_PARAMS_BASE, "blocks": [{**_PARAMS_BASE["blocks"][0], "pi": None},
+                                             _PARAMS_BASE["blocks"][1]]}, True))
+def test_generate_fuzzed_params(tmp_path_factory, mutant):
+    params, malformed = mutant
+    path = tmp_path_factory.getbasetemp() / "fuzzed-params.json"
+    path.write_text(json.dumps(params))
+    doc = tmp_path_factory.getbasetemp() / "fuzzed-set.json"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["generate", "--params", str(path), "--verify", "--out", str(doc)])
+    out, err = out.getvalue(), err.getvalue()
+    if malformed:
+        assert rc == 2 and out == "", (rc, out, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert rc == 0 and err == "", (rc, out, err)
+        assert out.startswith(f"wrote {doc}: "), out
+
+
+def test_parser_is_built_once_and_commands_resolve_per_call(tmp_path, monkeypatch):
+    assert mscs.cli.build_parser() is mscs.cli.build_parser()
+    seen = []
+    monkeypatch.setattr(mscs.cli, "cmd_verify", lambda args: seen.append(args.input) or 7)
+    assert main(["verify", "x.json"]) == 7
+    assert seen == ["x.json"]
+
+
 def _refuse_draws(*args):
     raise AssertionError("random_block called before the length check")
 
@@ -301,7 +428,11 @@ def test_generate_flags_check_length_before_drawing(tmp_path, capsys, monkeypatc
 
 def test_verify_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     path = _example_doc_path(tmp_path)
+    # both exact paths call every sum zero: per-shift through is_zero, the
+    # all-shift path (which this set takes) through its residues
     monkeypatch.setattr(mscs.correlation, "is_zero", lambda s: True)
+    monkeypatch.setattr(mscs.correlation, "_residues_from_lift_sums",
+                        lambda sset, shifts, sums: np.zeros((len(shifts), 2), dtype=np.int64))
     assert main(["verify", path, "--claim", "gcs"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: internal check failed: exact/float separation")
@@ -477,6 +608,21 @@ def test_pmepr_single_carrier_external(tmp_path, capsys):
     assert "bound satisfied: yes" in out
 
 
+def test_huge_modulus_document_verifies_and_measures(tmp_path, capsys):
+    # a table of all 2^62 roots cannot be allocated; 4 phases need none
+    half = 2**61
+    doc = SetDocument(modulus=2 * half, length=4, set_size=2, claim={"kind": "GCS"},
+                      provenance={"construction": "external"},
+                      sequences=((0, 0, 0, half), (0, 0, half, 0)))
+    path = str(tmp_path / "huge.json")
+    write_document(doc, path)
+    assert main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "mode: numerical" in out and out.endswith("verdict: pass\n")
+    assert main(["pmepr", path]) == 0
+    assert "bound satisfied: yes" in capsys.readouterr().out
+
+
 def test_pmepr_rejects_bad_oversampling(tmp_path, capsys):
     path = _example_doc_path(tmp_path)
     assert main(["pmepr", path, "--n-os", "0"]) == 2
@@ -499,8 +645,8 @@ def test_pmepr_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "selftest: 11/11 ok" in out
-    assert out.count("ok   ") == 11
+    assert "selftest: 12/12 ok" in out
+    assert out.count("ok   ") == 12
     assert "FAIL" not in out
 
 
@@ -513,10 +659,11 @@ def test_selftest_catches_broken_reference(monkeypatch, capsys):
     monkeypatch.setattr(mscs.reference_sets, "mscs_3_27_3", lambda: broken)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    # three checks read the corrupted set; the other eight still pass
+    # three checks fail on the corrupted set; the other nine still pass
+    # (all-shift-counts and residue-path compare two engines on the same set)
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["mscs-3-27-3", "zcs-3-27-24", "energy-identity"]
-    assert "selftest: 8/11 ok" in out
+    assert "selftest: 9/12 ok" in out
 
 
 def test_module_entry_point(tmp_path):

@@ -230,6 +230,24 @@ def test_aacf_set_sum_examples():
         aacf_set_sum(sset, 27)
 
 
+@pytest.mark.parametrize("lam", [2, 6, 30, 255, 256, 1009, 2**15, 2**15 + 1])
+def test_aacf_set_sum_matches_modular_differences(lam):
+    # 2^15 is the largest modulus on the uint16 code path, 2^15 + 1 takes %
+    rng = np.random.default_rng(lam)
+    L = 97
+    stack = rng.integers(0, lam, (3, L))
+    stack[0, :3] = [0, lam - 1, 0]
+    stack[1, -3:] = [lam - 1, 0, lam - 1]
+    sset = SequenceSet([PhaseSequence(lam, row) for row in stack])
+    for tau in (0, 1, 40, L - 1, -1, -40, -(L - 1)):
+        if tau >= 0:
+            diffs = (stack[:, : L - tau] - stack[:, tau:]) % lam
+        else:
+            diffs = (stack[:, -tau:] - stack[:, : L + tau]) % lam
+        want = np.bincount(diffs.ravel(), minlength=lam)
+        assert np.array_equal(aacf_set_sum(sset, tau).counts, want), tau
+
+
 def test_verify_mscs_reference_set():
     report = verify_mscs(mscs_3_27_3(), 3)
     assert report.passed
@@ -308,8 +326,15 @@ def test_verify_numerical_mode_above_cap():
 
 
 def test_separation_tripwire(monkeypatch):
-    # force the exact path to lie; the float cross-check must catch it
+    # force each exact path to lie; the float cross-check must catch it
+    monkeypatch.setattr(correlation, "_choose_path", lambda *args: "per-shift")
     monkeypatch.setattr(correlation, "is_zero", lambda s: True)
+    with pytest.raises(RuntimeError, match="separation"):
+        verify_gcs(mscs_3_27_3())
+    monkeypatch.undo()
+    assert verify_gcs(mscs_3_27_3()).path == "all-shift"
+    monkeypatch.setattr(correlation, "_residues_from_lift_sums",
+                        lambda sset, shifts, sums: np.zeros((len(shifts), 2), dtype=np.int64))
     with pytest.raises(RuntimeError, match="separation"):
         verify_gcs(mscs_3_27_3())
 
@@ -385,16 +410,19 @@ def test_all_shift_counts_match_bincount(lam):
         assert list(row) == list(aacf_set_sum(sset, tau).counts)
 
 
-def test_all_shift_counts_validation():
+def test_all_shift_counts_validation(monkeypatch):
     sset = mscs_3_27_3()
     with pytest.raises(ValueError, match="shifts must lie"):
         aacf_set_counts(sset, [27])
     with pytest.raises(ValueError, match="shifts must lie"):
         aacf_set_counts(sset, [-1])
     assert aacf_set_counts(sset, []).shape == (0, 6)
-    # 2L = 136 = 8 * 17: a transform plan the rounding bound does not cover
+    # 2L = 136 = 8 * 17 pads to 135 = 27 * 5, a plan the bound covers
+    odd = _random_set(random.Random(5), 6, 2, 68)
+    assert list(aacf_set_counts(odd, [1])[0]) == list(aacf_set_sum(odd, 1).counts)
+    monkeypatch.setattr(correlation, "_counts_bound", lambda M, L, lam: 0.5)
     with pytest.raises(ValueError, match="rounding bound"):
-        aacf_set_counts(_random_set(random.Random(5), 6, 2, 68), [1])
+        aacf_set_counts(odd, [1])
 
 
 def _both_paths(monkeypatch, verify):
@@ -406,14 +434,20 @@ def _both_paths(monkeypatch, verify):
     return reports["all-shift"], reports["per-shift"]
 
 
-@pytest.mark.parametrize("case", ["3-27-3", "3-27-3-gcs", "3-54-2", "flipped", "flipped-zcs"])
+@pytest.mark.parametrize("case", ["3-27-3", "3-27-3-gcs", "3-54-2", "flipped", "flipped-zcs",
+                                  "binary", "lambda-12", "flipped-gcs30"])
 def test_both_paths_give_identical_reports(monkeypatch, case):
+    gcs30 = [PrimeBlock(p=2, m=2), PrimeBlock(p=3, m=1), PrimeBlock(p=5, m=1)]
     verify = {
         "3-27-3": lambda: verify_mscs(mscs_3_27_3(), 3),
         "3-27-3-gcs": lambda: verify_gcs(mscs_3_27_3()),
         "3-54-2": lambda: verify_mscs(mscs_3_54_2(), 2),
         "flipped": lambda: verify_mscs(_flipped(mscs_3_27_3()), 3),
         "flipped-zcs": lambda: verify_type2_zcs(_flipped(mscs_3_54_2(), 40), 30),
+        "binary": lambda: verify_gcs(single_prime_mscs(PrimeBlock(p=2, m=6), 2)),
+        "lambda-12": lambda: verify_gcs(_flipped(multi_prime_mscs(
+            [PrimeBlock(p=2, m=3), PrimeBlock(p=3, m=2)], 12))),
+        "flipped-gcs30": lambda: verify_gcs(_flipped(multi_prime_mscs(gcs30, 30), 7)),
     }[case]
     fast, slow = _both_paths(monkeypatch, verify)
     assert (fast.path, slow.path) == ("all-shift", "per-shift")
@@ -454,10 +488,12 @@ def test_perturbed_count_raises():
 
 
 def test_size_rule_picks_the_path():
-    # the benchmark's two shapes, decided from sizes alone
+    # lambda = 6 needs only the k = 1 embedding the float check computes, so
+    # the benchmark's shapes all take the residue path, decided from sizes
     assert correlation._choose_path(3, 19683, 6, range(9, 19683, 9)) == "all-shift"
-    assert correlation._choose_path(3, 177147, 6, range(3**7, 177147, 3**7)) == "per-shift"
-    assert correlation._choose_path(3, 177147, 6, range(177147 - 23, 177147)) == "per-shift"
+    assert correlation._choose_path(3, 177147, 6, range(3**7, 177147, 3**7)) == "all-shift"
+    assert correlation._choose_path(3, 177147, 6, range(177147 - 23, 177147)) == "all-shift"
+    assert correlation._choose_path(3, 531441, 6, range(3**9, 531441, 3**9)) == "all-shift"
     assert correlation._choose_path(3, 27, 1009 * 2, range(1, 27)) == "numerical"
     # the same ratios at L = 2187, built and verified
     fine = single_prime_mscs(PrimeBlock(p=3, m=7, s=3), 6)
@@ -465,11 +501,27 @@ def test_size_rule_picks_the_path():
     assert report.passed and report.path == "all-shift" and len(report.shifts) == 242
     sparse = single_prime_mscs(PrimeBlock(p=3, m=7, s=4), 6)
     report = verify_mscs(sparse, 27)
-    assert report.passed and report.path == "per-shift" and len(report.shifts) == 80
-    # the rule's arithmetic: sum_tau (L - tau) against (lambda//2 + 1) * n * log2(n)
-    L, n = 2187, 2 * 2187
-    fft_work = 4 * n * math.log2(n)
-    assert sum(L - t for t in range(9, L, 9)) > fft_work > sum(L - t for t in range(27, L, 27))
+    assert report.passed and report.path == "all-shift" and len(report.shifts) == 80
+    # lambda = 30 needs phi/2 = 4 embeddings; the rule weighs the three
+    # beyond k = 1 against sum_tau (L - tau)
+    L, n = 1800, correlation._fft_length(1800)
+    assert n == 2 * L
+    extra = 3 * n * math.log2(n)
+    assert sum(L - t for t in range(1, L)) > extra > sum(L - t for t in range(450, L, 450))
+    gcs30 = multi_prime_mscs([PrimeBlock(p=2, m=3), PrimeBlock(p=3, m=2),
+                              PrimeBlock(p=5, m=2)], 30)
+    assert (len(gcs30), gcs30.length) == (30, L)
+    report = verify_gcs(gcs30)
+    assert report.passed and report.path == "all-shift" and len(report.shifts) == L - 1
+    report = verify_mscs(gcs30, 450)
+    assert report.passed and report.path == "per-shift" and len(report.shifts) == 3
+
+
+def _is_7_smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def test_rounding_bound_sends_large_sets_to_per_shift():
@@ -479,10 +531,110 @@ def test_rounding_bound_sends_large_sets_to_per_shift():
     assert correlation._choose_path(3, L, 6, gcs) == "all-shift"
     assert correlation._rounding_bound(10**6, L, 6) >= 0.5
     assert correlation._choose_path(10**6, L, 6, gcs) == "per-shift"
-    # a length whose FFT plan the bound does not cover
+    # 2L = 2 * 37^4 has a prime factor above 7; the padded length has none
     L = 37**4
-    assert correlation._rounding_bound(3, L, 6) == math.inf
-    assert correlation._choose_path(3, L, 6, range(1, L)) == "per-shift"
+    n = correlation._fft_length(L)
+    assert _is_7_smooth(n) and n >= 2 * L - 1
+    assert correlation._rounding_bound(3, L, 6) < 1e-3
+    assert correlation._choose_path(3, L, 6, range(1, L)) == "all-shift"
+
+
+def test_fft_length_is_the_next_7_smooth():
+    for L in range(1, 3000):
+        n = correlation._fft_length(L)
+        assert _is_7_smooth(n) and n >= 2 * L - 1
+        assert not any(_is_7_smooth(m) for m in range(2 * L - 1, n))
+    # every benchmark length keeps n = 2L
+    for L in (27, 729, 900, 1458, 1800, 19683, 177147, 531441):
+        assert correlation._fft_length(L) == 2 * L
+
+
+def _residues_by_oracle(sset, shifts):
+    reduction = correlation._reduction_matrix(sset.modulus)[0]
+    return np.array([aacf_set_sum(sset, t).counts @ reduction for t in shifts])
+
+
+def _claim_breakers():
+    """MSCS sets checked as GCS: zero at multiples of S, mostly nonzero elsewhere."""
+    return {
+        10: multi_prime_mscs([PrimeBlock(p=2, m=1), PrimeBlock(p=5, m=2, s=2)], 10),
+        15: multi_prime_mscs([PrimeBlock(p=3, m=2, s=2), PrimeBlock(p=5, m=1)], 15),
+    }
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 8, 10, 12, 15, 30])
+def test_residues_match_counts_at_every_shift(lam):
+    rng = random.Random(2000 + lam)
+    sets = [_random_set(rng, lam, rng.randint(1, 4), rng.choice([50, 64, 81, 97, 120]))]
+    if lam in _claim_breakers():
+        sets.append(_claim_breakers()[lam])
+    for sset in sets:
+        shifts = range(sset.length)
+        residues = correlation.aacf_set_residues(sset, shifts)
+        assert residues.dtype == np.int64
+        assert residues.shape == (sset.length, len(cyclotomic_polynomial(lam)) - 1)
+        assert np.array_equal(residues, _residues_by_oracle(sset, shifts))
+        zeros = ~residues[1:].any(axis=1)
+        assert list(zeros) == [is_zero(aacf_set_sum(sset, t)) for t in range(1, sset.length)]
+
+
+def test_claim_breakers_fail_alike_on_both_paths(monkeypatch):
+    # the lambda = 10 and 15 sets are MSCSs (S = 5, S = 3), not GCSs
+    for lam, sset in _claim_breakers().items():
+        fast, slow = _both_paths(monkeypatch, lambda: verify_gcs(sset))
+        assert dataclasses.replace(fast, path="per-shift") == slow
+        assert not fast.passed
+        S = {10: 5, 15: 3}[lam]
+        assert all(t % S for t in fast.failing_shifts)
+        assert verify_mscs(sset, S).passed
+
+
+def test_every_length_takes_the_residue_path():
+    # L = 4001 is prime: 2L = 8002 = 2 * 4001 pads to the 7-smooth 8064
+    rng = random.Random(4001)
+    sset = _random_set(rng, 6, 3, 4001)
+    assert correlation._fft_length(4001) == 8064
+    report = verify_gcs(sset)
+    assert report.path == "all-shift" and len(report.shifts) == 4000
+    sample = sorted(rng.sample(range(1, 4001), 40)) + [4000]
+    assert np.array_equal(correlation.aacf_set_residues(sset, sample),
+                          _residues_by_oracle(sset, sample))
+    for t in sample:
+        assert report.shifts[t - 1].exact_zero == is_zero(aacf_set_sum(sset, t))
+
+
+def test_perturbed_residue_raises():
+    sset = mscs_3_27_3()
+    shifts = range(1, 27)
+    sums = correlation._lift_sums(sset, (1,), shifts)
+    residues = correlation._residues_from_lift_sums(sset, shifts, sums)
+    assert np.array_equal(residues, _residues_by_oracle(sset, shifts))
+    # +1 on every k = 1 sum moves every residue by (1, 0) exactly, so the
+    # rounding residuals stay small and the cross-check must catch it
+    with pytest.raises(RuntimeError, match="residues disagree with aacf_set_sum"):
+        correlation._residues_from_lift_sums(sset, shifts, sums + 1)
+    # a quarter off at one shift leaves a residual far above the bound
+    bumped = sums.copy()
+    bumped[0, 10] += 0.25
+    with pytest.raises(RuntimeError, match="exceeds its bound"):
+        correlation._residues_from_lift_sums(sset, shifts, bumped)
+
+
+@pytest.mark.parametrize("case", ["3-27-3", "3-54-2", "gcs30"])
+def test_residual_within_bound(case):
+    sset = {
+        "3-27-3": mscs_3_27_3,
+        "3-54-2": mscs_3_54_2,
+        "gcs30": lambda: multi_prime_mscs([PrimeBlock(p=2, m=2), PrimeBlock(p=3, m=2),
+                                           PrimeBlock(p=5, m=1)], 30),
+    }[case]()
+    ks, table, _, _ = correlation._residue_table(sset.modulus)
+    shifts = range(sset.length)
+    sums = correlation._lift_sums(sset, ks, shifts)
+    approx = np.concatenate([sums.real, sums.imag])[:table.shape[0]].T @ table
+    residual = np.abs(approx - np.rint(approx)).max()
+    bound = correlation._rounding_bound(len(sset), sset.length, sset.modulus)
+    assert 0 < residual <= bound < 1e-6
 
 
 def test_is_zero_batches_and_overflow_guard():

@@ -291,6 +291,17 @@ def test_to_complex_values():
     assert np.allclose(to_complex(PhaseSequence(4, [0, 1, 2, 3])), [1, 1j, -1, -1j])
 
 
+def test_to_complex_is_the_exp_lift_bit_for_bit():
+    for lam in range(2, 61):
+        s = PhaseSequence(lam, range(lam))
+        assert np.array_equal(to_complex(s), np.exp(2j * np.pi * s.values / lam)), lam
+    s = PhaseSequence(6, np.random.default_rng(12).integers(0, 6, 3**12))
+    assert np.array_equal(to_complex(s), np.exp(2j * np.pi * s.values / 6))
+    # lambda above the length: evaluated directly, same bits
+    s = PhaseSequence(97, [0, 1, 50, 96])
+    assert np.array_equal(to_complex(s), np.exp(2j * np.pi * s.values / 97))
+
+
 def test_to_complex_unit_modulus():
     import random
 
