@@ -323,7 +323,10 @@ def cmd_generate(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     if args.params is not None:
         with open(args.params) as fh:
-            params = json.load(fh)
+            try:
+                params = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"parameter file is not valid JSON: {exc}") from None
         sset = _build_from_params(params, rng)
     else:
         if args.p is None or args.m is None or args.modulus is None:
@@ -583,8 +586,10 @@ def _selftest_checks():
         return None
 
     def check_all_shift_counts():
-        for sset in (reference_sets.mscs_3_27_3(), reference_sets.mscs_3_54_2()):
-            shifts = range(1, sset.length)
+        a, b = reference_sets.mscs_3_27_3(), reference_sets.mscs_3_54_2()
+        # every shift, then a stride-3 MSCS plan and a type-II ZCS tail window
+        for sset, shifts in ((a, range(1, 27)), (b, range(1, 54)), (a, range(3, 27, 3)),
+                             (b, range(54 - 20, 54))):
             for tau, row in zip(shifts, aacf_set_counts(sset, shifts)):
                 if not np.array_equal(row, aacf_set_sum(sset, tau).counts):
                     return f"L={sset.length} tau={tau}: all-shift counts {row.tolist()} differ"

@@ -20,15 +20,25 @@ Exact verification takes one of two paths, chosen from the input size:
   phi(lambda) units k they determine r through the Vandermonde system
   E_k = sum_j r_j w^(kj) (the Minkowski embedding of Z[w]), and embedding
   lambda - k is the conjugate of embedding k.  So phi(lambda)/2 FFT
-  autocorrelations, zero-padded to a 7-smooth length n >= 2L - 1, and one
-  cached real phi x phi inverse give every residue after rounding.  For
-  lambda in {2, 3, 4, 6} the only embedding is k = 1, which the float
-  check below computes anyway.
+  autocorrelations and one cached real phi x phi inverse give every residue
+  after rounding.  For lambda in {2, 3, 4, 6} the only embedding is k = 1,
+  which the float check below computes anyway.
+
+Transforms are sized by the tested lags (:func:`_lag_plan`).  Window:
+pairs at shifts of at least tau_min touch only the first and last
+L - tau_min entries, so when those are disjoint the middle is cut out.
+Stride: lags sharing a gcd g split the window into g polyphase rows, each
+zero-padded to a 7-smooth length n >= 2 * (row length) - 1; their power
+spectra are summed before one length-n inverse.  A GCS claim keeps one whole-sequence
+transform of n >= 2L - 1 points; an MSCS claim with S | L takes S rows of
+L/S entries; a type-II ZCS claim with 2(Z - 1) < L transforms 2(Z - 1)
+entries.
 
 The all-shift path runs when the per-shift work sum_tau (L - tau) exceeds
-the work of the embeddings beyond k = 1, (phi(lambda)/2 - 1) * n * log2(n),
-and the a-priori rounding bound of :func:`_rounding_bound` stays below 1/2,
-so rounding recovers every residue.  The largest measured rounding residual
+the work of the embeddings beyond k = 1, (phi(lambda)/2 - 1) * N * log2(N)
+for the plan's N = g * n transform points, and the a-priori rounding
+bound of :func:`_rounding_bound` stays below 1/2, so rounding recovers
+every residue.  The largest measured rounding residual
 must stay within that bound, and the residue of the shift with the largest
 residual is recomputed from :func:`aacf_set_sum`; a violation raises
 ``RuntimeError``.  :func:`aacf_set_counts` gives full count vectors from
@@ -263,6 +273,7 @@ def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
     return CyclotomicSum(lam, np.bincount(diffs.ravel(), minlength=lam))
 
 
+@functools.lru_cache(maxsize=None)
 def _fft_length(L: int) -> int:
     """Smallest 7-smooth n >= 2L - 1: long enough for aperiodic correlation.
 
@@ -285,26 +296,83 @@ def _fft_length(L: int) -> int:
     return best
 
 
+def _lag_plan(L: int, shifts: Sequence[int]) -> tuple[int, int, int]:
+    """Transforms that give a length-L autocorrelation at these shifts: (drop, g, n).
+
+    Window.  With tau_min the smallest shift and h = L - tau_min, a tested
+    pair (i, i + tau) has i < h and i + tau >= L - h, so only the head
+    c[:h] and the tail c[L-h:] take part.  When 2h < L the drop = L - 2h
+    entries between them are cut out: in head || tail, shift tau becomes the
+    lag tau - drop >= h, at which every pair still joins a head entry to a
+    tail entry.  Otherwise drop = 0 and the window is the whole sequence.
+
+    Stride.  g is the gcd of the lags tau - drop (1 if they are all 0).  The
+    window's entries r, r + g, r + 2g, ... form g polyphase rows of
+    ceil((L - drop) / g) entries, and the window's autocorrelation at lag
+    g*m is the sum of the rows' at lag m.  n = :func:`_fft_length` of a row.
+
+    For GCS, and every shift set with tau_min <= L/2 and g = 1, the plan is
+    (0, 1, _fft_length(L)).  A range is planned from its first two and last
+    entries, which have its minimum and the gcd of its lags.
+    """
+    if isinstance(shifts, range):
+        shifts = [*shifts[:2], *shifts[-1:]]
+    h = L - int(min(shifts, default=0))
+    drop = max(L - 2 * h, 0)
+    g = math.gcd(*(int(tau) - drop for tau in shifts)) or 1
+    return drop, g, _fft_length(-(-(L - drop) // g))
+
+
+def _sum_rows(power: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a 2-d array, added in place as a balanced tree.
+
+    Every row takes part in at most ceil(log2(rows)) additions, the
+    ceil(log2 g)*u of :func:`_embedding_bound`.  One row is returned as is.
+    """
+    rows = len(power)
+    while rows > 1:
+        half = rows // 2
+        power[:half] += power[rows - half:rows]
+        rows -= half
+    return power[0]
+
+
 def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> np.ndarray:
     """Sum over members of the autocorrelation of w^(k*x) at each shift, one row per k.
 
-    Row k = 1 is the float autocorrelation sum of the set.  Each member and
-    embedding takes one FFT zero-padded to :func:`_fft_length`; the power
-    spectra are summed over members before one inverse FFT per embedding.
+    Row k = 1 is the float autocorrelation sum of the set.  The transforms
+    are sized by the tested lags (:func:`_lag_plan`): each member's lift is
+    cut to its window and laid out as a (g, n) grid of zero-padded
+    polyphase rows, one FFT per row.  The power spectra are summed over
+    members, then over the g rows pairwise (:func:`_sum_rows`), before one
+    length-n inverse FFT per embedding, read at lag (tau - drop) / g.  With
+    the plan (0, 1, _fft_length(L)) this is one whole-sequence FFT per
+    member.  The phases are already reduced, so k = 1 lifts them as they
+    are.
     """
     L, lam = sset.length, sset.modulus
-    n = _fft_length(L)
-    shifts = np.asarray(shifts, dtype=np.intp)
-    padded = np.zeros(n, dtype=complex)
-    out = np.empty((len(ks), len(shifts)), dtype=complex)
+    drop, g, n = _lag_plan(L, shifts)
+    head = (L - drop) // 2
+    cols, rem = divmod(L - drop, g)
+    lags = (np.asarray(shifts, dtype=np.intp) - drop) // g
+    grid = np.zeros((g, n), dtype=complex)
+    power = np.empty((g, n))
+    out = np.empty((len(ks), len(lags)), dtype=complex)
     for row, k in enumerate(ks):
-        power = np.zeros(n)
+        power.fill(0.0)
         for s in sset.sequences:
-            padded[:L] = unit_lift((k * s.values) % lam, lam)
-            spec = np.fft.fft(padded)
+            x = np.concatenate((s.values[:head], s.values[head + drop:])) if drop else s.values
+            lift = unit_lift(x if k == 1 else (k * x) % lam, lam)
+            # entry q*g + r of the window goes to row r, column q
+            grid[:, :cols] = lift[:cols * g].reshape(cols, g).T
+            if rem:
+                grid[:rem, cols] = lift[cols * g:]
+            spec = np.fft.fft(grid)
             power += spec.real**2 + spec.imag**2
+            # freed before the next member's lift and transform are allocated
+            del lift, spec
         # ifft(power)[t] = sum_i c_{i+t} conj(c_i); the definition conjugates the lagged copy
-        out[row] = np.conj(np.fft.ifft(power)[shifts])
+        out[row] = np.conj(np.fft.ifft(_sum_rows(power))[lags])
     return out
 
 
@@ -315,22 +383,38 @@ def _embedding_bound(M: int, L: int) -> float:
     """A-priori bound on |computed - exact| of every embedding sum E_k(tau).
 
     With u = 2^-53 and n = :func:`_fft_length` (L) the bound is
-    u*M*L*(24*log2(n) + M + 53), collecting to first order in u:
+    u*M*L*(24*log2(n) + M + 53).  It covers every plan (drop, g, n') of
+    :func:`_lag_plan`, whose sums err by at most
+    u*M*L'*(24*log2(n') + ceil(log2(g)) + M + 53) over the L' = L - drop
+    window entries, collecting to first order in u:
 
-    * Transforms.  n is 7-smooth, so pocketfft plans it as radix-r passes
+    * Transforms.  n' is 7-smooth, so pocketfft plans it as radix-r passes
       with r <= 7.  A radix-r pass forms each output from r inputs and
       unit-modulus twiddles, erring by at most (r + 6)u against the l1 norm
       of its inputs (and relatively in l2).  (r + 6)/log2(r) <= 8 for
       r <= 7, and every output of a DFT is reached from every input along
-      exactly one path of unit weight, so a length-n transform errs by at
-      most eps = 8u*log2(n) per output against the l1 norm of its input,
+      exactly one path of unit weight, so a length-n' transform errs by at
+      most eps = 8u*log2(n') per output against the l1 norm of its input,
       and by eps relatively in l2.
-    * Forward.  A lift has L entries of modulus 1, each within 24u of its
-      root of unity, so ||X||_2^2 = n*L and ||dX||_2 <= (eps + 24u)||X||_2.
-    * Power spectra |X|^2 (3u), summed over M members ((M - 1)u):
-      ||dP||_1 <= (2 eps + 51u + (M - 1)u) * n*M*L.
-    * Inverse, scaled by 1/n (2u): an output errs by at most eps*M*L
-      (sum P = n*M*L) plus ||dP||_1 / n.
+    * Forward.  A row holds L_r entries of modulus 1, each within 24u of
+      its root of unity, so ||X_r||_2^2 = n'*L_r and
+      ||dX_r||_2 <= (eps + 24u)||X_r||_2.
+    * Power spectra |X_r|^2 (3u), summed over M members ((M - 1)u) and then
+      over the g rows pairwise (ceil(log2(g))u, :func:`_sum_rows`); the L_r
+      add up to L', so ||dP||_1 <= (2 eps + 51u + (M - 1)u +
+      ceil(log2(g))u) * n'*M*L'.
+    * Inverse, scaled by 1/n' (2u): an output errs by at most eps*M*L'
+      (sum P = n'*M*L') plus ||dP||_1 / n'.
+
+    The plan's bound is at most the full-length one, as L' <= L and
+    24*log2(n') + ceil(log2(g)) <= 24*log2(n).  For g = 1,
+    n' = _fft_length(L') <= n.  For g >= 2 some lag is a nonzero multiple
+    of g below L', so a row has up to Q = ceil(L'/g) >= 2 entries,
+    L >= g(Q - 1) + 1 and n >= 2L - 1 >= 2g(Q - 1) + 1.  If Q = 2, n' = 3
+    and n/n' >= (2g + 1)/3.  If Q >= 3, n' <= 5(2Q - 1)/4, because the
+    7-smooth numbers 2^a * (1, 5/4, 3/2, 7/4) from 4 on step by ratios of
+    at most 5/4; so n/n' >= 8g(Q - 1)/(5(2Q - 1)) >= 16g/25.  For g >= 2
+    both ratios exceed (2g)^(1/24) >= 2^(ceil(log2(g))/24).
     """
     n = _fft_length(L)
     return _UNIT_ROUNDOFF * M * L * (24 * math.log2(n) + M + 53)
@@ -393,16 +477,18 @@ def _choose_path(M: int, L: int, lam: int, shifts: range) -> str:
 
     All-shift when the per-shift bincount work sum_tau (L - tau) exceeds the
     work of the embeddings beyond k = 1, which the float check needs anyway,
-    (phi(lambda)/2 - 1) * n * log2(n), n = :func:`_fft_length` (L), and the
-    rounding bound is below 1/2.  Decided from the sizes alone.
+    (phi(lambda)/2 - 1) * N * log2(N) with N = g*n the transform points of
+    :func:`_lag_plan`, and the rounding bound is below 1/2.  Decided from
+    the sizes alone.
     """
     if lam > EXACT_MODULUS_CAP:
         return "numerical"
-    n = _fft_length(L)
+    _, g, n = _lag_plan(L, shifts)
+    points = g * n
     shift_sum = len(shifts) * (shifts[0] + shifts[-1]) // 2 if shifts else 0
     per_shift_work = len(shifts) * L - shift_sum
     embeddings = len(cyclotomic_polynomial(lam)) // 2  # phi/2, or 1 when phi = 1
-    extra_work = (embeddings - 1) * n * math.log2(n)
+    extra_work = (embeddings - 1) * points * math.log2(points)
     if per_shift_work > extra_work and _rounding_bound(M, L, lam) < 0.5:
         return "all-shift"
     return "per-shift"

@@ -266,6 +266,18 @@ def test_generate_rejects_malformed_params(tmp_path, capsys, params):
     assert not out.exists()
 
 
+def test_generate_names_an_invalid_params_file(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text('{"lambda": 6, "p": 3,\n')
+    out = tmp_path / "set.json"
+    assert main(["generate", "--params", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameter file is not valid JSON: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 _PARAMS_BASE = {
     "lambda": 30,
     "blocks": [

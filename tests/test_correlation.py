@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -620,21 +621,33 @@ def test_perturbed_residue_raises():
         correlation._residues_from_lift_sums(sset, shifts, bumped)
 
 
-@pytest.mark.parametrize("case", ["3-27-3", "3-54-2", "gcs30"])
+def _gcs30():
+    return multi_prime_mscs([PrimeBlock(p=2, m=2), PrimeBlock(p=3, m=2),
+                             PrimeBlock(p=5, m=1)], 30)
+
+
+@pytest.mark.parametrize("case", ["3-27-3", "3-54-2", "gcs30", "gcs30-mscs", "gcs30-zcs",
+                                  "3-54-2-mscs", "random30-past-half"])
 def test_residual_within_bound(case):
-    sset = {
-        "3-27-3": mscs_3_27_3,
-        "3-54-2": mscs_3_54_2,
-        "gcs30": lambda: multi_prime_mscs([PrimeBlock(p=2, m=2), PrimeBlock(p=3, m=2),
-                                           PrimeBlock(p=5, m=1)], 30),
+    # every shift, then strided and windowed plans under the same bound
+    sset, shifts = {
+        "3-27-3": lambda: (mscs_3_27_3(), range(27)),
+        "3-54-2": lambda: (mscs_3_54_2(), range(54)),
+        "gcs30": lambda: (_gcs30(), range(180)),
+        "gcs30-mscs": lambda: (_gcs30(), range(36, 180, 36)),
+        "gcs30-zcs": lambda: (_gcs30(), range(180 - 40, 180)),
+        "3-54-2-mscs": lambda: (mscs_3_54_2(), range(2, 54, 2)),
+        "random30-past-half": lambda: (_random_set(random.Random(30), 30, 4, 1000), [700, 910]),
     }[case]()
+    planned = case not in ("3-27-3", "3-54-2", "gcs30")
+    assert (correlation._lag_plan(sset.length, shifts)[:2] != (0, 1)) == planned
     ks, table, _, _ = correlation._residue_table(sset.modulus)
-    shifts = range(sset.length)
     sums = correlation._lift_sums(sset, ks, shifts)
     approx = np.concatenate([sums.real, sums.imag])[:table.shape[0]].T @ table
     residual = np.abs(approx - np.rint(approx)).max()
     bound = correlation._rounding_bound(len(sset), sset.length, sset.modulus)
     assert 0 < residual <= bound < 1e-6
+    assert np.array_equal(np.rint(approx).astype(np.int64), _residues_by_oracle(sset, shifts))
 
 
 def test_is_zero_batches_and_overflow_guard():
@@ -648,3 +661,97 @@ def test_is_zero_batches_and_overflow_guard():
     big = 2**61
     assert is_zero(CyclotomicSum(6, [big, 0, big, 0, big, 0]))
     assert not is_zero(CyclotomicSum(6, [big, 0, big, 0, big - 1, 0]))
+
+
+def _whole_sequence_sums(sset, ks, shifts):
+    """The embedding sums from one whole-sequence FFT per member and embedding."""
+    L, lam = sset.length, sset.modulus
+    n = correlation._fft_length(L)
+    padded = np.zeros(n, dtype=complex)
+    out = np.empty((len(ks), len(shifts)), dtype=complex)
+    for row, k in enumerate(ks):
+        power = np.zeros(n)
+        for s in sset.sequences:
+            padded[:L] = np.exp(2j * np.pi * ((k * s.values) % lam) / lam)
+            spec = np.fft.fft(padded)
+            power += spec.real**2 + spec.imag**2
+        out[row] = np.conj(np.fft.ifft(power)[np.asarray(shifts, dtype=np.intp)])
+    return out
+
+
+@pytest.mark.parametrize("lam", [2, 6, 30, 1009])
+def test_whole_sequence_plans_keep_the_lifts_bit_for_bit(lam):
+    # k = 1 lifts the reduced phases as they are, k > 1 reduces k*x first;
+    # on a (0, 1, n) plan both give the bits of the whole-sequence transform
+    rng = random.Random(3000 + lam)
+    ks = (1, 2, lam // 2) if lam > 2 else (1,)
+    for L in (1, 2, 50, 97):
+        sset = _random_set(rng, lam, 3, L)
+        for shifts in (range(L), range(1, L), [0], sorted(rng.sample(range(L), (L + 1) // 2))):
+            assert correlation._lag_plan(L, shifts) == (0, 1, correlation._fft_length(L))
+            assert np.array_equal(correlation._lift_sums(sset, ks, shifts),
+                                  _whole_sequence_sums(sset, ks, shifts))
+
+
+def _planned_shift_sets(rng, L):
+    """Shift sets that exercise each branch of _lag_plan, by name."""
+    S = next(s for s in range(max(2, L // 7), L) if L % s)
+    return {
+        "mscs-stride": range(S, L, S),
+        "one-shift-past-half": [L // 2 + 1 + rng.randrange(L - L // 2 - 1)],
+        "zcs-windowed": range(L - 9, L),
+        "zcs-whole": range(L // 2 - 1, L),
+        "arbitrary": [rng.randrange(L) for _ in range(12)] + [0, 5, 5],
+    }
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 8, 10, 12, 15, 30])
+def test_kernels_match_the_oracle_on_planned_shifts(lam):
+    rng = random.Random(4000 + lam)
+    reduction = correlation._reduction_matrix(lam)[0]
+    for L in (40, 81, 97):
+        sset = _random_set(rng, lam, rng.randint(1, 4), L)
+        for name, shifts in _planned_shift_sets(rng, L).items():
+            drop, g, n = correlation._lag_plan(L, shifts)
+            assert (drop > 0) == (name in ("one-shift-past-half", "zcs-windowed")), name
+            assert (g > 1) == (name in ("mscs-stride", "one-shift-past-half")), name
+            oracle = np.array([aacf_set_sum(sset, t).counts for t in shifts])
+            assert np.array_equal(aacf_set_counts(sset, shifts), oracle), name
+            assert np.array_equal(correlation.aacf_set_residues(sset, shifts),
+                                  oracle @ reduction), name
+
+
+def test_plan_comes_from_the_sizes_alone():
+    tracemalloc.start()
+    try:
+        plans = [
+            correlation._lag_plan(531441, range(3**9, 531441, 3**9)),
+            correlation._lag_plan(177147, range(3**7, 177147, 3**7)),
+            correlation._lag_plan(177147, range(177147 - 23, 177147)),
+            correlation._lag_plan(531441, range(1, 531441)),
+            correlation._lag_plan(3**19, range(1, 3**19)),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    sb_b, sb_a, sb_zcs, gcs, huge = plans
+    assert sb_b == (0, 19683, 54)
+    assert sb_a == (0, 2187, 162)
+    # head || tail of 23 entries each, lags 23..45
+    assert sb_zcs == (177147 - 46, 1, 96)
+    assert gcs == (0, 1, correlation._fft_length(531441))
+    assert huge == (0, 1, correlation._fft_length(3**19))
+    assert correlation._lag_plan(10, []) == (0, 1, correlation._fft_length(10))
+    assert correlation._lag_plan(10, [0, 0]) == (0, 1, correlation._fft_length(10))
+
+
+def test_row_plans_stay_under_the_whole_sequence_bound():
+    # what _embedding_bound proves: 24 log2(n') + ceil(log2 g) <= 24 log2(n)
+    # for every stride g >= 2 with at least two entries per row
+    fft = np.array([0] + [correlation._fft_length(q) for q in range(1, 3000)], dtype=float)
+    for L in range(3, 3000):
+        g = np.arange(2, L)
+        rows = -(-L // g)
+        slack = 24 * np.log2(fft[L]) - 24 * np.log2(fft[rows]) - np.ceil(np.log2(g))
+        assert slack.min() >= 0, L
