@@ -19,7 +19,6 @@ from .correlation import (
     CorrelationReport,
     CyclotomicSum,
     ShiftCheck,
-    aacf_set_counts,
     aacf_set_residues,
     aacf_set_sum,
     accf_exact,
@@ -69,7 +68,6 @@ __all__ = [
     "CorrelationReport",
     "CyclotomicSum",
     "ShiftCheck",
-    "aacf_set_counts",
     "aacf_set_residues",
     "aacf_set_sum",
     "accf_exact",

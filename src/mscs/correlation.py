@@ -11,8 +11,6 @@ point tolerance.
 
 Exact verification takes one of two paths, chosen from the input size:
 
-* per-shift: one O(M*L) bincount (:func:`aacf_set_sum`, the oracle) per
-  tested shift, reduced by :func:`is_zero`.
 * all-shift: the residues r(tau) = counts @ R of every tested shift at once
   (:func:`aacf_set_residues`).  The embedding sums E_k(tau), the members'
   autocorrelations of w^(k*x) summed, are the Galois conjugates of the
@@ -23,6 +21,8 @@ Exact verification takes one of two paths, chosen from the input size:
   autocorrelations and one cached real phi x phi inverse give every residue
   after rounding.  For lambda in {2, 3, 4, 6} the only embedding is k = 1,
   which the float check below computes anyway.
+* per-shift: one O(M*L) bincount (:func:`aacf_set_sum`, the oracle) per
+  tested shift, reduced by :func:`is_zero`.
 
 Transforms are sized by the tested lags (:func:`_lag_plan`).  Window:
 pairs at shifts of at least tau_min touch only the first and last
@@ -34,15 +34,12 @@ transform of n >= 2L - 1 points; an MSCS claim with S | L takes S rows of
 L/S entries; a type-II ZCS claim with 2(Z - 1) < L transforms 2(Z - 1)
 entries.
 
-The all-shift path runs when the per-shift work sum_tau (L - tau) exceeds
-the work of the embeddings beyond k = 1, (phi(lambda)/2 - 1) * N * log2(N)
-for the plan's N = g * n transform points, and the a-priori rounding
-bound of :func:`_rounding_bound` stays below 1/2, so rounding recovers
-every residue.  The largest measured rounding residual
-must stay within that bound, and the residue of the shift with the largest
-residual is recomputed from :func:`aacf_set_sum`; a violation raises
-``RuntimeError``.  :func:`aacf_set_counts` gives full count vectors from
-lambda//2 + 1 embeddings for callers that need them.
+One rule picks the path from (M, L, lambda): per-shift exactly when the
+a-priori rounding bound of :func:`_rounding_bound` reaches 1/2, where
+rounding could miss a residue; all-shift otherwise.  The largest measured
+rounding residual must stay within that bound, and the residue of the
+shift with the largest residual is recomputed from :func:`aacf_set_sum`;
+a violation raises ``RuntimeError``.
 
 A floating point path evaluates every tested sum in complex doubles (the
 k = 1 embedding).  Exact and float verdicts must agree (zero below
@@ -472,26 +469,16 @@ def _rounding_bound(M: int, L: int, lam: int) -> float:
     return c * _embedding_bound(M, L) + _UNIT_ROUNDOFF * M * L * extra
 
 
-def _choose_path(M: int, L: int, lam: int, shifts: range) -> str:
+def _choose_path(M: int, L: int, lam: int) -> str:
     """Verification path for a set of these sizes: numerical, all-shift or per-shift.
 
-    All-shift when the per-shift bincount work sum_tau (L - tau) exceeds the
-    work of the embeddings beyond k = 1, which the float check needs anyway,
-    (phi(lambda)/2 - 1) * N * log2(N) with N = g*n the transform points of
-    :func:`_lag_plan`, and the rounding bound is below 1/2.  Decided from
-    the sizes alone.
+    Numerical above ``EXACT_MODULUS_CAP``.  Otherwise per-shift exactly
+    when :func:`_rounding_bound` reaches 1/2, the one case where rounding
+    the embedding sums could miss a residue, and all-shift in every other.
     """
     if lam > EXACT_MODULUS_CAP:
         return "numerical"
-    _, g, n = _lag_plan(L, shifts)
-    points = g * n
-    shift_sum = len(shifts) * (shifts[0] + shifts[-1]) // 2 if shifts else 0
-    per_shift_work = len(shifts) * L - shift_sum
-    embeddings = len(cyclotomic_polynomial(lam)) // 2  # phi/2, or 1 when phi = 1
-    extra_work = (embeddings - 1) * points * math.log2(points)
-    if per_shift_work > extra_work and _rounding_bound(M, L, lam) < 0.5:
-        return "all-shift"
-    return "per-shift"
+    return "per-shift" if _rounding_bound(M, L, lam) >= 0.5 else "all-shift"
 
 
 def _residues_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
@@ -523,77 +510,6 @@ def _residues_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
         if not is_zero(aacf_set_sum(sset, tau) - as_counts):
             raise RuntimeError(f"all-shift residues disagree with aacf_set_sum at shift {tau}")
     return residues
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_dft_weights(lam: int) -> np.ndarray:
-    """Table W with counts = [Re E_0..E_K-1, Im E_0..E_K-1] @ W, K = lambda//2 + 1.
-
-    counts[d] = (1/lambda) sum_k E_k w^(-kd) over k = 0..lambda-1.  Row
-    lambda - k is the conjugate of row k, so k = 0 and k = lambda/2 enter
-    with weight 1 and every other k <= lambda//2 with weight 2.
-    """
-    k = np.arange(lam // 2 + 1)[:, None]
-    weight = np.where((k == 0) | (2 * k == lam), 1.0, 2.0) / lam
-    angle = 2 * np.pi * ((k * np.arange(lam)) % lam) / lam
-    table = np.concatenate([weight * np.cos(angle), weight * np.sin(angle)])
-    table.flags.writeable = False
-    return table
-
-
-def _counts_bound(M: int, L: int, lam: int) -> float:
-    """A-priori bound on |computed - exact| of every count of :func:`aacf_set_counts`.
-
-    :func:`_embedding_bound` plus the length-lambda transform over k, a
-    dense product with weights a_k*cos, a_k*sin (each within 24u) summing
-    2*(lambda//2 + 1) <= lambda + 2 terms whose absolute values total at
-    most sqrt(2)*M*L: sqrt(2)*(lambda + 26)*u*M*L <= (2*lambda + 37)*u*M*L
-    more.
-    """
-    return _embedding_bound(M, L) + _UNIT_ROUNDOFF * M * L * (2 * lam + 37)
-
-
-def _counts_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
-                           sums: np.ndarray) -> np.ndarray:
-    """Exact count vectors, one row per shift, from the embedding sums k = 1..lambda//2.
-
-    Raises RuntimeError when a count is negative, a shift's counts do not
-    sum to M*(L - tau), or the counts of the shift with the largest rounding
-    residual differ from :func:`aacf_set_sum`.
-    """
-    shifts = np.asarray(shifts, dtype=np.int64)
-    terms = len(sset) * (sset.length - shifts)
-    embeddings = np.concatenate([terms[None].astype(complex), sums])
-    approx = np.concatenate([embeddings.real, embeddings.imag]).T @ _inverse_dft_weights(
-        sset.modulus)
-    rounded = np.rint(approx)
-    residual = np.abs(approx - rounded).max(axis=1)
-    counts = rounded.astype(np.int64)
-    if (counts < 0).any() or not np.array_equal(counts.sum(axis=1), terms):
-        raise RuntimeError("all-shift counts break the count invariants "
-                           "(non-negative, summing to M*(L - tau) at every shift)")
-    if len(shifts):
-        i = int(np.argmax(residual))
-        tau = int(shifts[i])
-        if not np.array_equal(counts[i], aacf_set_sum(sset, tau).counts):
-            raise RuntimeError(f"all-shift counts disagree with aacf_set_sum at shift {tau}")
-    return counts
-
-
-def aacf_set_counts(sset: SequenceSet, shifts: Sequence[int]) -> np.ndarray:
-    """Count vectors of the set autocorrelation sum at many shifts 0 <= tau < L.
-
-    Row i equals ``aacf_set_sum(sset, shifts[i]).counts``, computed for all
-    shifts at once from lambda//2 + 1 FFT embeddings and a length-lambda
-    inverse DFT over k, and checked as described in
-    :func:`_counts_from_lift_sums`.
-    """
-    L, lam = sset.length, sset.modulus
-    if any(not 0 <= tau < L for tau in shifts):
-        raise ValueError(f"shifts must lie in [0, {L})")
-    if _counts_bound(len(sset), L, lam) >= 0.5:
-        raise ValueError("FFT rounding bound reaches 1/2 for this set; use aacf_set_sum")
-    return _counts_from_lift_sums(sset, shifts, _lift_sums(sset, range(1, lam // 2 + 1), shifts))
 
 
 def aacf_set_residues(sset: SequenceSet, shifts: Sequence[int]) -> np.ndarray:
@@ -652,7 +568,7 @@ class CorrelationReport:
 def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
             early_exit: bool) -> CorrelationReport:
     lam = sset.modulus
-    path = _choose_path(len(sset), sset.length, lam, shifts)
+    path = _choose_path(len(sset), sset.length, lam)
     ks = _residue_table(lam)[0] if path == "all-shift" else (1,)
     sums = _lift_sums(sset, ks, shifts)
     magnitudes = np.abs(sums[0])

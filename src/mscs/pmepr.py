@@ -70,9 +70,11 @@ class EnvelopeGrid:
 
 
 def grid_points(oversampling: int, length: int) -> int:
-    """Size N_os*L of the envelope grid; raises unless 1 <= N_os and N_os*L <= MAX_GRID."""
+    """Size N_os*L of the envelope grid; raises unless N_os, L >= 1 and N_os*L <= MAX_GRID."""
     if oversampling < 1:
         raise ValueError(f"oversampling {oversampling} must be >= 1")
+    if length < 1:
+        raise ValueError(f"length {length} must be >= 1")
     n = oversampling * length
     if n > MAX_GRID:
         raise ValueError(f"envelope grid of {n} points exceeds capacity limit {MAX_GRID}")

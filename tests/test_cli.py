@@ -654,11 +654,41 @@ def test_pmepr_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
                             "capacity limit 64000000\n")
 
 
+@pytest.mark.parametrize("claim", [{"kind": "MSCS", "S": 0}, {"kind": "MSCS", "S": -3},
+                                   {"kind": "ZCS", "Z": 0}], ids=["S-0", "S-negative", "Z-0"])
+def test_pmepr_rejects_claim_below_one(tmp_path, capsys, monkeypatch, claim):
+    def refuse(*args):
+        raise AssertionError("iapr_curve called before the claim check")
+
+    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    path = tmp_path / "set.json"
+    write_document(document_from_set(mscs_3_27_3()), str(path))
+    payload = json.loads(path.read_text())
+    payload["claim"] = claim
+    path.write_text(json.dumps(payload))
+    assert main(["pmepr", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = "S" if "S" in claim else "Z"
+    assert captured.err == f"error: claim {key}={claim[key]} must be >= 1\n"
+
+
+def test_pmepr_rejects_zero_length_document(tmp_path, capsys):
+    doc = SetDocument(modulus=2, length=0, set_size=1, claim={"kind": "GCS"},
+                      provenance={"construction": "external"}, sequences=((),))
+    path = str(tmp_path / "empty.json")
+    write_document(doc, path)
+    assert main(["pmepr", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: length 0 must be >= 1\n"
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "selftest: 12/12 ok" in out
-    assert out.count("ok   ") == 12
+    assert "selftest: 11/11 ok" in out
+    assert out.count("ok   ") == 11
     assert "FAIL" not in out
 
 
@@ -671,11 +701,11 @@ def test_selftest_catches_broken_reference(monkeypatch, capsys):
     monkeypatch.setattr(mscs.reference_sets, "mscs_3_27_3", lambda: broken)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    # three checks fail on the corrupted set; the other nine still pass
-    # (all-shift-counts and residue-path compare two engines on the same set)
+    # three checks fail on the corrupted set; the other eight still pass
+    # (residue-path compares two engines on the same set)
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["mscs-3-27-3", "zcs-3-27-24", "energy-identity"]
-    assert "selftest: 9/12 ok" in out
+    assert "selftest: 8/11 ok" in out
 
 
 def test_module_entry_point(tmp_path):

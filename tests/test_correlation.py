@@ -19,7 +19,6 @@ from mscs.constructions import (
 from mscs.correlation import (
     EXACT_MODULUS_CAP,
     CyclotomicSum,
-    aacf_set_counts,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -398,34 +397,6 @@ def _flipped(sset, index=0):
     return SequenceSet(members)
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4, 6, 9, 30])
-def test_all_shift_counts_match_bincount(lam):
-    # odd lambda has no self-conjugate embedding; even lambda has k = lambda/2
-    rng = random.Random(1000 + lam)
-    L = rng.choice([48, 64, 81, 100, 125, 144, 243, 360])
-    sset = _random_set(rng, lam, rng.randint(1, 5), L)
-    shifts = sorted(rng.sample(range(sset.length), 25))
-    counts = aacf_set_counts(sset, shifts)
-    assert counts.shape == (25, lam)
-    for tau, row in zip(shifts, counts):
-        assert list(row) == list(aacf_set_sum(sset, tau).counts)
-
-
-def test_all_shift_counts_validation(monkeypatch):
-    sset = mscs_3_27_3()
-    with pytest.raises(ValueError, match="shifts must lie"):
-        aacf_set_counts(sset, [27])
-    with pytest.raises(ValueError, match="shifts must lie"):
-        aacf_set_counts(sset, [-1])
-    assert aacf_set_counts(sset, []).shape == (0, 6)
-    # 2L = 136 = 8 * 17 pads to 135 = 27 * 5, a plan the bound covers
-    odd = _random_set(random.Random(5), 6, 2, 68)
-    assert list(aacf_set_counts(odd, [1])[0]) == list(aacf_set_sum(odd, 1).counts)
-    monkeypatch.setattr(correlation, "_counts_bound", lambda M, L, lam: 0.5)
-    with pytest.raises(ValueError, match="rounding bound"):
-        aacf_set_counts(odd, [1])
-
-
 def _both_paths(monkeypatch, verify):
     reports = {}
     for path in ("all-shift", "per-shift"):
@@ -468,34 +439,12 @@ def test_early_exit_truncates_alike_on_both_paths(monkeypatch):
     assert len(verify_mscs(flipped, 3).shifts) > len(fast.shifts)
 
 
-def test_perturbed_count_raises():
-    sset = mscs_3_27_3()
-    shifts = range(1, 27)
-    sums = correlation._lift_sums(sset, range(1, 4), shifts)
-    counts = correlation._counts_from_lift_sums(sset, shifts, sums)
-    assert counts.tolist() == [list(aacf_set_sum(sset, t).counts) for t in shifts]
-    # counts at shift 11 are (16, 0, 16, 0, 16, 0); -2 on the k = 1
-    # embedding there moves counts[0] down and counts[3] up by one, which
-    # keeps the invariants but not the cross-check
-    bumped = sums.copy()
-    bumped[0, 10] -= 2
-    with pytest.raises(RuntimeError, match="disagree with aacf_set_sum at shift 11"):
-        correlation._counts_from_lift_sums(sset, shifts, bumped)
-    # +2 drives counts[3] to -1
-    bumped = sums.copy()
-    bumped[0, 10] += 2
-    with pytest.raises(RuntimeError, match="count invariants"):
-        correlation._counts_from_lift_sums(sset, shifts, bumped)
-
-
-def test_size_rule_picks_the_path():
-    # lambda = 6 needs only the k = 1 embedding the float check computes, so
-    # the benchmark's shapes all take the residue path, decided from sizes
-    assert correlation._choose_path(3, 19683, 6, range(9, 19683, 9)) == "all-shift"
-    assert correlation._choose_path(3, 177147, 6, range(3**7, 177147, 3**7)) == "all-shift"
-    assert correlation._choose_path(3, 177147, 6, range(177147 - 23, 177147)) == "all-shift"
-    assert correlation._choose_path(3, 531441, 6, range(3**9, 531441, 3**9)) == "all-shift"
-    assert correlation._choose_path(3, 27, 1009 * 2, range(1, 27)) == "numerical"
+def test_size_rule_picks_the_path(monkeypatch):
+    # the path comes from (M, L, lambda) alone; the benchmark's shapes all
+    # stay far below the rounding bound's 1/2 and take the residue path
+    for L in (19683, 177147, 531441):
+        assert correlation._choose_path(3, L, 6) == "all-shift"
+    assert correlation._choose_path(3, 27, 1009 * 2) == "numerical"
     # the same ratios at L = 2187, built and verified
     fine = single_prime_mscs(PrimeBlock(p=3, m=7, s=3), 6)
     report = verify_mscs(fine, 9)
@@ -503,19 +452,28 @@ def test_size_rule_picks_the_path():
     sparse = single_prime_mscs(PrimeBlock(p=3, m=7, s=4), 6)
     report = verify_mscs(sparse, 27)
     assert report.passed and report.path == "all-shift" and len(report.shifts) == 80
-    # lambda = 30 needs phi/2 = 4 embeddings; the rule weighs the three
-    # beyond k = 1 against sum_tau (L - tau)
-    L, n = 1800, correlation._fft_length(1800)
-    assert n == 2 * L
-    extra = 3 * n * math.log2(n)
-    assert sum(L - t for t in range(1, L)) > extra > sum(L - t for t in range(450, L, 450))
+    # lambda = 30 needs phi/2 = 4 embeddings, whatever the number of shifts
+    L = 1800
     gcs30 = multi_prime_mscs([PrimeBlock(p=2, m=3), PrimeBlock(p=3, m=2),
                               PrimeBlock(p=5, m=2)], 30)
     assert (len(gcs30), gcs30.length) == (30, L)
     report = verify_gcs(gcs30)
     assert report.passed and report.path == "all-shift" and len(report.shifts) == L - 1
     report = verify_mscs(gcs30, 450)
-    assert report.passed and report.path == "per-shift" and len(report.shifts) == 3
+    assert report.passed and report.path == "all-shift" and len(report.shifts) == 3
+    # per-shift exactly from the member count where the bound reaches 1/2
+    for lam in (6, 30):
+        lo, hi = 1, 2**40
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if correlation._rounding_bound(mid, L, lam) < 0.5 else (lo, mid)
+        assert correlation._choose_path(lo, L, lam) == "all-shift"
+        assert correlation._choose_path(hi, L, lam) == "per-shift"
+    monkeypatch.setattr(correlation, "_rounding_bound", lambda M, L, lam: 0.5)
+    assert correlation._choose_path(3, L, 30) == "per-shift"
+    monkeypatch.setattr(correlation, "_rounding_bound",
+                        lambda M, L, lam: float(np.nextafter(0.5, 0)))
+    assert correlation._choose_path(3, L, 30) == "all-shift"
 
 
 def _is_7_smooth(n):
@@ -527,17 +485,16 @@ def _is_7_smooth(n):
 
 def test_rounding_bound_sends_large_sets_to_per_shift():
     L = 3**19
-    gcs = range(1, L)
     assert correlation._rounding_bound(3, L, 6) < 1e-3
-    assert correlation._choose_path(3, L, 6, gcs) == "all-shift"
+    assert correlation._choose_path(3, L, 6) == "all-shift"
     assert correlation._rounding_bound(10**6, L, 6) >= 0.5
-    assert correlation._choose_path(10**6, L, 6, gcs) == "per-shift"
+    assert correlation._choose_path(10**6, L, 6) == "per-shift"
     # 2L = 2 * 37^4 has a prime factor above 7; the padded length has none
     L = 37**4
     n = correlation._fft_length(L)
     assert _is_7_smooth(n) and n >= 2 * L - 1
     assert correlation._rounding_bound(3, L, 6) < 1e-3
-    assert correlation._choose_path(3, L, 6, range(1, L)) == "all-shift"
+    assert correlation._choose_path(3, L, 6) == "all-shift"
 
 
 def test_fft_length_is_the_next_7_smooth():
@@ -563,7 +520,7 @@ def _claim_breakers():
     }
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 8, 10, 12, 15, 30])
+@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 30])
 def test_residues_match_counts_at_every_shift(lam):
     rng = random.Random(2000 + lam)
     sets = [_random_set(rng, lam, rng.randint(1, 4), rng.choice([50, 64, 81, 97, 120]))]
@@ -619,6 +576,36 @@ def test_perturbed_residue_raises():
     bumped[0, 10] += 0.25
     with pytest.raises(RuntimeError, match="exceeds its bound"):
         correlation._residues_from_lift_sums(sset, shifts, bumped)
+
+
+def test_all_shift_residues_validation(monkeypatch):
+    sset = mscs_3_27_3()
+    with pytest.raises(ValueError, match="shifts must lie"):
+        correlation.aacf_set_residues(sset, [27])
+    with pytest.raises(ValueError, match="shifts must lie"):
+        correlation.aacf_set_residues(sset, [-1])
+    assert correlation.aacf_set_residues(sset, []).shape == (0, 2)
+    # 2L = 136 = 8 * 17 pads to 135 = 27 * 5, a plan the bound covers
+    odd = _random_set(random.Random(5), 6, 2, 68)
+    assert np.array_equal(correlation.aacf_set_residues(odd, [1]), _residues_by_oracle(odd, [1]))
+    monkeypatch.setattr(correlation, "_rounding_bound", lambda M, L, lam: 0.5)
+    with pytest.raises(ValueError, match="rounding bound"):
+        correlation.aacf_set_residues(odd, [1])
+
+
+def test_all_shift_verification_calls_each_exact_span_once(monkeypatch):
+    # the benchmark tracer times the exact layer through these two module
+    # attributes; the residue path's cross-check is their only caller
+    calls = {"aacf_set_sum": 0, "is_zero": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(correlation, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(correlation, name, counted)
+    report = verify_mscs(mscs_3_54_2(), 2)
+    assert report.path == "all-shift" and report.passed and len(report.shifts) == 26
+    assert calls == {"aacf_set_sum": 1, "is_zero": 1}
 
 
 def _gcs30():
@@ -698,14 +685,15 @@ def _planned_shift_sets(rng, L):
     S = next(s for s in range(max(2, L // 7), L) if L % s)
     return {
         "mscs-stride": range(S, L, S),
-        "one-shift-past-half": [L // 2 + 1 + rng.randrange(L - L // 2 - 1)],
+        # tau = L - 1 would leave the lag 1 after the window cut, so g = 1
+        "one-shift-past-half": [L // 2 + 1 + rng.randrange(L - L // 2 - 2)],
         "zcs-windowed": range(L - 9, L),
         "zcs-whole": range(L // 2 - 1, L),
         "arbitrary": [rng.randrange(L) for _ in range(12)] + [0, 5, 5],
     }
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 8, 10, 12, 15, 30])
+@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 30])
 def test_kernels_match_the_oracle_on_planned_shifts(lam):
     rng = random.Random(4000 + lam)
     reduction = correlation._reduction_matrix(lam)[0]
@@ -716,7 +704,6 @@ def test_kernels_match_the_oracle_on_planned_shifts(lam):
             assert (drop > 0) == (name in ("one-shift-past-half", "zcs-windowed")), name
             assert (g > 1) == (name in ("mscs-stride", "one-shift-past-half")), name
             oracle = np.array([aacf_set_sum(sset, t).counts for t in shifts])
-            assert np.array_equal(aacf_set_counts(sset, shifts), oracle), name
             assert np.array_equal(correlation.aacf_set_residues(sset, shifts),
                                   oracle @ reduction), name
 

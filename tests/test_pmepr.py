@@ -220,6 +220,8 @@ def test_grid_cap():
         grid_points(DEFAULT_OVERSAMPLING, MAX_LENGTH + 1)
     with pytest.raises(ValueError, match="must be >= 1"):
         grid_points(0, 8)
+    with pytest.raises(ValueError, match="length 0 must be >= 1"):
+        grid_points(4, 0)
     # the envelope checks the cap before it allocates its grid
     with pytest.raises(ValueError, match="exceeds capacity limit"):
         iapr_curve(PhaseSequence(2, [0, 1]), MAX_GRID)
