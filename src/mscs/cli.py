@@ -56,7 +56,7 @@ from .pmepr import (
     pmepr_report,
     pmepr_set,
 )
-from .seqcore import MAX_LENGTH, PhaseSequence, SequenceSet
+from .seqcore import PhaseSequence, SequenceSet, check_length
 
 SCHEMA_VERSION = 1
 
@@ -241,23 +241,6 @@ def _block_shape(rec: dict) -> tuple[int, int]:
     return _field_int(rec, "p"), _field_int(rec, "m")
 
 
-def _check_length(factors: list[tuple[int, int]]) -> None:
-    """Raise if prod p^m over ``factors`` exceeds ``MAX_LENGTH``.
-
-    Factors with p < 2 or m < 1 are left to the construction's own checks.
-    For m > 64, p^m > 2^64 is over the cap and is not formed.
-    """
-    length = 1
-    for p, m in factors:
-        if p < 2 or m < 1:
-            continue
-        if m > 64:
-            raise ValueError(f"sequence length {p}^{m} exceeds capacity limit {MAX_LENGTH}")
-        length *= p**m
-    if length > MAX_LENGTH:
-        raise ValueError(f"sequence length {length} exceeds capacity limit {MAX_LENGTH}")
-
-
 def _block_from_dict(rec: dict, modulus: int, rng: random.Random | None) -> PrimeBlock:
     p, m = _block_shape(rec)
     s = _field_int(rec, "s", 1)
@@ -296,7 +279,7 @@ def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
             raise ValueError("extension needs p")
         factors.append((_field_int(ext, "p"), 1))
     # before any draw: a seeded head table alone takes p^(s-1) draws
-    _check_length(factors)
+    check_length(factors)
     blocks = [_block_from_dict(rec, modulus, rng) for rec in recs]
     if extended:
         return length_extended_mscs(
@@ -358,25 +341,25 @@ def cmd_generate(args) -> int:
 
 
 def _claim_from_args(doc: SetDocument, args) -> dict:
-    if args.claim is None:
-        return doc.claim
-    kind = args.claim.upper()
-    claim: dict = {"kind": kind}
-    if kind == "MSCS":
-        if args.S is not None:
-            claim["S"] = args.S
-        elif doc.claim.get("kind") == "MSCS":
-            claim["S"] = doc.claim["S"]
-        else:
-            raise ValueError("MSCS claim needs --S")
-    elif kind == "ZCS":
-        if args.Z is not None:
-            claim["Z"] = args.Z
-        elif doc.claim.get("kind") == "ZCS":
-            claim["Z"] = doc.claim["Z"]
-        else:
-            raise ValueError("ZCS claim needs --Z")
-    return claim
+    """The claim to verify: the document's, or the kind named by --claim.
+
+    --S sets the S of an MSCS claim and --Z the Z of a ZCS claim; a flag
+    given for any other claim kind is an error.  A claim of a kind the
+    document does not carry needs its flag.
+    """
+    claim = dict(doc.claim) if args.claim is None else {"kind": args.claim.upper()}
+    kind = claim["kind"]
+    for key, owner in (("S", "MSCS"), ("Z", "ZCS")):
+        value = getattr(args, key)
+        if value is not None:
+            if kind != owner:
+                raise ValueError(f"--{key} applies only to {owner} claims, not {kind}")
+            claim[key] = value
+        elif kind == owner and key not in claim:
+            if doc.claim["kind"] != kind:
+                raise ValueError(f"{kind} claim needs --{key}")
+            claim[key] = doc.claim[key]
+    return _check_claim(claim)
 
 
 def cmd_verify(args) -> int:
@@ -673,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("input", help="set document path")
     ver.add_argument("--claim", choices=["gcs", "mscs", "zcs"],
                      help="override the document claim")
-    ver.add_argument("--S", type=int, help="shift parameter for an MSCS claim")
-    ver.add_argument("--Z", type=int, help="zone width for a ZCS claim")
+    ver.add_argument("--S", type=int, help="shift parameter S of the MSCS claim verified")
+    ver.add_argument("--Z", type=int, help="zone width Z of the ZCS claim verified")
 
     pme = sub.add_parser("pmepr", help="measure PMEPR of a document")
     pme.add_argument("input", help="set document path")

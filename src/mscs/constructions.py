@@ -38,6 +38,7 @@ from .seqcore import (
     SequenceSet,
     TabulatedComponent,
     _is_prime,
+    check_length,
     materialize,
 )
 
@@ -128,9 +129,12 @@ def _build(
     primes = [b.p for b in blocks]
     if len(set(primes)) != len(primes):
         raise ValueError(f"primes must be pairwise distinct, got {primes}")
+    factors = [(b.p, b.m) for b in blocks]
+    if extension is not None:
+        factors.append((extension[0], 1))
+    check_length(factors)  # before the records' per-digit lists
     records = [_block_record(b, modulus) for b in blocks]
 
-    factors = [(b.p, b.m) for b in blocks]
     terms, tabulated, tag_terms = [], [], []
     constant = 0
     for a, rec in enumerate(records, start=1):
@@ -148,7 +152,6 @@ def _build(
         ext_prime, g1, g0 = extension
         ext = {"p": ext_prime, "linear": int(g1) % modulus, "constant": int(g0) % modulus}
         params["extension"] = ext
-        factors.append((ext_prime, 1))
         terms.append((ext["linear"], (((len(blocks) + 1, 1), 1),)))
         constant += ext["constant"]
 

@@ -15,13 +15,17 @@ Functions on a domain take values in Z_lambda and are stored as a sum of
 monomial terms in the digit variables v_{a,b} (block a, position b, both
 1-based), a constant, and optional tabulated components: arbitrary
 functions of a variable subset supplied as a flat lookup table.
-Materializing a function walks the flat index order and yields a phase
-sequence; the complex lift maps phase x to exp(2*pi*1j*x/lambda).
+Materializing a function evaluates it on the digit tensor, whose axes are
+the digit variables (most significant first) and whose C-order ravel is
+the flat index order: each term is a small table over its own axes, added
+over the tensor by broadcasting.  The result is a phase sequence; the
+complex lift maps phase x to exp(2*pi*1j*x/lambda).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -352,45 +356,107 @@ class SequenceSet:
         return self.sequences == other.sequences
 
 
-def _digit_column(domain: MixedDomain, var: VarId, L: int) -> np.ndarray:
-    return (np.arange(L) // domain.stride(var)) % domain.radix(var)
+def check_length(factors: Iterable[tuple[int, int]], max_length: int | None = None) -> int:
+    """Length prod p^m of ``factors``; raises if it exceeds the capacity cap.
+
+    The cap is ``MAX_LENGTH`` unless overridden.  Factors with p < 2 or
+    m < 1 are left to the caller's own checks.  A factor with m > 64 is over
+    any cap below 2^64; it is reported as ``p^m`` and p^m is never formed.
+    """
+    cap = MAX_LENGTH if max_length is None else max_length
+    length = 1
+    for p, m in factors:
+        if p < 2 or m < 1:
+            continue
+        if m > max(64, cap.bit_length()):
+            raise ValueError(f"sequence length {p}^{m} exceeds capacity limit {cap}")
+        length *= p**m
+    if length > cap:
+        raise ValueError(f"sequence length {length} exceeds capacity limit {cap}")
+    return length
+
+
+@functools.lru_cache(maxsize=256)
+def _digit_tensor(domain: MixedDomain):
+    """Shape of a domain's digit tensor, and each variable's (axis, digit index).
+
+    The axes are the digit variables, most significant first, so the
+    tensor's C-order ravel is the flat index order.  A digit index is
+    arange(radix) along the variable's axis, broadcastable to the tensor.
+    """
+    variables = domain.variables()
+    ndim = len(variables)
+    index = {}
+    for j, var in enumerate(variables):
+        axis, p = ndim - 1 - j, domain.radix(var)
+        digits = np.arange(p).reshape([p if i == axis else 1 for i in range(ndim)])
+        digits.flags.writeable = False
+        index[var] = (axis, digits)
+    return tuple(domain.radix(v) for v in reversed(variables)), index
 
 
 def materialize(f: MultivariableFunction, *, max_length: int | None = None) -> PhaseSequence:
     """Evaluate f at every flat index and return the phase sequence.
 
+    f is evaluated on the digit tensor (see :func:`_digit_tensor`).  Each
+    monomial and each tabulated component becomes a small table over its
+    own axes; the tables are summed into a few groups of at most L/16
+    entries, and each group is added over the tensor in one pass.  The
+    tensor is the only L-sized array formed here; ``PhaseSequence`` reduces
+    it mod lambda.
+
     Deterministic and order-stable: the same function always yields the
-    identical array.  Raises if the domain length exceeds the capacity cap
-    (``MAX_LENGTH`` unless overridden).
+    identical array.  Raises before any work if the domain length exceeds
+    the capacity cap (``MAX_LENGTH`` unless overridden).
     """
-    L = f.domain.length()
-    cap = MAX_LENGTH if max_length is None else max_length
-    if L > cap:
-        raise ValueError(f"sequence length {L} exceeds capacity limit {cap}")
+    L = check_length(f.domain.blocks, max_length)
     lam = f.modulus
-    out = np.full(L, f.constant, dtype=np.int64)
-    cols: dict[VarId, np.ndarray] = {}
-
-    def col(var: VarId) -> np.ndarray:
-        if var not in cols:
-            cols[var] = _digit_column(f.domain, var, L)
-        return cols[var]
-
+    shape, index = _digit_tensor(f.domain)
+    constant = f.constant
+    tables = []  # (axes, table over those axes)
     for coeff, mono in f.terms:
-        t = np.full(L, coeff, dtype=np.int64)
+        if not mono:
+            constant += coeff
+            continue
+        t = coeff
         for var, exp in mono:
-            # power table keeps digit^exp exact mod lambda for any exponent
-            lut = np.array([pow(d, exp, lam) for d in range(f.domain.radix(var))])
-            t = t * lut[col(var)] % lam
-        out += t
+            axis, d = index[var]
+            if exp > 1:  # digit**exp overflows int64; look up the power mod lambda
+                d = np.array([pow(x, exp, lam) for x in range(shape[axis])])[d]
+            t = t * d % lam
+        tables.append(({index[var][0] for var, _ in mono}, t))
     for comp in f.tabulated:
-        pos = np.zeros(L, dtype=np.int64)
+        pos = 0
         weight = 1
         for var in comp.variables:
-            pos += col(var) * weight
-            weight *= f.domain.radix(var)
-        out += np.asarray(comp.table, dtype=np.int64)[pos]
-    return PhaseSequence(lam, out % lam)
+            axis, d = index[var]
+            pos = pos + d * weight
+            weight *= shape[axis]
+        tables.append(({index[var][0] for var in comp.variables},
+                       np.asarray(comp.table, dtype=np.int64)[pos]))
+
+    # Largest table first, each joins the group it grows least.  A group may
+    # grow to L/16 entries, so that summing into it costs a small part of
+    # the pass over L it saves, or absorb a table over a subset of its axes.
+    groups: list[list] = []  # [axes, table]
+    for axes, table in sorted(tables, key=lambda t: -t[1].size):
+        best, best_size = None, 0
+        for g in groups:
+            union = g[1].size * math.prod(map(shape.__getitem__, axes - g[0]))
+            if union <= max(L // 16, g[1].size) and (best is None or union < best_size):
+                best, best_size = g, union
+        if best is None:
+            groups.append([axes, table])
+        else:
+            best[0] |= axes
+            best[1] = best[1] + table
+
+    out = np.empty(shape, dtype=np.int64)
+    first, *rest = [table for _, table in groups] or [0]
+    np.add(first, constant, out=out)
+    for table in rest:
+        out += table
+    return PhaseSequence(lam, out.reshape(L))  # reduces mod lambda
 
 
 @functools.lru_cache(maxsize=None)

@@ -535,6 +535,42 @@ def test_verify_claim_override(tmp_path, capsys):
     assert "verdict: fail" in out
 
 
+def test_verify_flag_overrides_document_claim(tmp_path, capsys):
+    path = _example_doc_path(tmp_path)
+    assert main(["verify", path, "--S", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "claim: MSCS S=1" in out
+    assert "shifts checked: 26" in out
+    assert "verdict: fail" in out
+    zcs = tmp_path / "zcs.json"
+    sset = mscs_3_27_3()
+    write_document(document_from_set(SequenceSet(
+        sset.sequences, {"construction": "external", "claims": [{"kind": "ZCS", "Z": 24}]})), str(zcs))
+    assert main(["verify", str(zcs)]) == 0
+    assert "claim: ZCS Z=24" in capsys.readouterr().out
+    assert main(["verify", str(zcs), "--Z", "26"]) == 1
+    out = capsys.readouterr().out
+    assert "claim: ZCS Z=26" in out
+    assert "verdict: fail" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--claim", "gcs", "--S", "5"], "--S applies only to MSCS claims, not GCS"),
+    (["--claim", "gcs", "--Z", "5"], "--Z applies only to ZCS claims, not GCS"),
+    (["--Z", "24"], "--Z applies only to ZCS claims, not MSCS"),
+    (["--claim", "mscs", "--Z", "24"], "--Z applies only to ZCS claims, not MSCS"),
+    (["--claim", "zcs", "--S", "3"], "--S applies only to MSCS claims, not ZCS"),
+    (["--claim", "zcs"], "ZCS claim needs --Z"),
+    (["--S", "0"], "claim S=0 must be >= 1"),
+], ids=["gcs-S", "gcs-Z", "doc-mscs-Z", "mscs-Z", "zcs-S", "zcs-needs-Z", "S-zero"])
+def test_verify_rejects_flag_foreign_to_claim(tmp_path, capsys, flags, message):
+    path = _example_doc_path(tmp_path)
+    assert main(["verify", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_tampered_document(tmp_path, capsys):
     path = _example_doc_path(tmp_path)
     payload = json.loads(open(path).read())

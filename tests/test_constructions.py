@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,35 @@ def test_multi_prime_rejects_duplicates():
         multi_prime_mscs([PrimeBlock(p=3, m=1), PrimeBlock(p=3, m=2)], 6)
     with pytest.raises(ValueError):
         multi_prime_mscs([], 6)
+
+
+def _refuse_records(*args):
+    raise AssertionError("block record built before the length check")
+
+
+@pytest.mark.parametrize("build, length", [
+    (lambda: single_prime_mscs(PrimeBlock(p=3, m=200000), 6), r"3\^200000"),
+    (lambda: multi_prime_mscs([PrimeBlock(p=2, m=10), PrimeBlock(p=3, m=7)], 6), "2239488"),
+    (lambda: length_extended_mscs([PrimeBlock(p=3, m=12)], ext_prime=2, modulus=6), "1062882"),
+], ids=["huge-m", "two-primes", "extension"])
+def test_builder_checks_length_before_records(monkeypatch, build, length):
+    monkeypatch.setattr(mscs.constructions, "_block_record", _refuse_records)
+    with pytest.raises(ValueError, match=f"^sequence length {length} exceeds capacity limit 1000000$"):
+        build()
+
+
+def test_builder_peak_allocation():
+    # base, tag, members and one transient: under 8 int64 arrays of length L
+    # (per-variable L-sized digit columns would push the peak far above)
+    block = random_block(random.Random(3), 3, 12, 10, 6)
+    L = 3**12
+    tracemalloc.start()
+    try:
+        single_prime_mscs(block, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * L
 
 
 def test_random_block_checks_s_before_drawing():

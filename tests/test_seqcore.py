@@ -11,6 +11,7 @@ from mscs.seqcore import (
     PhaseSequence,
     SequenceSet,
     TabulatedComponent,
+    check_length,
     decode_index,
     encode_index,
     evaluate,
@@ -218,6 +219,57 @@ def test_materialize_matches_pointwise_evaluation():
             assert seq.values[x] == evaluate(f, decode_index(x, d))
 
 
+@st.composite
+def functions(draw):
+    """Functions on one to three prime blocks (L <= 360) with every feature.
+
+    Exponents reach 70, so digit**exp would overflow int64; variables
+    repeat within a monomial and within a table, table variables come in
+    any order, and coefficients, constants and table entries are drawn
+    negative and unreduced.  No terms and no tables gives a constant.
+    """
+    blocks = draw(st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)),
+                           min_size=1, max_size=3)
+                  .filter(lambda bs: MixedDomain(bs).length() <= 360))
+    domain = MixedDomain(blocks)
+    modulus = draw(st.integers(2, 60))
+    variables = st.sampled_from(domain.variables())
+    values = st.integers(-3 * modulus, 3 * modulus)
+    terms = draw(st.lists(st.tuples(
+        values, st.lists(st.tuples(variables, st.integers(1, 70)), max_size=3)), max_size=6))
+    tabulated = []
+    for table_vars in draw(st.lists(st.lists(variables, max_size=3), max_size=2)):
+        size = int(np.prod([domain.radix(v) for v in table_vars]))
+        tabulated.append(TabulatedComponent(
+            table_vars, draw(st.lists(values, min_size=size, max_size=size))))
+    return MultivariableFunction(domain, modulus, terms, draw(values), tabulated)
+
+
+def _assert_matches_evaluate(f):
+    seq = materialize(f)
+    assert seq.modulus == f.modulus
+    expected = [evaluate(f, decode_index(x, f.domain)) for x in range(f.domain.length())]
+    assert seq.values.tolist() == expected
+
+
+@given(functions())
+@settings(max_examples=150, deadline=None)
+def test_materialize_matches_evaluate_everywhere(f):
+    _assert_matches_evaluate(f)
+
+
+@pytest.mark.parametrize("f", [
+    MultivariableFunction(MixedDomain([(5, 2), (2, 1)]), 7, (), -3),
+    MultivariableFunction(MixedDomain([(3, 1)]), 6, [(-1, (((1, 1), 70),))], 5),
+    MultivariableFunction(MixedDomain([(2, 1)]), 4, (), 1,
+                          [TabulatedComponent([(1, 1), (1, 1)], (-1, 5, 9, 2))]),
+    MultivariableFunction(MixedDomain([(7, 2)]), 60, [(11, (((1, 2), 69), ((1, 2), 1)))], 0,
+                          [TabulatedComponent([(1, 2), (1, 1)], range(-49, 0))]),
+], ids=["constant-only", "one-digit", "one-digit-repeated-table", "unsorted-table"])
+def test_materialize_matches_evaluate_examples(f):
+    _assert_matches_evaluate(f)
+
+
 def test_materialize_tabulated_matches_pointwise():
     import random
 
@@ -248,6 +300,23 @@ def test_materialize_capacity():
         materialize(f)
     with pytest.raises(ValueError, match="capacity"):
         materialize(MultivariableFunction(MixedDomain([(2, 3)]), 2), max_length=4)
+    # p^m is reported, never formed or formatted
+    with pytest.raises(ValueError, match=r"^sequence length 3\^200000 exceeds capacity limit 1000000$"):
+        materialize(MultivariableFunction(MixedDomain([(3, 200000)]), 6))
+
+
+def test_check_length():
+    assert check_length([(3, 2), (2, 1)]) == 18
+    assert check_length([(2, 3)], max_length=8) == 8
+    assert check_length([(3, 2), (1, 5), (7, 0)]) == 9  # left to the caller's checks
+    with pytest.raises(ValueError, match=r"^sequence length 2097152 exceeds capacity limit 1000000$"):
+        check_length([(2, 21)])
+    with pytest.raises(ValueError, match=r"^sequence length 2239488 exceeds capacity limit 1000000$"):
+        check_length([(2, 10), (3, 7)])
+    with pytest.raises(ValueError, match=r"^sequence length 2\^1000000000 exceeds capacity limit 1000000$"):
+        check_length([(2, 10**9)])
+    with pytest.raises(ValueError, match=r"^sequence length 16 exceeds capacity limit 8$"):
+        check_length([(2, 4)], max_length=8)
 
 
 def test_phase_sequence_basics():
