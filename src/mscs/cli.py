@@ -13,16 +13,22 @@ Exit codes: 0 success / claim verified, 1 verification or selftest
 failure, 2 usage or parse error, 3 an internal check failed (exact and
 float verdicts disagree, or all-shift residues fail their checks).
 Documents are written with sorted keys and fixed layout, so identical
-flags (and seed) give identical bytes.
+flags (and seed) give identical bytes.  A document's phases are one
+read-only (M, L) int64 matrix (``SetDocument.sequences``): the reader
+fills it row by row straight from the parsed JSON lists, the set's
+members are views of its rows, and the writer formats each row from it.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import functools
 import json
+import os
 import random
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -56,9 +62,12 @@ from .pmepr import (
     pmepr_report,
     pmepr_set,
 )
-from .seqcore import PhaseSequence, SequenceSet, check_length
+from .seqcore import PhaseSequence, SequenceSet, check_length, phase_rows
 
 SCHEMA_VERSION = 1
+
+# Phases are held as int64, so a document's lambda must not exceed this.
+INT64_MAX = 2**63 - 1
 
 CLAIM_KINDS = ("GCS", "MSCS", "ZCS")
 
@@ -66,17 +75,42 @@ CLAIM_KINDS = ("GCS", "MSCS", "ZCS")
 CSV_CHUNK_VALUES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetDocument:
-    """Serializable record of a sequence set and its correlation claim."""
+    """Serializable record of a sequence set and its correlation claim.
+
+    ``sequences`` is one read-only (set_size, length) int64 matrix of phases
+    in [0, lambda), row i the phases of member i.  Nested sequences are
+    accepted and copied into such a matrix, with their range checked; a
+    read-only int64 matrix is taken as it is.  Documents are equal when
+    every field and the matrices are.
+    """
 
     modulus: int
     length: int
     set_size: int
     claim: dict
     provenance: dict
-    sequences: tuple[tuple[int, ...], ...]
+    sequences: np.ndarray
     schema: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        rows = self.sequences
+        if (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
+                and not rows.flags.writeable):
+            return
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), self.length)
+        if rows.size and not (rows.min() >= 0 and rows.max() < self.modulus):
+            raise ValueError("sequence entries must lie in [0, lambda)")
+        rows.flags.writeable = False
+        object.__setattr__(self, "sequences", rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SetDocument):
+            return NotImplemented
+        fields = ("modulus", "length", "set_size", "claim", "provenance", "schema")
+        return (all(getattr(self, f) == getattr(other, f) for f in fields)
+                and np.array_equal(self.sequences, other.sequences))
 
 
 def _check_claim(claim: dict) -> dict:
@@ -104,18 +138,21 @@ def document_from_set(sset: SequenceSet) -> SetDocument:
     provenance = {"construction": meta.get("construction", "external")}
     if "params" in meta:
         provenance["params"] = meta["params"]
+    sequences = np.stack([s.values for s in sset.sequences])
+    sequences.flags.writeable = False
     return SetDocument(
         modulus=sset.modulus,
         length=sset.length,
         set_size=len(sset),
         claim=_check_claim(claims[0]),
         provenance=provenance,
-        sequences=tuple(tuple(s.values.tolist()) for s in sset.sequences),
+        sequences=sequences,
     )
 
 
 def document_to_set(doc: SetDocument) -> SequenceSet:
-    members = [PhaseSequence(doc.modulus, row) for row in doc.sequences]
+    """The document's set; its members are views of the rows of ``doc.sequences``."""
+    members = phase_rows(doc.modulus, doc.sequences)
     meta = {
         "construction": doc.provenance.get("construction", "external"),
         "claims": [dict(doc.claim)],
@@ -142,11 +179,12 @@ def _document_chunks(doc: SetDocument):
     yield header[:-2] + ',\n  "sequences": ['
     sep = "\n    "
     for row in doc.sequences:
+        row = row.tolist()
         table = {v: str(v) for v in set(row)}
         phases = ",\n      ".join(map(table.__getitem__, row))
         yield f"{sep}[\n      {phases}\n    ]" if row else sep + "[]"
         sep = ",\n    "
-    close = "\n  ]" if doc.sequences else "]"
+    close = "\n  ]" if len(doc.sequences) else "]"
     yield f'{close},\n  "set_size": {json.dumps(doc.set_size)}\n}}\n'
 
 
@@ -185,26 +223,35 @@ def document_from_json(text: str) -> SetDocument:
         raise ValueError("provenance must be an object")
     if modulus < 2:
         raise ValueError(f"lambda {modulus} must be >= 2")
+    if modulus > INT64_MAX:
+        raise ValueError(f"lambda {modulus} exceeds 2^63 - 1")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("sequences must be a list of lists")
     if len(rows) != set_size:
         raise ValueError(f"document lists {len(rows)} sequences, set_size says {set_size}")
-    sequences = []
-    for row in rows:
-        if len(row) != length:
-            raise ValueError(f"sequence of length {len(row)} does not match length {length}")
+    # rows before the first of the wrong length fill the matrix; each row is
+    # checked whole before the next, so the first defect is the one reported
+    good = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
+    sequences = np.empty((good, max(length, 0)), dtype=np.int64)
+    for row, out in zip(rows, sequences):
         if row and set(map(type, row)) != {int}:
             raise ValueError("sequence entries must be integers")
-        if row and not (0 <= min(row) and max(row) < modulus):
+        try:
+            out[:] = array.array("q", row)
+        except OverflowError:
+            raise ValueError("sequence entries must lie in [0, lambda)") from None
+        if row and not (out.min() >= 0 and out.max() < modulus):
             raise ValueError("sequence entries must lie in [0, lambda)")
-        sequences.append(tuple(row))
+    if good < len(rows):
+        raise ValueError(f"sequence of length {len(rows[good])} does not match length {length}")
+    sequences.flags.writeable = False
     return SetDocument(
         modulus=modulus,
         length=length,
         set_size=set_size,
         claim=claim,
         provenance=dict(provenance),
-        sequences=tuple(sequences),
+        sequences=sequences,
         schema=schema,
     )
 
@@ -597,6 +644,22 @@ def _selftest_checks():
             return f"curve peak {peak} != set pmepr {report.set_pmepr}"
         return None
 
+    def check_document_round_trip():
+        rng = random.Random(404)
+        gcs_30 = multi_prime_mscs([random_block(rng, p, 2, 1, 30) for p in (2, 3, 5)], 30)
+        with tempfile.TemporaryDirectory() as tmp:
+            for sset in (reference_sets.mscs_3_27_3(), gcs_30):
+                first, again = os.path.join(tmp, "first.json"), os.path.join(tmp, "again.json")
+                write_document(document_from_set(sset), first)
+                doc = read_document(first)
+                if document_to_set(doc).sequences != sset.sequences:
+                    return f"lambda={sset.modulus} L={sset.length}: members differ after reading"
+                write_document(doc, again)
+                with open(first, "rb") as a, open(again, "rb") as b:
+                    if a.read() != b.read():
+                        return f"lambda={sset.modulus} L={sset.length}: rewrite differs"
+        return None
+
     return [(name, reference_check(*row)) for name, *row in references] + [
         ("pmepr-3-54-2", check_pmepr_3_54_2),
         ("single-prime-sweep", check_single_prime_sweep),
@@ -606,6 +669,7 @@ def _selftest_checks():
         ("exact-float-separation", check_exact_float_separation),
         ("residue-path", check_residue_path),
         ("iapr-curves", check_iapr_curves),
+        ("document-round-trip", check_document_round_trip),
     ]
 
 

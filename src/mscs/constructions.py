@@ -31,6 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .seqcore import (
     MixedDomain,
     MultivariableFunction,
@@ -39,7 +41,9 @@ from .seqcore import (
     TabulatedComponent,
     _is_prime,
     check_length,
+    check_modulus,
     materialize,
+    phase_rows,
 )
 
 
@@ -111,7 +115,7 @@ def _build(
     blocks: Sequence[PrimeBlock],
     modulus: int,
     extension: tuple[int, int, int] | None = None,
-) -> tuple[list[PhaseSequence], dict]:
+) -> tuple[tuple[PhaseSequence, ...], dict]:
     """Members and parameter record of the family over ``blocks``.
 
     ``extension`` is (prime, g1, g0): one more digit w, most significant,
@@ -120,10 +124,11 @@ def _build(
     (empty when s = m), its linear part, its constant and its head table.
     The base function and each block's tag (lambda/p_a) * v_{a,pi_a(s_a)}
     are materialized once; member gamma (gamma_1 fastest) is
-    (base + sum_a gamma_a * tag_a) mod lambda.
+    (base + sum_a gamma_a * tag_a) mod lambda, a row of one read-only
+    (M, L) matrix.  The modulus is checked first (``check_modulus``): below
+    2^31, no int64 product or sum here or in ``materialize`` overflows.
     """
-    if modulus < 2:
-        raise ValueError(f"modulus {modulus} must be >= 2")
+    check_modulus(modulus)  # before any work: int64 must not overflow
     if not blocks:
         raise ValueError("need at least one prime block")
     primes = [b.p for b in blocks]
@@ -158,14 +163,20 @@ def _build(
     domain = MixedDomain(factors)
     base = materialize(MultivariableFunction(domain, modulus, terms, constant, tabulated))
     tags = [materialize(MultivariableFunction(domain, modulus, [t])).values for t in tag_terms]
-    members = []
-    for member in range(math.prod(primes)):
-        phases = base.values.copy()
-        for p, tag in zip(primes, tags):
-            member, gamma = divmod(member, p)
-            phases += gamma * tag
-        members.append(PhaseSequence(modulus, phases))  # reduces mod lambda
-    return members, params
+    # Rows [g*n, (g+1)*n) of the first p_a * n, n = prod_{b<a} p_b, are the
+    # members with gamma_a = g: the g-1 rows plus tag_a.  Both terms are
+    # reduced, so one conditional subtraction reduces the sum.
+    phases = np.empty((math.prod(primes), base.values.size), dtype=np.int64)
+    phases[0] = base.values
+    n = 1
+    for p, tag in zip(primes, tags):
+        for g in range(1, p):
+            rows = phases[g * n:(g + 1) * n]
+            np.add(phases[(g - 1) * n:g * n], tag, out=rows)
+            rows -= modulus * (rows >= modulus)
+        n *= p
+    phases.flags.writeable = False
+    return phase_rows(modulus, phases), params
 
 
 def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:

@@ -35,6 +35,19 @@ import numpy as np
 # exact verification gets impractical well before this.
 MAX_LENGTH = 1_000_000
 
+# Moduli materialize accepts lie below this.  Every value it forms in int64
+# is built from entries already reduced mod lambda, each below lambda, and
+# digits, each below a prime p <= L, which is far below 2^32 for any L an
+# array can hold (MAX_LENGTH < 2^20 by default):
+#   * a monomial table multiplies its running product (< lambda) by a digit
+#     or a power looked up mod lambda, so it stays below
+#     lambda * max(lambda, p) < 2^63 before it is reduced again;
+#   * the output adds the constant and at most one reduced table per term
+#     and per tabulated component, so with T of them it stays below
+#     (T + 1) * lambda, which is below 2^63 for every T + 1 <= 2^32, far
+#     more terms than a function held in memory can have.
+MAX_MODULUS = 2**31
+
 VarId = tuple[int, int]
 
 
@@ -184,7 +197,14 @@ class TabulatedComponent:
 
     def __init__(self, variables: Iterable[VarId], table: Iterable[int]):
         object.__setattr__(self, "variables", tuple((int(a), int(b)) for a, b in variables))
-        object.__setattr__(self, "table", tuple(int(t) for t in table))
+        object.__setattr__(self, "table", tuple(map(int, table)))
+
+    def _reduced(self, modulus: int) -> "TabulatedComponent":
+        """The component with every table entry reduced mod ``modulus``."""
+        comp = object.__new__(TabulatedComponent)
+        object.__setattr__(comp, "variables", self.variables)
+        object.__setattr__(comp, "table", tuple(map(modulus.__rmod__, self.table)))
+        return comp
 
 
 Monomial = tuple[tuple[VarId, int], ...]
@@ -245,9 +265,7 @@ class MultivariableFunction:
                 raise ValueError(
                     f"table over {comp.variables} needs {size} entries, got {len(comp.table)}"
                 )
-            norm_tab.append(
-                TabulatedComponent(comp.variables, tuple(t % modulus for t in comp.table))
-            )
+            norm_tab.append(comp._reduced(modulus))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "terms", tuple(norm_terms))
@@ -288,7 +306,11 @@ def evaluate(f: MultivariableFunction, idx: MixedRadixIndex) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSequence:
-    """A length-L vector over Z_lambda, stored as a read-only int array."""
+    """A length-L vector over Z_lambda, stored as a read-only int array.
+
+    The constructor copies ``values`` and reduces them mod lambda;
+    :func:`phase_rows` wraps rows of an already reduced matrix instead.
+    """
 
     modulus: int
     values: np.ndarray
@@ -314,6 +336,26 @@ class PhaseSequence:
 
     def __hash__(self) -> int:
         return hash((self.modulus, self.values.tobytes()))
+
+
+def phase_rows(modulus: int, matrix: np.ndarray) -> tuple[PhaseSequence, ...]:
+    """One member per row of a read-only (M, L) int64 matrix of reduced phases.
+
+    Each member's values are a view of its row: nothing is copied or
+    reduced, so every entry must already lie in [0, modulus).
+    """
+    modulus = int(modulus)
+    if modulus < 2:
+        raise ValueError(f"modulus {modulus} must be >= 2")
+    if matrix.dtype != np.int64 or matrix.ndim != 2 or matrix.flags.writeable:
+        raise ValueError("phase rows need a read-only two-dimensional int64 matrix")
+    members = []
+    for row in matrix:
+        member = object.__new__(PhaseSequence)
+        object.__setattr__(member, "modulus", modulus)
+        object.__setattr__(member, "values", row)
+        members.append(member)
+    return tuple(members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,6 +418,15 @@ def check_length(factors: Iterable[tuple[int, int]], max_length: int | None = No
     return length
 
 
+def check_modulus(modulus: int) -> int:
+    """``modulus``; raises unless 2 <= modulus < ``MAX_MODULUS``, where int64 cannot overflow."""
+    if modulus < 2:
+        raise ValueError(f"modulus {modulus} must be >= 2")
+    if modulus >= MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} must be below 2^31")
+    return modulus
+
+
 @functools.lru_cache(maxsize=256)
 def _digit_tensor(domain: MixedDomain):
     """Shape of a domain's digit tensor, and each variable's (axis, digit index).
@@ -406,11 +457,12 @@ def materialize(f: MultivariableFunction, *, max_length: int | None = None) -> P
     it mod lambda.
 
     Deterministic and order-stable: the same function always yields the
-    identical array.  Raises before any work if the domain length exceeds
-    the capacity cap (``MAX_LENGTH`` unless overridden).
+    identical array.  Raises before any work if the modulus is not below
+    ``MAX_MODULUS`` (:func:`check_modulus`) or the domain length exceeds the
+    capacity cap (``MAX_LENGTH`` unless overridden).
     """
+    lam = check_modulus(f.modulus)
     L = check_length(f.domain.blocks, max_length)
-    lam = f.modulus
     shape, index = _digit_tensor(f.domain)
     constant = f.constant
     tables = []  # (axes, table over those axes)

@@ -102,7 +102,7 @@ def test_document_bytes_are_indent_2_json(tmp_path, doc):
         "set_size": doc.set_size,
         "claim": doc.claim,
         "provenance": doc.provenance,
-        "sequences": [list(row) for row in doc.sequences],
+        "sequences": doc.sequences.tolist(),
     }
     text = document_to_json(doc)
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -132,6 +132,109 @@ def test_document_parse_errors():
     with pytest.raises(ValueError, match="root must be an object"):
         document_from_json("[1, 2]")
     assert payload["lambda"] == 6
+
+
+def test_document_phases_are_one_read_only_matrix():
+    sset = mscs_3_27_3()
+    built = sset.sequences[0].values.base
+    assert built.shape == (3, 27) and not built.flags.writeable
+    assert all(s.values.base is built for s in sset.sequences)
+    doc = document_from_json(document_to_json(document_from_set(sset)))
+    matrix = doc.sequences
+    assert isinstance(matrix, np.ndarray) and matrix.dtype == np.int64
+    assert matrix.shape == (3, 27) and not matrix.flags.writeable
+    members = document_to_set(doc).sequences
+    assert members == sset.sequences
+    assert all(np.shares_memory(s.values, matrix) for s in members)
+    # nested sequences are copied into a matrix of the same kind, range checked
+    assert _ONE_MEMBER.sequences.shape == (1, 64) and not _ONE_MEMBER.sequences.flags.writeable
+    doc = SetDocument(5, 2, 1, {"kind": "GCS"}, {}, ((1, 4),))
+    assert doc == SetDocument(5, 2, 1, {"kind": "GCS"}, {}, np.array([[1, 4]]))
+    assert doc != SetDocument(5, 2, 1, {"kind": "GCS"}, {}, ((1, 3),))
+    with pytest.raises(ValueError, match=r"lie in \[0, lambda\)"):
+        SetDocument(5, 2, 1, {"kind": "GCS"}, {}, ((1, 5),))
+
+
+@st.composite
+def _well_formed_documents(draw):
+    """A valid document payload: M and L from 0, lambda up to 2^62."""
+    lam = draw(st.one_of(st.integers(2, 12), st.integers(2, 2**62)))
+    M, L = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, lam - 1), min_size=L, max_size=L),
+                         min_size=M, max_size=M))
+    return {"schema": 1, "lambda": lam, "length": L, "set_size": M, "claim": {"kind": "GCS"},
+            "provenance": {"construction": "external"}, "sequences": rows}
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_well_formed_documents())
+def test_document_reader_matches_json_rows(payload):
+    doc = document_from_json(json.dumps(payload))
+    rows, lam = payload["sequences"], payload["lambda"]
+    assert doc.sequences.shape == (payload["set_size"], payload["length"])
+    assert doc.sequences.tolist() == rows
+    if rows:
+        assert document_to_set(doc).sequences == tuple(PhaseSequence(lam, row) for row in rows)
+
+
+_TYPE_ERROR = "sequence entries must be integers"
+_RANGE_ERROR = "sequence entries must lie in [0, lambda)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_well_formed_documents().filter(lambda d: d["set_size"] and d["length"]),
+       data=st.data())
+def test_document_reader_reports_bad_entry(tmp_path_factory, payload, data):
+    bad, message = data.draw(st.sampled_from([
+        (True, _TYPE_ERROR), (False, _TYPE_ERROR), (1.0, _TYPE_ERROR), (0.5, _TYPE_ERROR),
+        ("1", _TYPE_ERROR), (None, _TYPE_ERROR), ([0], _TYPE_ERROR), (-1, _RANGE_ERROR),
+        (payload["lambda"], _RANGE_ERROR), (2**63, _RANGE_ERROR), (-2**63 - 1, _RANGE_ERROR),
+    ]))
+    row = data.draw(st.integers(0, payload["set_size"] - 1))
+    payload["sequences"][row][data.draw(st.integers(0, payload["length"] - 1))] = bad
+    path = tmp_path_factory.getbasetemp() / "bad-entry.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", str(path)])
+    assert (rc, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lam", [2**63, 2**64 * 3])
+def test_document_reader_refuses_lambda_beyond_int64(tmp_path, capsys, lam):
+    payload = json.loads(document_to_json(document_from_set(mscs_3_27_3())))
+    payload["lambda"] = lam
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(payload))
+    for command in ("verify", "pmepr"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: lambda {lam} exceeds 2^63 - 1\n"
+
+
+@pytest.mark.parametrize("lam", [2**31 * 3, 3 * 2**60, 2**63 * 3])
+def test_generate_refuses_modulus_that_overflows_int64(tmp_path, capsys, lam):
+    out = tmp_path / "set.json"
+    assert main(["generate", "--p", "3", "--m", "4", "--lambda", str(lam), "--seed", "3",
+                 "--out", str(out)]) == 2
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambda": lam, "blocks": [{"p": 3, "m": 4}]}))
+    assert main(["generate", "--params", str(params), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: modulus {lam} must be below 2^31\n" * 2
+    assert not out.exists()
+
+
+def test_generate_just_below_modulus_cap(tmp_path, capsys):
+    lam = 2**31 - 2  # 2 * 3 * 357913941
+    out = tmp_path / "set.json"
+    assert main(["generate", "--p", "3", "--m", "4", "--lambda", str(lam), "--seed", "3",
+                 "--verify", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
 
 
 @pytest.mark.parametrize("mutate", [
@@ -723,8 +826,8 @@ def test_pmepr_rejects_zero_length_document(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "selftest: 11/11 ok" in out
-    assert out.count("ok   ") == 11
+    assert "selftest: 12/12 ok" in out
+    assert out.count("ok   ") == 12
     assert "FAIL" not in out
 
 
@@ -733,15 +836,31 @@ def test_selftest_catches_broken_reference(monkeypatch, capsys):
     sset = mscs_3_27_3()
     vals = sset.sequences[0].values.copy()
     vals[11] = (vals[11] + 2) % 6
-    broken = SequenceSet([PhaseSequence(6, vals)] + list(sset.sequences[1:]))
+    broken = SequenceSet([PhaseSequence(6, vals)] + list(sset.sequences[1:]), sset.metadata)
     monkeypatch.setattr(mscs.reference_sets, "mscs_3_27_3", lambda: broken)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    # three checks fail on the corrupted set; the other eight still pass
-    # (residue-path compares two engines on the same set)
+    # three checks fail on the corrupted set; the other nine still pass
+    # (residue-path compares two engines on the same set, and
+    # document-round-trip writes and reads back whatever phases it holds)
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["mscs-3-27-3", "zcs-3-27-24", "energy-identity"]
-    assert "selftest: 8/11 ok" in out
+    assert "selftest: 9/12 ok" in out
+
+
+def test_selftest_catches_broken_document_reader(monkeypatch, capsys):
+    real = mscs.cli.document_from_json
+
+    def off_by_one(text):
+        doc = real(text)
+        return SetDocument(doc.modulus, doc.length, doc.set_size, doc.claim, doc.provenance,
+                           (doc.sequences + 1) % doc.modulus)
+
+    monkeypatch.setattr(mscs.cli, "document_from_json", off_by_one)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["document-round-trip"]
 
 
 def test_module_entry_point(tmp_path):

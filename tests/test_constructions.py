@@ -124,6 +124,15 @@ def test_builder_checks_length_before_records(monkeypatch, build, length):
         build()
 
 
+@pytest.mark.parametrize("lam", [2**31, 3 * 2**60, 3 * 2**64])
+def test_builder_refuses_modulus_that_overflows_int64(monkeypatch, lam):
+    monkeypatch.setattr(mscs.constructions, "_block_record", _refuse_records)
+    with pytest.raises(ValueError, match=rf"^modulus {lam} must be below 2\^31$"):
+        single_prime_mscs(PrimeBlock(p=2, m=4), lam)
+    with pytest.raises(ValueError, match=rf"^modulus {lam} must be below 2\^31$"):
+        length_extended_mscs([PrimeBlock(p=3, m=2)], ext_prime=2, modulus=lam)
+
+
 def test_builder_peak_allocation():
     # base, tag, members and one transient: under 8 int64 arrays of length L
     # (per-variable L-sized digit columns would push the peak far above)
@@ -189,7 +198,7 @@ def _oracle_function(blocks, modulus, gammas, extension=None):
 
 @pytest.mark.parametrize("case", [
     "single-prime-s2", "single-prime-s3", "two-prime-mixed-s", "three-prime",
-    "extended", "extended-two-block",
+    "extended", "extended-two-block", "below-modulus-cap",
 ])
 def test_builder_matches_evaluate_oracle(monkeypatch, case):
     rng = random.Random(sum(map(ord, case)))
@@ -207,9 +216,12 @@ def test_builder_matches_evaluate_oracle(monkeypatch, case):
     elif case == "extended":
         blocks, lam = [random_block(rng, 3, 2, 1, 6)], 6
         extension = (2, rng.randrange(6), rng.randrange(6))
-    else:
+    elif case == "extended-two-block":
         blocks, lam = [random_block(rng, 2, 2, 1, 30), random_block(rng, 5, 1, 1, 30)], 30
         extension = (3, rng.randrange(30), rng.randrange(30))
+    else:
+        lam = 2**31 - 2  # 2 * 3 * 357913941
+        blocks = [random_block(rng, 2, 3, 2, lam), random_block(rng, 3, 2, 2, lam)]
 
     calls = []
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mscs.seqcore import (
     MAX_LENGTH,
+    MAX_MODULUS,
     MixedDomain,
     MixedRadixIndex,
     MultivariableFunction,
@@ -12,10 +13,12 @@ from mscs.seqcore import (
     SequenceSet,
     TabulatedComponent,
     check_length,
+    check_modulus,
     decode_index,
     encode_index,
     evaluate,
     materialize,
+    phase_rows,
     to_complex,
 )
 
@@ -226,13 +229,16 @@ def functions(draw):
     Exponents reach 70, so digit**exp would overflow int64; variables
     repeat within a monomial and within a table, table variables come in
     any order, and coefficients, constants and table entries are drawn
-    negative and unreduced.  No terms and no tables gives a constant.
+    negative and unreduced.  Moduli reach MAX_MODULUS - 1, where products
+    of reduced values come within a factor 2 of int64's range.  No terms
+    and no tables gives a constant.
     """
     blocks = draw(st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)),
                            min_size=1, max_size=3)
                   .filter(lambda bs: MixedDomain(bs).length() <= 360))
     domain = MixedDomain(blocks)
-    modulus = draw(st.integers(2, 60))
+    modulus = draw(st.one_of(st.integers(2, 60), st.integers(2, MAX_MODULUS - 1),
+                             st.integers(MAX_MODULUS - 60, MAX_MODULUS - 1)))
     variables = st.sampled_from(domain.variables())
     values = st.integers(-3 * modulus, 3 * modulus)
     terms = draw(st.lists(st.tuples(
@@ -265,7 +271,11 @@ def test_materialize_matches_evaluate_everywhere(f):
                           [TabulatedComponent([(1, 1), (1, 1)], (-1, 5, 9, 2))]),
     MultivariableFunction(MixedDomain([(7, 2)]), 60, [(11, (((1, 2), 69), ((1, 2), 1)))], 0,
                           [TabulatedComponent([(1, 2), (1, 1)], range(-49, 0))]),
-], ids=["constant-only", "one-digit", "one-digit-repeated-table", "unsorted-table"])
+    MultivariableFunction(MixedDomain([(3, 3)]), MAX_MODULUS - 1,
+                          [(-1, (((1, 1), 70),)), (MAX_MODULUS - 2, (((1, 2), 1), ((1, 3), 69))),
+                           (MAX_MODULUS - 3, (((1, 1), 1),)), (MAX_MODULUS - 4, (((1, 2), 1),))],
+                          MAX_MODULUS - 5, [TabulatedComponent([(1, 3)], (-1, -2, -3))]),
+], ids=["constant-only", "one-digit", "one-digit-repeated-table", "unsorted-table", "below-cap"])
 def test_materialize_matches_evaluate_examples(f):
     _assert_matches_evaluate(f)
 
@@ -305,6 +315,28 @@ def test_materialize_capacity():
         materialize(MultivariableFunction(MixedDomain([(3, 200000)]), 6))
 
 
+def test_check_modulus():
+    assert check_modulus(2) == 2
+    assert check_modulus(MAX_MODULUS - 1) == MAX_MODULUS - 1
+    assert MAX_MODULUS == 2**31
+    with pytest.raises(ValueError, match=r"^modulus 1 must be >= 2$"):
+        check_modulus(1)
+    for lam in (MAX_MODULUS, 3 * 2**31, 3 * 2**61, 2**64):
+        with pytest.raises(ValueError, match=rf"^modulus {lam} must be below 2\^31$"):
+            check_modulus(lam)
+
+
+@pytest.mark.parametrize("lam", [3 * 2**31, 3 * 2**61])
+def test_materialize_refuses_modulus_that_overflows_int64(lam):
+    # unchecked, the t * d products (exponent 70) and the group sums (degree-1
+    # and product terms) wrapped around int64 and gave wrong phases silently
+    f = MultivariableFunction(MixedDomain([(3, 3)]), lam,
+                              [(lam - 1, (((1, 1), 70),)), (lam - 2, (((1, 2), 1), ((1, 3), 1))),
+                               (lam - 3, (((1, 2), 1),)), (lam - 4, (((1, 3), 1),))], lam - 5)
+    with pytest.raises(ValueError, match=rf"^modulus {lam} must be below 2\^31$"):
+        materialize(f)
+
+
 def test_check_length():
     assert check_length([(3, 2), (2, 1)]) == 18
     assert check_length([(2, 3)], max_length=8) == 8
@@ -328,6 +360,22 @@ def test_phase_sequence_basics():
     with pytest.raises(ValueError):
         PhaseSequence(4, [[0, 1]])
     assert not s.values.flags.writeable
+
+
+def test_phase_rows_wrap_a_read_only_matrix():
+    matrix = np.array([[0, 1, 5], [2, 3, 4]], dtype=np.int64)
+    with pytest.raises(ValueError, match="read-only"):
+        phase_rows(6, matrix)
+    matrix.flags.writeable = False
+    rows = phase_rows(6, matrix)
+    assert rows == (PhaseSequence(6, [0, 1, 5]), PhaseSequence(6, [2, 3, 4]))
+    assert all(np.shares_memory(r.values, matrix) and not r.values.flags.writeable for r in rows)
+    with pytest.raises(ValueError, match="read-only"):
+        phase_rows(6, matrix[0])
+    with pytest.raises(ValueError, match="read-only"):
+        phase_rows(6, matrix.astype(np.int32))
+    with pytest.raises(ValueError, match="must be >= 2"):
+        phase_rows(1, matrix)
 
 
 def test_phase_sequence_equality_and_hash():
