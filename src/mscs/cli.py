@@ -10,8 +10,8 @@ Subcommands:
 * ``selftest``  run the bundled end-to-end checks at reduced scale.
 
 Exit codes: 0 success / claim verified, 1 verification or selftest
-failure, 2 usage or parse error, 3 an internal check failed (exact and
-float verdicts disagree, or all-shift residues fail their checks).
+failure, 2 usage or parse error, 3 an internal check failed (a float sum
+outside the proven bound of its exact value, or failed residue checks).
 Documents are written with sorted keys and fixed layout, so identical
 flags (and seed) give identical bytes.  A document's phases are one
 read-only (M, L) int64 matrix (``SetDocument.sequences``): the reader
@@ -627,6 +627,11 @@ def _selftest_checks():
                 as_counts = CyclotomicSum(lam, np.pad(row, (0, lam - len(row))))
                 if not is_zero(aacf_set_sum(sset, tau) - as_counts):
                     return f"L={sset.length} tau={tau}: residues {row.tolist()} differ"
+        # residues add over members, which splitting a set into groups rests on
+        parts = [aacf_set_residues(SequenceSet(b.sequences[i:j]), range(1, 54))
+                 for i, j in ((0, 2), (2, 3))]
+        if not np.array_equal(aacf_set_residues(b, range(1, 54)), parts[0] + parts[1]):
+            return "L=54: residues of two member slices do not add up"
         return None
 
     def check_iapr_curves():

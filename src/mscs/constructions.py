@@ -277,5 +277,8 @@ def kronecker_compose(outer: PhaseSequence, inner: PhaseSequence) -> PhaseSequen
         raise ValueError(
             f"modulus mismatch: outer {outer.modulus}, inner {inner.modulus}"
         )
-    vals = (outer.values[:, None] + inner.values[None, :]).ravel()
-    return PhaseSequence(outer.modulus, vals)
+    # a - (lambda - b) lies in (-lambda, lambda); a + b wraps int64 for lambda > 2^62
+    lam = outer.modulus
+    vals = (outer.values[:, None] - (lam - inner.values[None, :])).ravel()
+    vals[vals < 0] += lam
+    return PhaseSequence(lam, vals)

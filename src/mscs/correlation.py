@@ -9,51 +9,33 @@ test multiplies the counts by the integer matrix of the residues
 x^j mod Phi_lambda, so GCS / MSCS / type-II ZCS verdicts carry no floating
 point tolerance.
 
-Exact verification takes one of two paths, chosen from the input size:
+Exact verification computes the residues r(tau) = counts @ R of every
+tested shift at once (:func:`aacf_set_residues`).  The embedding sums
+E_k(tau), the members' autocorrelations of w^(k*x) summed, are the Galois
+conjugates sum_j r_j w^(kj) of the correlation value, so phi(lambda)/2 FFT
+autocorrelations and one cached real phi x phi inverse give every residue
+after rounding (:func:`_residue_table`); E_1 is the float sum itself.
+Rounding is sound while :func:`_rounding_bound` stays below 1/2, so a
+set past it is split into the fewest member groups under it
+(:func:`_member_groups`), whose rounded residues are added.  A group's
+largest rounding residual must stay within its bound, and the residue at
+that shift must equal :func:`aacf_set_sum`'s, or ``RuntimeError`` is raised.
 
-* all-shift: the residues r(tau) = counts @ R of every tested shift at once
-  (:func:`aacf_set_residues`).  The embedding sums E_k(tau), the members'
-  autocorrelations of w^(k*x) summed, are the Galois conjugates of the
-  correlation value alpha(tau) = sum_j r_j w^j in Z[w].  For the
-  phi(lambda) units k they determine r through the Vandermonde system
-  E_k = sum_j r_j w^(kj) (the Minkowski embedding of Z[w]), and embedding
-  lambda - k is the conjugate of embedding k.  So phi(lambda)/2 FFT
-  autocorrelations and one cached real phi x phi inverse give every residue
-  after rounding.  For lambda in {2, 3, 4, 6} the only embedding is k = 1,
-  which the float check below computes anyway.
-* per-shift: one O(M*L) bincount (:func:`aacf_set_sum`, the oracle) per
-  tested shift, reduced by :func:`is_zero`.
+Transforms are sized by the tested lags (:func:`_lag_plan`): cut to the
+window the shifts touch and split into polyphase rows by their gcd.
 
-Transforms are sized by the tested lags (:func:`_lag_plan`).  Window:
-pairs at shifts of at least tau_min touch only the first and last
-L - tau_min entries, so when those are disjoint the middle is cut out.
-Stride: lags sharing a gcd g split the window into g polyphase rows, each
-zero-padded to a 7-smooth length n >= 2 * (row length) - 1; their power
-spectra are summed before one length-n inverse.  A GCS claim keeps one whole-sequence
-transform of n >= 2L - 1 points; an MSCS claim with S | L takes S rows of
-L/S entries; a type-II ZCS claim with 2(Z - 1) < L transforms 2(Z - 1)
-entries.
-
-One rule picks the path from (M, L, lambda): per-shift exactly when the
-a-priori rounding bound of :func:`_rounding_bound` reaches 1/2, where
-rounding could miss a residue; all-shift otherwise.  The largest measured
-rounding residual must stay within that bound, and the residue of the
-shift with the largest residual is recomputed from :func:`aacf_set_sum`;
-a violation raises ``RuntimeError``.
-
-A floating point path evaluates every tested sum in complex doubles (the
-k = 1 embedding).  Exact and float verdicts must agree (zero below
-``ZERO_TOL``, nonzero above ``NONZERO_TOL``); a sum landing between the two
-thresholds, or on the wrong side of its exact verdict, raises, because at
-these sizes (at most 10^6 terms, lambda at most a few dozen in practice)
-nonzero sums of roots of unity are bounded far away from zero.
-
-Moduli above ``EXACT_MODULUS_CAP`` fall back to the float path alone and
-reports are marked ``mode="numerical"``.
+One rule separates floats from exact values: at every tested shift the
+float k = 1 sum must lie within :func:`_embedding_bound` of the exact
+value sum_j r_j w^j, plus the proven error of evaluating it
+(:func:`_check_separation`), or ``RuntimeError`` is raised.  Moduli above
+``EXACT_MODULUS_CAP`` have no residues: a sum counts as zero when its
+magnitude is within :func:`_embedding_bound`, and the report is marked
+``mode="numerical"``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -67,8 +49,6 @@ from .seqcore import PhaseSequence, SequenceSet, to_complex, unit_lift
 EXACT_MODULUS_CAP = 1000
 ZERO_TOL = 1e-9
 NONZERO_TOL = 1e-6
-# Largest modulus whose difference codes x + lambda - y fit uint16.
-SMALL_CODE_MODULUS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +226,9 @@ def accf_float(a: PhaseSequence, b: PhaseSequence, tau: int) -> complex:
 def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
     """Entrywise sum of the members' autocorrelations at one shift.
 
-    For lambda <= ``SMALL_CODE_MODULUS`` each term x_i - x_{i+tau} is
-    counted by its code x_i + lambda - x_{i+tau} in [1, 2*lambda - 1], held
-    in uint16, and the 2*lambda bins are folded mod lambda; larger moduli
-    reduce int64 differences with ``%``.
+    Each term x_i - x_{i+tau} is counted by its code x_i + (lambda - x_{i+tau})
+    in [1, 2*lambda - 1], which no reduced int64 phase pair overflows, and
+    the 2*lambda bins are folded mod lambda.
     """
     L = sset.length
     if abs(tau) >= L:
@@ -257,17 +236,9 @@ def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
     lam = sset.modulus
     lead, lag = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L),
                                                                       slice(0, L + tau))
-    if lam <= SMALL_CODE_MODULUS:
-        stack = np.empty((len(sset), L), dtype=np.uint16)
-        for row, s in zip(stack, sset.sequences):
-            row[:] = s.values
-        codes = stack[:, lead] + np.uint16(lam)
-        codes -= stack[:, lag]
-        bins = np.bincount(codes.ravel(), minlength=2 * lam)
-        return CyclotomicSum(lam, bins[:lam] + bins[lam:])
     stack = np.stack([s.values for s in sset.sequences])
-    diffs = (stack[:, lead] - stack[:, lag]) % lam
-    return CyclotomicSum(lam, np.bincount(diffs.ravel(), minlength=lam))
+    bins = np.bincount((stack[:, lead] + (lam - stack[:, lag])).ravel(), minlength=2 * lam)
+    return CyclotomicSum(lam, bins[:lam] + bins[lam:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,6 +383,11 @@ def _embedding_bound(M: int, L: int) -> float:
     7-smooth numbers 2^a * (1, 5/4, 3/2, 7/4) from 4 on step by ratios of
     at most 5/4; so n/n' >= 8g(Q - 1)/(5(2Q - 1)) >= 16g/25.  For g >= 2
     both ratios exceed (2g)^(1/24) >= 2^(ceil(log2(g))/24).
+
+    Sums of G member groups of M_g members (:func:`_member_groups`), added
+    in turn, are covered too: the groups' bounds and the G - 1 additions
+    (u*M*L each) add up to at most the bound, as M_g >= 1 gives
+    sum_g M_g*(M - M_g) >= sum_g (M - M_g) = (G - 1)*M.
     """
     n = _fft_length(L)
     return _UNIT_ROUNDOFF * M * L * (24 * math.log2(n) + M + 53)
@@ -470,15 +446,22 @@ def _rounding_bound(M: int, L: int, lam: int) -> float:
 
 
 def _choose_path(M: int, L: int, lam: int) -> str:
-    """Verification path for a set of these sizes: numerical, all-shift or per-shift.
+    """Verification path: numerical above ``EXACT_MODULUS_CAP``, all-shift residues below."""
+    return "numerical" if lam > EXACT_MODULUS_CAP else "all-shift"
 
-    Numerical above ``EXACT_MODULUS_CAP``.  Otherwise per-shift exactly
-    when :func:`_rounding_bound` reaches 1/2, the one case where rounding
-    the embedding sums could miss a residue, and all-shift in every other.
+
+def _member_groups(M: int, L: int, lam: int) -> list[slice]:
+    """Fewest consecutive member slices whose own :func:`_rounding_bound` is below 1/2.
+
+    Each holds the largest such member count but the last, which holds the
+    rest.  One member's bound at ``MAX_LENGTH`` is at most 1.03e-3 for every
+    lambda <= ``EXACT_MODULUS_CAP``, so a grouping exists up to that length.
     """
-    if lam > EXACT_MODULUS_CAP:
-        return "numerical"
-    return "per-shift" if _rounding_bound(M, L, lam) >= 0.5 else "all-shift"
+    size = bisect.bisect_left(range(1, M + 1), True,
+                              key=lambda m: _rounding_bound(m, L, lam) >= 0.5)
+    if not size:
+        raise ValueError("FFT rounding bound reaches 1/2 for a single member")
+    return [slice(start, min(start + size, M)) for start in range(0, M, size)]
 
 
 def _residues_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
@@ -512,22 +495,48 @@ def _residues_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
     return residues
 
 
+def _grouped_sums(sset: SequenceSet, shifts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding sums of the ks of :func:`_residue_table` and exact residues, added over groups."""
+    ks = _residue_table(sset.modulus)[0]
+    sums = residues = 0
+    for group in _member_groups(len(sset), sset.length, sset.modulus):
+        part = SequenceSet(sset.sequences[group])
+        part_sums = _lift_sums(part, ks, shifts)
+        residues = residues + _residues_from_lift_sums(part, shifts, part_sums)
+        sums = sums + part_sums
+    return sums, residues
+
+
 def aacf_set_residues(sset: SequenceSet, shifts: Sequence[int]) -> np.ndarray:
     """Residues of the set autocorrelation sum at many shifts 0 <= tau < L.
 
     Row i equals ``aacf_set_sum(sset, shifts[i]).counts @ R``, R holding
-    x^j mod Phi_lambda, so the sum is zero exactly when its row is.  It is
-    computed for all shifts at once from phi(lambda)/2 FFT embeddings (see
-    the module docstring) and checked as described in
-    :func:`_residues_from_lift_sums`.
+    x^j mod Phi_lambda, so the sum is zero exactly when its row is.  All
+    rows come from FFT embeddings per member group (:func:`_grouped_sums`).
     """
-    L, lam = sset.length, sset.modulus
+    L = sset.length
     if any(not 0 <= tau < L for tau in shifts):
         raise ValueError(f"shifts must lie in [0, {L})")
-    if _rounding_bound(len(sset), L, lam) >= 0.5:
-        raise ValueError("FFT rounding bound reaches 1/2 for this set; use aacf_set_sum")
-    sums = _lift_sums(sset, _residue_table(lam)[0], shifts)
-    return _residues_from_lift_sums(sset, shifts, sums)
+    return _grouped_sums(sset, shifts)[1]
+
+
+def _check_separation(floats: np.ndarray, residues: np.ndarray, lam: int, bound: float,
+                      shifts: Sequence[int]) -> None:
+    """Raise unless each float k = 1 sum lies within its proven bound of sum_j r_j w^j.
+
+    The float sum errs by at most ``bound`` (:func:`_embedding_bound`).  The
+    exact value, taken as two real phi-term dot products of the integers r
+    with roots within 24u of w^j, errs by at most (24 + 2*phi)*u*sum|r_j|
+    in any summation order; the comparison adds second-order terms only.
+    """
+    phi = residues.shape[1]
+    roots = unit_lift(np.arange(phi), lam)
+    error = np.abs(floats - residues @ roots.real - 1j * (residues @ roots.imag))
+    slack = bound + (24 + 2 * phi) * _UNIT_ROUNDOFF * np.abs(residues).sum(axis=1)
+    if (error > slack).any():
+        i = int(np.argmax(error > slack))
+        raise RuntimeError(f"exact/float separation violated at shift {shifts[i]}: "
+                           f"|float - exact| = {error[i]:.3e} exceeds its bound {slack[i]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -543,8 +552,8 @@ class ShiftCheck:
 class CorrelationReport:
     """Outcome of a GCS / MSCS / type-II ZCS verification run.
 
-    ``path`` names how the verdicts were reached: "all-shift" or
-    "per-shift" exact counting, or "numerical".
+    ``path`` names how the verdicts were reached: "all-shift" exact
+    residues, or "numerical" float sums within :func:`_embedding_bound`.
     """
 
     claim: str
@@ -554,7 +563,7 @@ class CorrelationReport:
     modulus: int
     mode: str
     shifts: tuple[ShiftCheck, ...]
-    path: str = "per-shift"
+    path: str
 
     @property
     def passed(self) -> bool:
@@ -569,26 +578,18 @@ def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
             early_exit: bool) -> CorrelationReport:
     lam = sset.modulus
     path = _choose_path(len(sset), sset.length, lam)
-    ks = _residue_table(lam)[0] if path == "all-shift" else (1,)
-    sums = _lift_sums(sset, ks, shifts)
-    magnitudes = np.abs(sums[0])
-    if path == "all-shift":
-        zeros = ~_residues_from_lift_sums(sset, shifts, sums).any(axis=1)
-    checks = []
-    for i, tau in enumerate(shifts):
-        mag = float(magnitudes[i])
-        if path == "numerical":
-            zero = mag < ZERO_TOL
-        else:
-            zero = bool(zeros[i]) if path == "all-shift" else is_zero(aacf_set_sum(sset, tau))
-            if zero and mag >= ZERO_TOL or not zero and mag <= NONZERO_TOL:
-                raise RuntimeError(
-                    f"exact/float separation violated at shift {tau}: "
-                    f"exact_zero={zero}, |sum|={mag:.3e}"
-                )
-        checks.append(ShiftCheck(tau, zero, mag))
-        if early_exit and not zero:
-            break
+    bound = _embedding_bound(len(sset), sset.length)
+    if path == "numerical":
+        floats = _lift_sums(sset, (1,), shifts)[0]
+        zeros = np.abs(floats) <= bound
+    else:
+        sums, residues = _grouped_sums(sset, shifts)
+        floats = sums[0]
+        zeros = ~residues.any(axis=1)
+        _check_separation(floats, residues, lam, bound, shifts)
+    stop = int(np.argmin(zeros)) + 1 if early_exit and not zeros.all() else len(shifts)
+    checks = tuple(map(ShiftCheck, shifts[:stop], zeros[:stop].tolist(),
+                       np.abs(floats[:stop]).tolist()))
     return CorrelationReport(
         claim=claim,
         parameter=parameter,
@@ -596,7 +597,7 @@ def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
         length=sset.length,
         modulus=lam,
         mode="numerical" if path == "numerical" else "exact",
-        shifts=tuple(checks),
+        shifts=checks,
         path=path,
     )
 
@@ -618,8 +619,7 @@ def verify_gcs(sset: SequenceSet, *, early_exit: bool = False) -> CorrelationRep
     L = sset.length
     if L < 2:
         raise ValueError("GCS verification needs length >= 2")
-    report = _verify(sset, range(1, L), "GCS", None, early_exit)
-    return report
+    return _verify(sset, range(1, L), "GCS", None, early_exit)
 
 
 def verify_type2_zcs(sset: SequenceSet, Z: int, *, early_exit: bool = False) -> CorrelationReport:

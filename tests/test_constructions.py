@@ -314,6 +314,15 @@ def test_kronecker_matches_complex_product():
         assert np.max(np.abs(lift(composed) - np.kron(lift(a), lift(b)))) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [2**63 - 1, 2**62 + 1])
+def test_kronecker_does_not_wrap_near_int64(lam):
+    # the sum of two reduced phases passes 2^63 for lambda above 2^62
+    outer = PhaseSequence(lam, [lam - 1, 0, lam // 2, 1])
+    inner = PhaseSequence(lam, [lam - 1, lam - 2, lam // 2 + 1])
+    want = [(int(a) + int(b)) % lam for a in outer.values for b in inner.values]
+    assert kronecker_compose(outer, inner).values.tolist() == want
+
+
 def test_kronecker_modulus_mismatch():
     with pytest.raises(ValueError, match="modulus"):
         kronecker_compose(PhaseSequence(4, [0]), PhaseSequence(6, [0]))

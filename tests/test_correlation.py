@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mscs.correlation as correlation
 from conftest import lift, naive_rho, naive_set_aacf
+from mscs.cli import _build_from_params
 from mscs.constructions import (
     PrimeBlock,
     kronecker_compose,
@@ -30,7 +31,7 @@ from mscs.correlation import (
     verify_type2_zcs,
 )
 from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
-from mscs.seqcore import PhaseSequence, SequenceSet
+from mscs.seqcore import MAX_LENGTH, PhaseSequence, SequenceSet
 
 
 def test_cyclotomic_polynomial_known_values():
@@ -232,7 +233,7 @@ def test_aacf_set_sum_examples():
 
 @pytest.mark.parametrize("lam", [2, 6, 30, 255, 256, 1009, 2**15, 2**15 + 1])
 def test_aacf_set_sum_matches_modular_differences(lam):
-    # 2^15 is the largest modulus on the uint16 code path, 2^15 + 1 takes %
+    # codes x + (lambda - y) fold over 2*lambda bins at every modulus
     rng = np.random.default_rng(lam)
     L = 97
     stack = rng.integers(0, lam, (3, L))
@@ -325,18 +326,46 @@ def test_verify_numerical_mode_above_cap():
     assert report.passed
 
 
+def _push_float_sums(monkeypatch, tau, by):
+    """Move the float k = 1 sum at shift tau by ``by`` after the residues are rounded."""
+    inner = correlation._grouped_sums
+
+    def pushed(sset, shifts):
+        sums, residues = inner(sset, shifts)
+        sums[0, list(shifts).index(tau)] += by
+        return sums, residues
+
+    monkeypatch.setattr(correlation, "_grouped_sums", pushed)
+
+
 def test_separation_tripwire(monkeypatch):
-    # force each exact path to lie; the float cross-check must catch it
-    monkeypatch.setattr(correlation, "_choose_path", lambda *args: "per-shift")
-    monkeypatch.setattr(correlation, "is_zero", lambda s: True)
-    with pytest.raises(RuntimeError, match="separation"):
-        verify_gcs(mscs_3_27_3())
-    monkeypatch.undo()
-    assert verify_gcs(mscs_3_27_3()).path == "all-shift"
-    monkeypatch.setattr(correlation, "_residues_from_lift_sums",
-                        lambda sset, shifts, sums: np.zeros((len(shifts), 2), dtype=np.int64))
-    with pytest.raises(RuntimeError, match="separation"):
-        verify_gcs(mscs_3_27_3())
+    # make the exact path lie, in one group and in two; the float sums must catch it
+    sset = mscs_3_27_3()
+    bound = correlation._embedding_bound(len(sset), sset.length)
+    for groups in (1, 2):
+        if groups == 2:
+            _split_groups(monkeypatch, 2)
+            assert len(correlation._member_groups(3, 27, 6)) == 2
+        assert verify_gcs(sset).path == "all-shift"
+        monkeypatch.setattr(correlation, "_residues_from_lift_sums",
+                            lambda sset, shifts, sums: np.zeros((len(shifts), 2), dtype=np.int64))
+        with pytest.raises(RuntimeError, match="separation violated at shift 1:"):
+            verify_gcs(sset)
+        monkeypatch.undo()
+    # float sums pushed past the proven bound of their exact value raise,
+    # at an exact zero and at a nonzero; within the bound they pass
+    report = verify_gcs(sset)
+    zero_at = next(c.shift for c in report.shifts if c.exact_zero)
+    assert not report.shifts[0].exact_zero
+    for tau in (zero_at, 1):
+        _push_float_sums(monkeypatch, tau, 2 * bound)
+        with pytest.raises(RuntimeError, match=f"separation violated at shift {tau}:"):
+            verify_gcs(sset)
+        monkeypatch.undo()
+        _push_float_sums(monkeypatch, tau, bound / 2)
+        pushed = verify_gcs(sset)
+        monkeypatch.undo()
+        assert [c.exact_zero for c in pushed.shifts] == [c.exact_zero for c in report.shifts]
 
 
 def test_kronecker_identity_trivial_shift():
@@ -397,46 +426,77 @@ def _flipped(sset, index=0):
     return SequenceSet(members)
 
 
-def _both_paths(monkeypatch, verify):
-    reports = {}
-    for path in ("all-shift", "per-shift"):
-        monkeypatch.setattr(correlation, "_choose_path", lambda *args, path=path: path)
-        reports[path] = verify()
+def _split_groups(monkeypatch, size):
+    """Let the rounding bound reach 1/2 above ``size`` members, so larger sets form groups."""
+    inner = correlation._rounding_bound
+    monkeypatch.setattr(correlation, "_rounding_bound",
+                        lambda M, L, lam: inner(M, L, lam) if M <= size else 0.5)
+
+
+def _assert_same_report(grouped, single):
+    # grouping reorders the float additions; each sum stays within the
+    # proven bound of its exact value
+    bound = correlation._embedding_bound(single.set_size, single.length)
+    assert dataclasses.replace(grouped, shifts=()) == dataclasses.replace(single, shifts=())
+    assert ([(c.shift, c.exact_zero) for c in grouped.shifts]
+            == [(c.shift, c.exact_zero) for c in single.shifts])
+    assert all(abs(g.magnitude - c.magnitude) <= 2 * bound
+               for g, c in zip(grouped.shifts, single.shifts))
+
+
+def _both_paths(monkeypatch, sset, verify):
+    """Reports from one member group and from groups of two members (one for M = 2).
+
+    A set of three members makes a ragged last group.  With the groups in
+    force, the added residues must be the oracle's at every shift and each
+    verdict must be the oracle's.
+    """
+    single = verify(sset)
+    size = min(2, len(sset) - 1)
+    _split_groups(monkeypatch, size)
+    assert len(correlation._member_groups(len(sset), sset.length, sset.modulus)) \
+        == -(-len(sset) // size) >= 2
+    grouped = verify(sset)
+    every = range(sset.length)
+    assert np.array_equal(correlation.aacf_set_residues(sset, every),
+                          _residues_by_oracle(sset, every))
     monkeypatch.undo()
-    return reports["all-shift"], reports["per-shift"]
+    assert ([c.exact_zero for c in grouped.shifts]
+            == [is_zero(aacf_set_sum(sset, c.shift)) for c in grouped.shifts])
+    _assert_same_report(grouped, single)
+    return single, grouped
 
 
 @pytest.mark.parametrize("case", ["3-27-3", "3-27-3-gcs", "3-54-2", "flipped", "flipped-zcs",
                                   "binary", "lambda-12", "flipped-gcs30"])
 def test_both_paths_give_identical_reports(monkeypatch, case):
+    # one member group against several, with the same exact verdicts
     gcs30 = [PrimeBlock(p=2, m=2), PrimeBlock(p=3, m=1), PrimeBlock(p=5, m=1)]
-    verify = {
-        "3-27-3": lambda: verify_mscs(mscs_3_27_3(), 3),
-        "3-27-3-gcs": lambda: verify_gcs(mscs_3_27_3()),
-        "3-54-2": lambda: verify_mscs(mscs_3_54_2(), 2),
-        "flipped": lambda: verify_mscs(_flipped(mscs_3_27_3()), 3),
-        "flipped-zcs": lambda: verify_type2_zcs(_flipped(mscs_3_54_2(), 40), 30),
-        "binary": lambda: verify_gcs(single_prime_mscs(PrimeBlock(p=2, m=6), 2)),
-        "lambda-12": lambda: verify_gcs(_flipped(multi_prime_mscs(
-            [PrimeBlock(p=2, m=3), PrimeBlock(p=3, m=2)], 12))),
-        "flipped-gcs30": lambda: verify_gcs(_flipped(multi_prime_mscs(gcs30, 30), 7)),
+    sset, verify = {
+        "3-27-3": (mscs_3_27_3(), lambda s: verify_mscs(s, 3)),
+        "3-27-3-gcs": (mscs_3_27_3(), verify_gcs),
+        "3-54-2": (mscs_3_54_2(), lambda s: verify_mscs(s, 2)),
+        "flipped": (_flipped(mscs_3_27_3()), lambda s: verify_mscs(s, 3)),
+        "flipped-zcs": (_flipped(mscs_3_54_2(), 40), lambda s: verify_type2_zcs(s, 30)),
+        "binary": (single_prime_mscs(PrimeBlock(p=2, m=6), 2), verify_gcs),
+        "lambda-12": (_flipped(multi_prime_mscs([PrimeBlock(p=2, m=3), PrimeBlock(p=3, m=2)],
+                                                12)), verify_gcs),
+        "flipped-gcs30": (_flipped(multi_prime_mscs(gcs30, 30), 7), verify_gcs),
     }[case]
-    fast, slow = _both_paths(monkeypatch, verify)
-    assert (fast.path, slow.path) == ("all-shift", "per-shift")
-    assert dataclasses.replace(fast, path="per-shift") == slow
+    single, grouped = _both_paths(monkeypatch, sset, verify)
+    assert single.path == grouped.path == "all-shift"
     if case.startswith("flipped"):
-        assert not fast.passed
+        assert not single.passed
 
 
 def test_early_exit_truncates_alike_on_both_paths(monkeypatch):
     flipped = _flipped(mscs_3_27_3())
-    for verify in (lambda: verify_gcs(mscs_3_27_3(), early_exit=True),
-                   lambda: verify_mscs(flipped, 3, early_exit=True)):
-        fast, slow = _both_paths(monkeypatch, verify)
-        assert fast.shifts == slow.shifts
-        assert not fast.shifts[-1].exact_zero
-        assert all(c.exact_zero for c in fast.shifts[:-1])
-    assert len(verify_mscs(flipped, 3).shifts) > len(fast.shifts)
+    for sset, verify in ((mscs_3_27_3(), lambda s: verify_gcs(s, early_exit=True)),
+                         (flipped, lambda s: verify_mscs(s, 3, early_exit=True))):
+        single, grouped = _both_paths(monkeypatch, sset, verify)
+        assert not single.shifts[-1].exact_zero
+        assert all(c.exact_zero for c in single.shifts[:-1])
+    assert len(verify_mscs(flipped, 3).shifts) > len(single.shifts)
 
 
 def test_size_rule_picks_the_path(monkeypatch):
@@ -461,19 +521,24 @@ def test_size_rule_picks_the_path(monkeypatch):
     assert report.passed and report.path == "all-shift" and len(report.shifts) == L - 1
     report = verify_mscs(gcs30, 450)
     assert report.passed and report.path == "all-shift" and len(report.shifts) == 3
-    # per-shift exactly from the member count where the bound reaches 1/2
+    # a second group from the member count where the bound reaches 1/2
     for lam in (6, 30):
         lo, hi = 1, 2**40
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if correlation._rounding_bound(mid, L, lam) < 0.5 else (lo, mid)
-        assert correlation._choose_path(lo, L, lam) == "all-shift"
-        assert correlation._choose_path(hi, L, lam) == "per-shift"
-    monkeypatch.setattr(correlation, "_rounding_bound", lambda M, L, lam: 0.5)
-    assert correlation._choose_path(3, L, 30) == "per-shift"
+        assert correlation._choose_path(hi, L, lam) == "all-shift"
+        assert correlation._member_groups(lo, L, lam) == [slice(0, lo)]
+        assert correlation._member_groups(hi, L, lam) == [slice(0, lo), slice(lo, hi)]
+        assert correlation._member_groups(2 * lo + 1, L, lam) == [
+            slice(0, lo), slice(lo, 2 * lo), slice(2 * lo, 2 * lo + 1)]
     monkeypatch.setattr(correlation, "_rounding_bound",
-                        lambda M, L, lam: float(np.nextafter(0.5, 0)))
+                        lambda M, L, lam: 0.5 if M > 1 else float(np.nextafter(0.5, 0)))
+    assert correlation._member_groups(3, L, 30) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    monkeypatch.setattr(correlation, "_rounding_bound", lambda M, L, lam: 0.5)
     assert correlation._choose_path(3, L, 30) == "all-shift"
+    with pytest.raises(ValueError, match="single member"):
+        correlation._member_groups(3, L, 30)
 
 
 def _is_7_smooth(n):
@@ -483,12 +548,21 @@ def _is_7_smooth(n):
     return n == 1
 
 
-def test_rounding_bound_sends_large_sets_to_per_shift():
+def test_rounding_bound_splits_large_sets_into_groups():
     L = 3**19
     assert correlation._rounding_bound(3, L, 6) < 1e-3
-    assert correlation._choose_path(3, L, 6) == "all-shift"
+    assert correlation._member_groups(3, L, 6) == [slice(0, 3)]
     assert correlation._rounding_bound(10**6, L, 6) >= 0.5
-    assert correlation._choose_path(10**6, L, 6) == "per-shift"
+    groups = correlation._member_groups(10**6, L, 6)
+    assert len(groups) >= 2 and groups[-1].stop == 10**6
+    assert all(correlation._rounding_bound(g.stop - g.start, L, 6) < 0.5 for g in groups)
+    # one group fewer would need a group past the bound
+    size = groups[0].stop
+    assert correlation._rounding_bound(size + 1, L, 6) >= 0.5
+    assert correlation._choose_path(10**6, L, 6) == "all-shift"
+    # one member stays far below 1/2 at the length cap for every exact modulus
+    for lam in (2, 30, 210, 935, 997):
+        assert correlation._rounding_bound(1, MAX_LENGTH, lam) <= 1.03e-3
     # 2L = 2 * 37^4 has a prime factor above 7; the padded length has none
     L = 37**4
     n = correlation._fft_length(L)
@@ -539,8 +613,7 @@ def test_residues_match_counts_at_every_shift(lam):
 def test_claim_breakers_fail_alike_on_both_paths(monkeypatch):
     # the lambda = 10 and 15 sets are MSCSs (S = 5, S = 3), not GCSs
     for lam, sset in _claim_breakers().items():
-        fast, slow = _both_paths(monkeypatch, lambda: verify_gcs(sset))
-        assert dataclasses.replace(fast, path="per-shift") == slow
+        fast, _ = _both_paths(monkeypatch, sset, verify_gcs)
         assert not fast.passed
         S = {10: 5, 15: 3}[lam]
         assert all(t % S for t in fast.failing_shifts)
@@ -588,9 +661,10 @@ def test_all_shift_residues_validation(monkeypatch):
     # 2L = 136 = 8 * 17 pads to 135 = 27 * 5, a plan the bound covers
     odd = _random_set(random.Random(5), 6, 2, 68)
     assert np.array_equal(correlation.aacf_set_residues(odd, [1]), _residues_by_oracle(odd, [1]))
-    monkeypatch.setattr(correlation, "_rounding_bound", lambda M, L, lam: 0.5)
-    with pytest.raises(ValueError, match="rounding bound"):
-        correlation.aacf_set_residues(odd, [1])
+    # past the bound the members form groups, whose residues add up
+    _split_groups(monkeypatch, 1)
+    assert np.array_equal(correlation.aacf_set_residues(odd, [1]), _residues_by_oracle(odd, [1]))
+    assert correlation.aacf_set_residues(sset, []).shape == (0, 2)
 
 
 def test_all_shift_verification_calls_each_exact_span_once(monkeypatch):
@@ -742,3 +816,38 @@ def test_row_plans_stay_under_the_whole_sequence_bound():
         rows = -(-L // g)
         slack = 24 * np.log2(fft[L]) - 24 * np.log2(fft[rows]) - np.ceil(np.log2(g))
         assert slack.min() >= 0, L
+
+
+def _seeded_gcs(lam, blocks):
+    """The GCS that `mscs generate --params ... --seed 1` builds from these blocks."""
+    params = {"lambda": lam, "blocks": [{"p": p, "m": m} for p, m in blocks]}
+    return _build_from_params(params, random.Random(1))
+
+
+def test_large_modulus_gcs_passes_numerically():
+    # M = 2310, L = 13860: float sums reach 2.1e-9 at the zeros, which the
+    # proven 9.7e-6 bound covers; a fixed 1e-9 threshold failed six shifts
+    sset = _seeded_gcs(2310, [(2, 2), (3, 2), (5, 1), (7, 1), (11, 1)])
+    assert (len(sset), sset.length) == (2310, 13860)
+    report = verify_gcs(sset)
+    assert report.mode == report.path == "numerical" and report.passed
+    assert max(c.magnitude for c in report.shifts) > 1e-9
+    flipped = verify_gcs(_flipped(sset))
+    assert len(flipped.failing_shifts) == sset.length - 1
+    bound = correlation._embedding_bound(len(sset), sset.length)
+    assert min(c.magnitude for c in flipped.shifts) > 100 * bound
+
+
+def test_float_sums_at_exact_zeros_pass_within_the_bound():
+    # M = 210, L = 105840: the k = 1 sum at shift 30240 is 1.15e-9, past a
+    # fixed 1e-9 threshold and far inside the proven 1.7e-6 bound
+    sset = _seeded_gcs(210, [(2, 4), (3, 3), (5, 1), (7, 2)])
+    assert (len(sset), sset.length) == (210, 105840)
+    shifts = range(1, sset.length)
+    floats = correlation._lift_sums(sset, (1,), shifts)[0]
+    assert abs(floats[30240 - 1]) > 1e-9
+    bound = correlation._embedding_bound(len(sset), sset.length)
+    assert bound > 1e-6
+    # every exact value of a GCS is zero
+    zero = np.zeros((len(shifts), len(cyclotomic_polynomial(210)) - 1), dtype=np.int64)
+    correlation._check_separation(floats, zero, 210, bound, shifts)
