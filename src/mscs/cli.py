@@ -213,6 +213,7 @@ def document_from_json(text: str) -> SetDocument:
     try:
         modulus = _field_int(payload, "lambda")
         length = _field_int(payload, "length")
+        check_length([(length, 1)])  # generate's cap, before any row is read
         set_size = _field_int(payload, "set_size")
         claim = _check_claim(payload["claim"])
         provenance = payload["provenance"]
@@ -230,17 +231,23 @@ def document_from_json(text: str) -> SetDocument:
     if len(rows) != set_size:
         raise ValueError(f"document lists {len(rows)} sequences, set_size says {set_size}")
     # rows before the first of the wrong length fill the matrix; each row is
-    # checked whole before the next, so the first defect is the one reported
+    # checked whole before the next, so the first defect is the one reported.
+    # array("q") refuses every non-integer JSON value but a bool, and a bool
+    # comes only from a true/false literal, so without one in the text a row
+    # that converts holds ints only; a row that does not is checked for its
+    # types first, then its range.
+    bools = "true" in text or "false" in text
     good = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
     sequences = np.empty((good, max(length, 0)), dtype=np.int64)
     for row, out in zip(rows, sequences):
-        if row and set(map(type, row)) != {int}:
-            raise ValueError("sequence entries must be integers")
         try:
             out[:] = array.array("q", row)
-        except OverflowError:
-            raise ValueError("sequence entries must lie in [0, lambda)") from None
-        if row and not (out.min() >= 0 and out.max() < modulus):
+            converted = True
+        except (TypeError, OverflowError):
+            converted = False
+        if (bools or not converted) and row and set(map(type, row)) != {int}:
+            raise ValueError("sequence entries must be integers")
+        if not converted or row and not (out.min() >= 0 and out.max() < modulus):
             raise ValueError("sequence entries must lie in [0, lambda)")
     if good < len(rows):
         raise ValueError(f"sequence of length {len(rows[good])} does not match length {length}")

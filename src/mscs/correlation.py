@@ -31,6 +31,12 @@ value sum_j r_j w^j, plus the proven error of evaluating it
 ``EXACT_MODULUS_CAP`` have no residues: a sum counts as zero when its
 magnitude is within :func:`_embedding_bound`, and the report is marked
 ``mode="numerical"``.
+
+A :class:`CorrelationReport` keeps the verdicts as the arrays they are
+computed in (:class:`ShiftChecks`): the tested shifts, the exact zero
+flags and the float magnitudes.  A :class:`ShiftCheck` is built only for
+an entry that is read, so a report over every shift of a near-cap set
+costs no Python object per shift.
 """
 
 from __future__ import annotations
@@ -456,7 +462,10 @@ def _member_groups(M: int, L: int, lam: int) -> list[slice]:
     Each holds the largest such member count but the last, which holds the
     rest.  One member's bound at ``MAX_LENGTH`` is at most 1.03e-3 for every
     lambda <= ``EXACT_MODULUS_CAP``, so a grouping exists up to that length.
+    A set under the bound as a whole is one group, found without a search.
     """
+    if _rounding_bound(M, L, lam) < 0.5:
+        return [slice(0, M)]
     size = bisect.bisect_left(range(1, M + 1), True,
                               key=lambda m: _rounding_bound(m, L, lam) >= 0.5)
     if not size:
@@ -548,12 +557,63 @@ class ShiftCheck:
     magnitude: float
 
 
+class ShiftChecks(Sequence[ShiftCheck]):
+    """The verdicts of a verification run, held as arrays.
+
+    ``tested`` is the int64 array of tested shifts, ``zeros`` the bool
+    array of exact zero flags and ``magnitudes`` the float array of
+    |float sum|, one entry per shift; each is a read-only view of the
+    array passed in.  A :class:`ShiftCheck` is built only when an entry is
+    indexed, sliced (a slice is a tuple of checks) or iterated; ``len``
+    reads the arrays.  The checks compare and hash as the tuple of the same
+    :class:`ShiftCheck`s would.
+    """
+
+    __slots__ = ("tested", "zeros", "magnitudes")
+
+    def __init__(self, tested, zeros, magnitudes):
+        arrays = [np.asarray(a, dtype=t).view()
+                  for a, t in ((tested, np.int64), (zeros, bool), (magnitudes, float))]
+        for a in arrays:
+            a.flags.writeable = False
+        self.tested, self.zeros, self.magnitudes = arrays
+
+    def __len__(self) -> int:
+        return len(self.zeros)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(ShiftCheck, self.tested[index].tolist(), self.zeros[index].tolist(),
+                             self.magnitudes[index].tolist()))
+        return ShiftCheck(int(self.tested[index]), bool(self.zeros[index]),
+                          float(self.magnitudes[index]))
+
+    def __iter__(self):
+        return map(ShiftCheck, self.tested.tolist(), self.zeros.tolist(),
+                   self.magnitudes.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (ShiftChecks, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     """Outcome of a GCS / MSCS / type-II ZCS verification run.
 
     ``path`` names how the verdicts were reached: "all-shift" exact
     residues, or "numerical" float sums within :func:`_embedding_bound`.
+    ``shifts`` holds the verdicts as arrays (:class:`ShiftChecks`; a
+    tuple of :class:`ShiftCheck`s passed in is turned into one), and
+    ``passed`` and ``failing_shifts`` read them without building a
+    :class:`ShiftCheck` per shift.
     """
 
     claim: str
@@ -562,16 +622,23 @@ class CorrelationReport:
     length: int
     modulus: int
     mode: str
-    shifts: tuple[ShiftCheck, ...]
+    shifts: ShiftChecks
     path: str
+
+    def __post_init__(self):
+        if isinstance(self.shifts, tuple):
+            checks = self.shifts
+            object.__setattr__(self, "shifts", ShiftChecks(
+                [c.shift for c in checks], [c.exact_zero for c in checks],
+                [c.magnitude for c in checks]))
 
     @property
     def passed(self) -> bool:
-        return all(c.exact_zero for c in self.shifts)
+        return bool(self.shifts.zeros.all())
 
     @property
     def failing_shifts(self) -> tuple[int, ...]:
-        return tuple(c.shift for c in self.shifts if not c.exact_zero)
+        return tuple(self.shifts.tested[~self.shifts.zeros].tolist())
 
 
 def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
@@ -588,8 +655,6 @@ def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
         zeros = ~residues.any(axis=1)
         _check_separation(floats, residues, lam, bound, shifts)
     stop = int(np.argmin(zeros)) + 1 if early_exit and not zeros.all() else len(shifts)
-    checks = tuple(map(ShiftCheck, shifts[:stop], zeros[:stop].tolist(),
-                       np.abs(floats[:stop]).tolist()))
     return CorrelationReport(
         claim=claim,
         parameter=parameter,
@@ -597,7 +662,8 @@ def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
         length=sset.length,
         modulus=lam,
         mode="numerical" if path == "numerical" else "exact",
-        shifts=checks,
+        shifts=ShiftChecks(np.arange(shifts.start, shifts.stop, shifts.step)[:stop],
+                           zeros[:stop], np.abs(floats[:stop])),
         path=path,
     )
 

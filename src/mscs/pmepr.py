@@ -83,12 +83,12 @@ def grid_points(oversampling: int, length: int) -> int:
 
 def _complex_envelope(c: np.ndarray, oversampling: int) -> np.ndarray:
     """Envelope samples of an arbitrary complex carrier vector."""
-    L = len(c)
-    n = grid_points(oversampling, L)
-    padded = np.zeros(n, dtype=complex)
-    padded[:L] = c
-    # n * ifft evaluates sum_i c_i exp(2*pi*1j*i*j/n) at every grid point
-    return n * np.fft.ifft(padded)
+    n = grid_points(oversampling, len(c))
+    # n * ifft of c zero-padded to n evaluates sum_i c_i exp(2*pi*1j*i*j/n)
+    # at every grid point; ifft pads, and the scaling is done in place
+    env = np.fft.ifft(c, n)
+    env *= n
+    return env
 
 
 def envelope(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> EnvelopeGrid:

@@ -693,6 +693,81 @@ def test_verify_corrupt_document(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_stdout_is_pinned_and_builds_no_checks(tmp_path, capsys, monkeypatch):
+    built = []
+    real = mscs.correlation.ShiftCheck
+    monkeypatch.setattr(mscs.correlation, "ShiftCheck", lambda *a: built.append(a) or real(*a))
+    path = _example_doc_path(tmp_path)
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == (
+        f"document: {path}\nset: M=3 L=27 lambda=6\nclaim: MSCS S=3\nmode: exact\n"
+        "shifts checked: 8\nverdict: pass\n")
+    payload = json.loads(document_to_json(document_from_set(mscs_3_54_2())))
+    for i in range(0, 54, 5):
+        payload["sequences"][1][i] = (payload["sequences"][1][i] + 1) % payload["lambda"]
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(payload))
+    sset = document_to_set(read_document(str(flipped)))
+    failing = [t for t in range(1, 54) if not mscs.correlation.is_zero(
+        mscs.correlation.aacf_set_sum(sset, t))]
+    assert len(failing) > 20
+    assert main(["verify", str(flipped), "--claim", "gcs"]) == 1
+    assert capsys.readouterr().out == (
+        f"document: {flipped}\nset: M=3 L=54 lambda=6\nclaim: GCS\nmode: exact\n"
+        f"shifts checked: 53\nfailing shifts: {' '.join(map(str, failing[:20]))} "
+        f"(+{len(failing) - 20} more)\nverdict: fail\n")
+    assert built == []
+
+
+def _hand_written(rows: str, provenance: str = '{"construction": "external"}',
+                  length: int = 2) -> str:
+    return ('{"schema": 1, "lambda": 6, "length": %d, "set_size": 2, '
+            '"claim": {"kind": "GCS"}, "provenance": %s, "sequences": [[1, 5], %s]}'
+            % (length, provenance, rows))
+
+
+@pytest.mark.parametrize("provenance", ['{"construction": "external"}',
+                                        '{"construction": "true", "note": "false"}'],
+                         ids=["no-literal", "literal-in-provenance"])
+@pytest.mark.parametrize("row, message", [
+    ("[0, true]", _TYPE_ERROR), ("[0, 1.5]", _TYPE_ERROR), ('[0, "1"]', _TYPE_ERROR),
+    ("[0, null]", _TYPE_ERROR), ("[0, [1]]", _TYPE_ERROR), (f"[0, {2**70}]", _RANGE_ERROR),
+    ("[0, -1]", _RANGE_ERROR), ("[0, 6]", _RANGE_ERROR), (f"[{2**70}, 1.5]", _TYPE_ERROR),
+], ids=["true", "float", "string", "null", "nested", "2^70", "negative", "lambda",
+        "2^70-then-float"])
+def test_document_reader_message_for_each_bad_row(tmp_path, capsys, provenance, row, message):
+    text = _hand_written(row, provenance)
+    with pytest.raises(ValueError) as caught:
+        document_from_json(text)
+    assert str(caught.value) == message
+    path = tmp_path / "bad-row.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_document_reader_takes_true_in_a_provenance_string():
+    doc = document_from_json(_hand_written("[0, 4]", '{"construction": "true"}'))
+    assert doc.provenance == {"construction": "true"}
+    assert doc.sequences.tolist() == [[1, 5], [0, 4]]
+    assert doc.sequences.dtype == np.int64 and not doc.sequences.flags.writeable
+
+
+def test_document_reader_refuses_length_beyond_cap(tmp_path, capsys):
+    text = _hand_written("[0, 4]", length=1_000_001)
+    with pytest.raises(ValueError) as caught:
+        document_from_json(text)
+    assert str(caught.value) == "sequence length 1000001 exceeds capacity limit 1000000"
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: sequence length 1000001 exceeds capacity limit 1000000\n")
+    # at the cap the rows are inspected
+    with pytest.raises(ValueError, match="^sequence of length 2 does not match length 1000000$"):
+        document_from_json(_hand_written("[0, 4]", length=1_000_000))
+
+
 def test_pmepr_output(tmp_path, capsys):
     path = str(tmp_path / "ext.json")
     write_document(document_from_set(mscs_3_54_2()), path)

@@ -20,6 +20,8 @@ from mscs.constructions import (
 from mscs.correlation import (
     EXACT_MODULUS_CAP,
     CyclotomicSum,
+    ShiftCheck,
+    ShiftChecks,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -315,6 +317,90 @@ def test_verify_early_exit():
     assert not report.passed
     assert len(report.shifts) == 1
     assert report.shifts[0].shift == 1
+
+
+def count_shift_checks(monkeypatch) -> list:
+    """Record every ShiftCheck the correlation module builds from now on."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ShiftCheck(*args)
+
+    monkeypatch.setattr(correlation, "ShiftCheck", counted)
+    return built
+
+
+def test_report_verdicts_are_read_without_building_checks(monkeypatch):
+    rng = random.Random(23)
+    sset = SequenceSet([PhaseSequence(6, [rng.randrange(6) for _ in range(200)])
+                        for _ in range(3)])
+    failing = tuple(t for t in range(1, 200) if not is_zero(aacf_set_sum(sset, t)))
+    assert len(failing) > 100
+    built = count_shift_checks(monkeypatch)
+    report = verify_gcs(sset)
+    assert len(report.shifts) == 199 and report.shifts
+    assert not report.passed and report.failing_shifts == failing
+    assert all(type(t) is int for t in report.failing_shifts)
+    strided = verify_mscs(sset, 7)
+    assert strided.failing_shifts == tuple(t for t in failing if t % 7 == 0)
+    assert built == []
+    assert report.shifts[5].shift == 6 and len(built) == 1
+
+
+def test_report_checks_behave_as_the_tuple_of_checks():
+    sset = mscs_3_27_3()
+    report = verify_gcs(sset)
+    checks = tuple(report.shifts)
+    assert [(c.shift, c.exact_zero) for c in checks] == [
+        (t, is_zero(aacf_set_sum(sset, t))) for t in range(1, 27)]
+    assert all(type(c.shift) is int and type(c.exact_zero) is bool and type(c.magnitude) is float
+               for c in checks)
+    for i in range(-26, 26):
+        assert report.shifts[i] == checks[i]
+    for index in (26, -27):
+        with pytest.raises(IndexError):
+            report.shifts[index]
+    for cut in (slice(None), slice(3, 9), slice(-4, None), slice(None, None, -3), slice(30, 40)):
+        assert report.shifts[cut] == checks[cut]
+        assert type(report.shifts[cut]) is tuple
+    assert list(reversed(report.shifts)) == list(reversed(checks))
+    assert report.shifts == checks and checks == report.shifts and report.shifts != list(checks)
+    assert hash(report.shifts) == hash(checks)
+    as_tuple = dataclasses.replace(report, shifts=checks)
+    assert report == as_tuple and hash(report) == hash(as_tuple)
+    assert type(as_tuple.shifts) is ShiftChecks and as_tuple.shifts == checks
+    assert as_tuple.passed == report.passed and as_tuple.failing_shifts == report.failing_shifts
+    empty = dataclasses.replace(report, shifts=())
+    assert empty.passed and empty.failing_shifts == () and empty.shifts == ()
+    assert report == verify_gcs(sset) and report != verify_gcs(sset, early_exit=True)
+    assert verify_type2_zcs(sset, 1).shifts == ()
+    assert report.shifts != () and () != report.shifts
+    nudged = report.shifts.magnitudes.copy()
+    nudged[4] = np.nextafter(nudged[4], np.inf)
+    moved = ShiftChecks(report.shifts.tested, report.shifts.zeros.copy(), nudged)
+    assert dataclasses.replace(report, shifts=moved) != report
+    flags = report.shifts.zeros.copy()
+    flags[0] = True
+    flipped = ShiftChecks(report.shifts.tested, flags, report.shifts.magnitudes.copy())
+    assert dataclasses.replace(report, shifts=flipped) != report
+    with pytest.raises(ValueError):
+        report.shifts.zeros[0] = True
+    with pytest.raises(ValueError):
+        report.shifts.magnitudes[0] = 0.0
+    with pytest.raises(ValueError):
+        report.shifts.tested[0] = 0
+    assert nudged.flags.writeable and flags.flags.writeable
+
+
+def test_member_groups_skip_the_search_under_the_bound(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("bisected a set that is one group")
+
+    monkeypatch.setattr(correlation.bisect, "bisect_left", search)
+    assert correlation._member_groups(30, 972000, 30) == [slice(0, 30)]
+    assert correlation._member_groups(3, 27, 6) == [slice(0, 3)]
+    assert verify_mscs(mscs_3_27_3(), 3).passed
 
 
 def test_verify_numerical_mode_above_cap():

@@ -24,7 +24,7 @@ from mscs.pmepr import (
     pmepr_set,
 )
 from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
-from mscs.seqcore import MAX_LENGTH, PhaseSequence, SequenceSet
+from mscs.seqcore import MAX_LENGTH, PhaseSequence, SequenceSet, to_complex
 
 
 def test_envelope_zero_phase_peak():
@@ -85,6 +85,20 @@ def test_iapr_curve_is_the_envelope_power_bit_for_bit(oversampling):
     for x in members:
         reference = np.abs(envelope(x, oversampling).samples) ** 2 / len(x)
         assert np.array_equal(iapr_curve(x, oversampling), reference)
+
+
+@pytest.mark.parametrize("L, oversampling", [(1, 1), (1, 64), (2, 3), (27, 4), (54, 16),
+                                               (100, 7), (729, 64)])
+def test_iapr_curve_matches_the_zero_padded_transform_bit_for_bit(L, oversampling):
+    rng = random.Random(1000 * L + oversampling)
+    x = PhaseSequence(30, [rng.randrange(30) for _ in range(L)])
+    n = L * oversampling
+    padded = np.zeros(n, dtype=complex)
+    padded[:L] = to_complex(x)
+    reference = np.abs(n * np.fft.ifft(padded))
+    np.square(reference, out=reference)
+    reference /= L
+    assert iapr_curve(x, oversampling).view(np.uint64).tolist() == reference.view(np.uint64).tolist()
 
 
 def test_pmepr_constant_sequence():
