@@ -56,9 +56,12 @@ from .correlation import (
 )
 from .pmepr import (
     DEFAULT_OVERSAMPLING,
+    _complex_envelope,
+    _family_energy,
     energy_identity_check,
     grid_points,
     iapr_curve,
+    modulated_family,
     pmepr_report,
     pmepr_set,
 )
@@ -590,17 +593,23 @@ def _selftest_checks():
         return None
 
     def check_energy_identity():
+        sset = reference_sets.mscs_3_27_3()
+        vals = sset.sequences[0].values.copy()
+        vals[0] = (vals[0] + 1) % sset.modulus
+        flipped = SequenceSet([PhaseSequence(sset.modulus, vals), *sset.sequences[1:]])
+        # witness from envelopes: the companions' |P|^2 summed, which repeats
+        # every 216 / 3 grid samples, against the correlation engine's total
+        for members in (sset, flipped):
+            envelopes = sum(np.abs(_complex_envelope(c, 8)) ** 2
+                            for s in members.sequences for c in modulated_family(s, 3))
+            gap = np.max(np.abs(np.tile(_family_energy(members, 3, 8), 3) - envelopes))
+            if gap > 1e-12 * len(sset) * sset.length * 3:
+                return f"family energy differs from the companion envelopes by {gap:.3e}"
         for build, S in ((reference_sets.mscs_3_27_3, 3), (reference_sets.mscs_3_54_2, 2)):
-            sset = build()
-            dev = energy_identity_check(sset, S)
+            dev = energy_identity_check(build(), S)
             if dev >= 1e-9:
                 return f"deviation {dev:.3e} for {build.__name__}"
-        sset = reference_sets.mscs_3_27_3()
-        flipped = list(sset.sequences)
-        vals = flipped[0].values.copy()
-        vals[0] = (vals[0] + 1) % sset.modulus
-        flipped[0] = PhaseSequence(sset.modulus, vals)
-        dev = energy_identity_check(SequenceSet(flipped), 3)
+        dev = energy_identity_check(flipped, 3)
         if dev <= 1e-6:
             return f"phase-flip control deviation {dev:.3e} not detected"
         return None

@@ -234,7 +234,8 @@ def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
 
     Each term x_i - x_{i+tau} is counted by its code x_i + (lambda - x_{i+tau})
     in [1, 2*lambda - 1], which no reduced int64 phase pair overflows, and
-    the 2*lambda bins are folded mod lambda.
+    the 2*lambda bins are folded mod lambda.  Members are counted one at a
+    time, so the temporaries hold one member's L - |tau| codes.
     """
     L = sset.length
     if abs(tau) >= L:
@@ -242,8 +243,11 @@ def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
     lam = sset.modulus
     lead, lag = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L),
                                                                       slice(0, L + tau))
-    stack = np.stack([s.values for s in sset.sequences])
-    bins = np.bincount((stack[:, lead] + (lam - stack[:, lag])).ravel(), minlength=2 * lam)
+    bins = np.zeros(2 * lam, dtype=np.int64)
+    for s in sset.sequences:
+        codes = lam - s.values[lag]
+        codes += s.values[lead]
+        bins += np.bincount(codes, minlength=2 * lam)
     return CyclotomicSum(lam, bins[:lam] + bins[lam:])
 
 

@@ -12,12 +12,18 @@ grid u_j = j/(N_os*L), computed as one zero-padded inverse DFT.
 PMEPR of a set is the max over members.  For an (M, L, S)-MSCS it is at
 most M*S; the bound rests on an exact energy identity for the family of S
 frequency-modulated companions of each member, which
-:func:`energy_identity_check` evaluates on the grid.  Companion u of x
-(entry k multiplied by exp(2*pi*1j*k*u/S)) has envelope P_x(t + u/S), so on
-the grid of n = N_os*L points it is x's envelope rolled by u*n/S samples
-whenever S divides n: the family energy is then the sum of the M member
-powers folded into n/S bins, M FFTs in all.  When S does not divide n the
-companions are transformed one by one (S*M FFTs).
+:func:`energy_identity_check` evaluates on the grid.  |P_x(t)|^2 is
+sum_tau A_x(tau) exp(2*pi*1j*tau*t) over the lags |tau| < L of x's
+autocorrelation A_x.  Companion u of x (entry k multiplied by
+exp(2*pi*1j*k*u/S)) multiplies lag tau by exp(2*pi*1j*tau*u/S), so summing
+over u keeps only the lags that are multiples of S:
+
+    total(t) = S * sum_{S | tau} C_set(tau) exp(2*pi*1j*tau*t)
+
+with C_set the members' autocorrelations summed, M*L at lag 0.  C_set at
+the lags S, 2S, ... < L is the float k = 1 sum of the correlation engine,
+so the energy check runs no envelope: one inverse real FFT of the total's
+half spectrum gives it on the grid (:func:`_family_energy`).
 
 Grids are capped at ``MAX_GRID`` points, the default oversampling of a
 sequence at the length cap; :func:`grid_points` checks before allocating.
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import _lift_sums
 from .seqcore import MAX_LENGTH, PhaseSequence, SequenceSet, to_complex
 
 DEFAULT_OVERSAMPLING = 64
@@ -168,11 +175,10 @@ def energy_identity_check(sset: SequenceSet, S: int,
     """Max relative deviation of the modulated-family energy from M*L*S.
 
     Summing |P|^2 over all members and all S modulated companions gives
-    exactly M*L*S at every time for an (M, L, S)-MSCS.  Returns the largest
-    |total - M*L*S| / (M*L*S) over the grid; below 1e-9 for verified sets.
-    Companion u's power is the member's power rolled by u*n/S grid samples
-    when S divides the grid size n, so the total is then the M member
-    powers folded into n/S bins; otherwise each companion is transformed.
+    S * sum_{S | tau} C_set(tau) exp(2*pi*1j*tau*t), which is exactly
+    M*L*S at every time for an (M, L, S)-MSCS, whose C_set vanishes at every
+    nonzero multiple of S.  Returns the largest |total - M*L*S| / (M*L*S)
+    over the grid (:func:`_family_energy`); below 1e-9 for verified sets.
     """
     if S < 1:
         raise ValueError(f"S={S} must be >= 1")
@@ -184,13 +190,34 @@ def energy_identity_check(sset: SequenceSet, S: int,
 def _family_energy(sset: SequenceSet, S: int, oversampling: int) -> np.ndarray:
     """Sum of |P|^2 over every member's S modulated companions on the grid.
 
-    With n = N_os*L, the sum has period n/S when S divides n and only its
-    first n/S samples are returned; otherwise all n samples are.
+    With n = N_os*L the total has period m = n/S samples when S divides n,
+    and only those m are returned; otherwise m = n and all are.  On the
+    m-point grid lag tau = k*S sits at frequency f = tau*m/n (k when S
+    divides n, k*S otherwise), and the lag pair +-tau puts conj(C_set(tau))
+    at +f and C_set(tau) at -f.  The m grid values of a trigonometric
+    polynomial are the length-m DFT of its coefficients with frequencies
+    taken mod m, so a lag with f past m/2 (only at N_os = 1) equals on the
+    grid its alias at f - m, and folding it there is exact.  The half
+    spectrum of m//2 + 1 points is added up by bincount and transformed by
+    one hfft; no complex n-point array is made.  The lags come from the
+    correlation engine (:func:`_lift_sums`), its transforms sized by
+    :func:`_lag_plan` to about 2L/S points per polyphase row.
     """
     n = grid_points(oversampling, sset.length)
-    fold = n % S == 0
-    total = np.zeros(n)
-    for s in sset.sequences:
-        for c in [to_complex(s)] if fold else modulated_family(s, S):
-            total += np.abs(_complex_envelope(c, oversampling)) ** 2
-    return total.reshape(S, n // S).sum(axis=0) if fold else total
+    m = n // S if n % S == 0 else n
+    L = sset.length
+    sums = _lift_sums(sset, (1,), range(S, L, S))[0]
+    pos = np.arange(S, L, S) // (n // m)
+    # hfft reads the conjugate spectrum at f <= m/2: C_set(tau) at pos, or
+    # conj(C_set(tau)) at the alias m - pos; both land on m/2, where only
+    # the real part is read, so it is doubled
+    mirrored = 2 * pos > m
+    sums = np.where(mirrored, sums.conj(), sums) * np.where(2 * pos == m, 2, 1)
+    pos = np.where(mirrored, m - pos, pos)
+    half = np.empty(m // 2 + 1, dtype=complex)
+    half.real = np.bincount(pos, weights=sums.real, minlength=len(half))
+    half.imag = np.bincount(pos, weights=sums.imag, minlength=len(half))
+    half[0] += len(sset) * L
+    total = np.fft.hfft(half, m)
+    total *= S
+    return total

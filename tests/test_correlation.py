@@ -251,6 +251,36 @@ def test_aacf_set_sum_matches_modular_differences(lam):
         assert np.array_equal(aacf_set_sum(sset, tau).counts, want), tau
 
 
+@pytest.mark.parametrize("lam", [2, 6, 30, 1009])
+def test_aacf_set_sum_matches_the_stacked_count(lam):
+    rng = np.random.default_rng(500 + lam)
+    for M, L in ((1, 2), (3, 41), (7, 64)):
+        stack = rng.integers(0, lam, (M, L))
+        sset = SequenceSet([PhaseSequence(lam, row) for row in stack])
+        for tau in sorted({0, 1, L // 2, L - 1, -1, -(L // 2), -(L - 1)}):
+            lead, lag = ((slice(0, L - tau), slice(tau, L)) if tau >= 0
+                         else (slice(-tau, L), slice(0, L + tau)))
+            bins = np.bincount((stack[:, lead] + (lam - stack[:, lag])).ravel(),
+                               minlength=2 * lam)
+            assert np.array_equal(aacf_set_sum(sset, tau).counts,
+                                  bins[:lam] + bins[lam:]), (M, L, tau)
+
+
+def test_aacf_set_sum_counts_one_member_at_a_time():
+    M, L, lam = 30, 20000, 30
+    sset = SequenceSet([PhaseSequence(lam, row)
+                        for row in np.random.default_rng(6).integers(0, lam, (M, L))])
+    tracemalloc.start()
+    try:
+        for tau in (1, -7, L // 2):
+            aacf_set_sum(sset, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a stacked (M, L) copy of the phases alone would be M*L*8 bytes
+    assert peak < M * L * 8 / 4
+
+
 def test_verify_mscs_reference_set():
     report = verify_mscs(mscs_3_27_3(), 3)
     assert report.passed

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import numpy as np
@@ -224,6 +225,36 @@ def test_energy_identity_direct_path_when_S_does_not_divide_grid():
     assert np.allclose(total, _direct_family_energy(sset, 3, 1), rtol=0, atol=1e-12 * 24)
     assert energy_identity_check(sset, 3, oversampling=1) < 1e-9
     assert energy_identity_check(sset, 3, oversampling=2) < 1e-9
+
+
+@pytest.mark.parametrize("lam", [2, 6, 1009])
+def test_energy_from_the_set_autocorrelation_matches_the_companion_envelopes(lam):
+    # random sets are not complementary, so every lag S, 2S, ... < L counts;
+    # N_os = 1 aliases lags past m/2, S = L - 1, L and L + 2 leave one or none
+    rng = np.random.default_rng(lam)
+    for M, L in ((1, 1), (2, 5), (3, 12), (2, 17)):
+        sset = SequenceSet([PhaseSequence(lam, row) for row in rng.integers(0, lam, (M, L))])
+        for S in sorted({1, 2, 3, max(L - 1, 1), L, L + 2}):
+            for oversampling in (1, 2, 3, 4):
+                n = oversampling * L
+                total = _family_energy(sset, S, oversampling)
+                assert total.shape == ((n // S,) if n % S == 0 else (n,))
+                direct = _direct_family_energy(sset, S, oversampling)
+                target = M * L * S
+                assert np.max(np.abs(np.tile(total, n // len(total)) - direct)) \
+                    <= 1e-12 * target, (M, L, S, oversampling)
+                if L <= S:
+                    assert np.max(np.abs(total - target)) <= 1e-12 * target
+
+
+def test_energy_identity_needs_no_envelope(monkeypatch):
+    def refuse(c, oversampling):
+        raise AssertionError("envelope computed")
+
+    # the package attribute mscs.pmepr is the function, so reach the module by name
+    monkeypatch.setattr(importlib.import_module("mscs.pmepr"), "_complex_envelope", refuse)
+    assert energy_identity_check(mscs_3_27_3(), 3, oversampling=8) < 1e-9
+    assert energy_identity_check(mscs_3_54_2(), 2, oversampling=5) < 1e-9
 
 
 def test_grid_cap():
