@@ -72,7 +72,15 @@ SCHEMA_VERSION = 1
 # Phases are held as int64, so a document's lambda must not exceed this.
 INT64_MAX = 2**63 - 1
 
-CLAIM_KINDS = ("GCS", "MSCS", "ZCS")
+# The claim kinds: each one's integer parameter (also its --flag on
+# verify), its verifier, and whether the M*S PMEPR bound applies, with S = 1
+# for a kind without a parameter.  The verifiers are looked up per call, so
+# a verifier rebound on this module is the one that runs.
+CLAIMS = {
+    "GCS": (None, lambda sset: verify_gcs(sset), True),
+    "MSCS": ("S", lambda sset, S: verify_mscs(sset, S), True),
+    "ZCS": ("Z", lambda sset, Z: verify_type2_zcs(sset, Z), False),
+}
 
 # Values formatted per write of the IAPR export.
 CSV_CHUNK_VALUES = 1 << 16
@@ -120,16 +128,31 @@ def _check_claim(claim: dict) -> dict:
     if not isinstance(claim, dict):
         raise ValueError("claim must be an object")
     kind = claim.get("kind")
-    if kind not in CLAIM_KINDS:
-        raise ValueError(f"claim kind must be one of {', '.join(CLAIM_KINDS)}, got {kind!r}")
-    for key, needed in (("S", kind == "MSCS"), ("Z", kind == "ZCS")):
-        if needed and key not in claim:
+    if not (isinstance(kind, str) and kind in CLAIMS):
+        raise ValueError(f"claim kind must be one of {', '.join(CLAIMS)}, got {kind!r}")
+    key = CLAIMS[kind][0]
+    extra = sorted(set(claim) - {"kind", key})
+    if extra:
+        raise ValueError(f"{kind} claim takes no {extra[0]}")
+    if key is not None:
+        if key not in claim:
             raise ValueError(f"{kind} claim needs {key}")
-        if key in claim and type(claim[key]) is not int:
+        if type(claim[key]) is not int:
             raise ValueError(f"claim {key} must be an integer, got {claim[key]!r}")
-        if key in claim and claim[key] < 1:
+        if claim[key] < 1:
             raise ValueError(f"claim {key}={claim[key]} must be >= 1")
     return dict(claim)
+
+
+def _claim_tag(claim: dict) -> str:
+    """The claim as printed: its kind, then ``P=value`` for its parameter P."""
+    key = CLAIMS[claim["kind"]][0]
+    return claim["kind"] if key is None else f"{claim['kind']} {key}={claim[key]}"
+
+
+def _verify_claim(sset: SequenceSet, claim: dict):
+    key, verify, _ = CLAIMS[claim["kind"]]
+    return verify(sset) if key is None else verify(sset, claim[key])
 
 
 def document_from_set(sset: SequenceSet) -> SetDocument:
@@ -351,18 +374,16 @@ def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
     return multi_prime_mscs(blocks, modulus)
 
 
-def _run_claim_verification(sset: SequenceSet, claim: dict):
-    kind = claim["kind"]
-    if kind == "GCS":
-        return verify_gcs(sset)
-    if kind == "MSCS":
-        return verify_mscs(sset, int(claim["S"]))
-    return verify_type2_zcs(sset, int(claim["Z"]))
-
-
 def cmd_generate(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
+    block = {key: value for key, value in (
+        ("p", args.p), ("m", args.m), ("s", args.s), ("lambda", args.modulus), ("pi", args.pi),
+        ("linear", args.linear), ("constant", args.constant), ("h_table", args.h_table),
+    ) if value is not None}
     if args.params is not None:
+        if block:
+            flags = ", ".join("--" + key.replace("_", "-") for key in block)
+            raise ValueError(f"--params cannot be combined with {flags}")
         with open(args.params) as fh:
             try:
                 params = json.load(fh)
@@ -372,41 +393,35 @@ def cmd_generate(args) -> int:
     else:
         if args.p is None or args.m is None or args.modulus is None:
             raise ValueError("generate needs either --params or --p/--m/--lambda")
-        rec = {"p": args.p, "m": args.m, "s": args.s, "lambda": args.modulus}
-        if args.pi is not None:
-            rec["pi"] = _parse_int_list(args.pi)
-        if args.linear is not None:
-            rec["linear"] = _parse_int_list(args.linear)
-        if args.constant is not None:
-            rec["constant"] = args.constant
-        if args.h_table is not None:
-            rec["h_table"] = _parse_int_list(args.h_table)
-        sset = _build_from_params(rec, rng)
+        for key in ("pi", "linear", "h_table"):
+            if key in block:
+                block[key] = _parse_int_list(block[key])
+        sset = _build_from_params(block, rng)
     doc = document_from_set(sset)
     if args.verify:
-        report = _run_claim_verification(sset, doc.claim)
+        report = _verify_claim(sset, doc.claim)
         if not report.passed:
             bad = ", ".join(str(t) for t in report.failing_shifts[:10])
             print(f"verification failed at shifts: {bad}", file=sys.stderr)
             return 1
     write_document(doc, args.out)
-    claim = doc.claim
-    tag = " ".join(f"{k}={v}" for k, v in sorted(claim.items()) if k != "kind")
     print(f"wrote {args.out}: M={doc.set_size} L={doc.length} lambda={doc.modulus} "
-          f"claim={claim['kind']}{' ' + tag if tag else ''}")
+          f"claim={_claim_tag(doc.claim)}")
     return 0
 
 
 def _claim_from_args(doc: SetDocument, args) -> dict:
     """The claim to verify: the document's, or the kind named by --claim.
 
-    --S sets the S of an MSCS claim and --Z the Z of a ZCS claim; a flag
-    given for any other claim kind is an error.  A claim of a kind the
-    document does not carry needs its flag.
+    The flag named after a kind's parameter in ``CLAIMS`` (--S, --Z) sets
+    it; a flag given for any other claim kind is an error.  A claim of a
+    kind the document does not carry needs its flag.
     """
     claim = dict(doc.claim) if args.claim is None else {"kind": args.claim.upper()}
     kind = claim["kind"]
-    for key, owner in (("S", "MSCS"), ("Z", "ZCS")):
+    for owner, (key, _, _) in CLAIMS.items():
+        if key is None:
+            continue
         value = getattr(args, key)
         if value is not None:
             if kind != owner:
@@ -423,13 +438,10 @@ def cmd_verify(args) -> int:
     doc = read_document(args.input)
     sset = document_to_set(doc)
     claim = _claim_from_args(doc, args)
-    report = _run_claim_verification(sset, claim)
-    tag = "".join(
-        f" {k}={v}" for k, v in sorted(claim.items()) if k != "kind"
-    )
+    report = _verify_claim(sset, claim)
     print(f"document: {args.input}")
     print(f"set: M={doc.set_size} L={doc.length} lambda={doc.modulus}")
-    print(f"claim: {claim['kind']}{tag}")
+    print(f"claim: {_claim_tag(claim)}")
     print(f"mode: {report.mode}")
     print(f"shifts checked: {len(report.shifts)}")
     if report.passed:
@@ -441,15 +453,6 @@ def cmd_verify(args) -> int:
     print(f"failing shifts: {shown}{more}")
     print("verdict: fail")
     return 1
-
-
-def _claim_shift_parameter(claim: dict) -> int | None:
-    """S to use in the M*S PMEPR bound, if the claim provides one."""
-    if claim["kind"] == "MSCS":
-        return int(claim["S"])
-    if claim["kind"] == "GCS":
-        return 1
-    return None
 
 
 def _write_iapr_csv(path: str, doc: SetDocument, n_os: int, curves: list[np.ndarray]) -> None:
@@ -494,8 +497,9 @@ def cmd_pmepr(args) -> int:
         if args.iapr_out is not None:
             curves.append(curve)
         del curve
-    S = _claim_shift_parameter(doc.claim)
-    report = pmepr_report(per, S, args.n_os) if S is not None else None
+    key, _, bounded = CLAIMS[doc.claim["kind"]]
+    S = 1 if key is None else doc.claim[key]
+    report = pmepr_report(per, S, args.n_os) if bounded else None
     for i, v in enumerate(per):
         print(f"pmepr[{i}]: {v:.6f}")
     print(f"set pmepr: {max(per):.6f}")
@@ -726,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--params", help="JSON parameter file (flag names as keys)")
     gen.add_argument("--p", type=int, help="prime base")
     gen.add_argument("--m", type=int, help="number of digits")
-    gen.add_argument("--s", type=int, default=1, help="shift exponent parameter (default 1)")
+    gen.add_argument("--s", type=int, help="shift exponent parameter (default 1)")
     gen.add_argument("--lambda", dest="modulus", type=int, help="phase modulus")
     gen.add_argument("--pi", help="permutation of {s..m}, comma separated")
     gen.add_argument("--linear", help="linear coefficients g_1..g_m, comma separated")
@@ -739,10 +743,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="verify the correlation claim of a document")
     ver.add_argument("input", help="set document path")
-    ver.add_argument("--claim", choices=["gcs", "mscs", "zcs"],
+    ver.add_argument("--claim", choices=[kind.lower() for kind in CLAIMS],
                      help="override the document claim")
-    ver.add_argument("--S", type=int, help="shift parameter S of the MSCS claim verified")
-    ver.add_argument("--Z", type=int, help="zone width Z of the ZCS claim verified")
+    for kind, (key, _, _) in CLAIMS.items():
+        if key is not None:
+            ver.add_argument(f"--{key}", type=int, help=f"{key} of the {kind} claim verified")
 
     pme = sub.add_parser("pmepr", help="measure PMEPR of a document")
     pme.add_argument("input", help="set document path")

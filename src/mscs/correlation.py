@@ -29,14 +29,14 @@ float k = 1 sum must lie within :func:`_embedding_bound` of the exact
 value sum_j r_j w^j, plus the proven error of evaluating it
 (:func:`_check_separation`), or ``RuntimeError`` is raised.  Moduli above
 ``EXACT_MODULUS_CAP`` have no residues: a sum counts as zero when its
-magnitude is within :func:`_embedding_bound`, and the report is marked
-``mode="numerical"``.
+magnitude is within :func:`_embedding_bound`, and the report's ``mode``
+is "numerical" instead of "exact".
 
-A :class:`CorrelationReport` keeps the verdicts as the arrays they are
-computed in (:class:`ShiftChecks`): the tested shifts, the exact zero
-flags and the float magnitudes.  A :class:`ShiftCheck` is built only for
-an entry that is read, so a report over every shift of a near-cap set
-costs no Python object per shift.
+A :class:`CorrelationReport` keeps the verdict of every tested shift as
+the arrays they are computed in (:class:`ShiftChecks`): the tested
+shifts, the exact zero flags and the float magnitudes.  A
+:class:`ShiftCheck` is built only for an entry that is read, so a report
+over every shift of a near-cap set costs no Python object per shift.
 """
 
 from __future__ import annotations
@@ -455,11 +455,6 @@ def _rounding_bound(M: int, L: int, lam: int) -> float:
     return c * _embedding_bound(M, L) + _UNIT_ROUNDOFF * M * L * extra
 
 
-def _choose_path(M: int, L: int, lam: int) -> str:
-    """Verification path: numerical above ``EXACT_MODULUS_CAP``, all-shift residues below."""
-    return "numerical" if lam > EXACT_MODULUS_CAP else "all-shift"
-
-
 def _member_groups(M: int, L: int, lam: int) -> list[slice]:
     """Fewest consecutive member slices whose own :func:`_rounding_bound` is below 1/2.
 
@@ -612,12 +607,12 @@ class ShiftChecks(Sequence[ShiftCheck]):
 class CorrelationReport:
     """Outcome of a GCS / MSCS / type-II ZCS verification run.
 
-    ``path`` names how the verdicts were reached: "all-shift" exact
-    residues, or "numerical" float sums within :func:`_embedding_bound`.
-    ``shifts`` holds the verdicts as arrays (:class:`ShiftChecks`; a
-    tuple of :class:`ShiftCheck`s passed in is turned into one), and
-    ``passed`` and ``failing_shifts`` read them without building a
-    :class:`ShiftCheck` per shift.
+    ``mode`` names how the verdicts were reached: "exact" residues, or
+    "numerical" float sums within :func:`_embedding_bound` for moduli above
+    ``EXACT_MODULUS_CAP``.  ``shifts`` holds the verdicts of every tested
+    shift as arrays (:class:`ShiftChecks`), and ``passed`` and
+    ``failing_shifts`` read them without building a :class:`ShiftCheck`
+    per shift.
     """
 
     claim: str
@@ -627,14 +622,6 @@ class CorrelationReport:
     modulus: int
     mode: str
     shifts: ShiftChecks
-    path: str
-
-    def __post_init__(self):
-        if isinstance(self.shifts, tuple):
-            checks = self.shifts
-            object.__setattr__(self, "shifts", ShiftChecks(
-                [c.shift for c in checks], [c.exact_zero for c in checks],
-                [c.magnitude for c in checks]))
 
     @property
     def passed(self) -> bool:
@@ -645,12 +632,12 @@ class CorrelationReport:
         return tuple(self.shifts.tested[~self.shifts.zeros].tolist())
 
 
-def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
-            early_exit: bool) -> CorrelationReport:
+def _verify(sset: SequenceSet, shifts: range, claim: str,
+            parameter: int | None) -> CorrelationReport:
     lam = sset.modulus
-    path = _choose_path(len(sset), sset.length, lam)
+    numerical = lam > EXACT_MODULUS_CAP
     bound = _embedding_bound(len(sset), sset.length)
-    if path == "numerical":
+    if numerical:
         floats = _lift_sums(sset, (1,), shifts)[0]
         zeros = np.abs(floats) <= bound
     else:
@@ -658,21 +645,19 @@ def _verify(sset: SequenceSet, shifts: range, claim: str, parameter: int | None,
         floats = sums[0]
         zeros = ~residues.any(axis=1)
         _check_separation(floats, residues, lam, bound, shifts)
-    stop = int(np.argmin(zeros)) + 1 if early_exit and not zeros.all() else len(shifts)
     return CorrelationReport(
         claim=claim,
         parameter=parameter,
         set_size=len(sset),
         length=sset.length,
         modulus=lam,
-        mode="numerical" if path == "numerical" else "exact",
-        shifts=ShiftChecks(np.arange(shifts.start, shifts.stop, shifts.step)[:stop],
-                           zeros[:stop], np.abs(floats[:stop])),
-        path=path,
+        mode="numerical" if numerical else "exact",
+        shifts=ShiftChecks(np.arange(shifts.start, shifts.stop, shifts.step), zeros,
+                           np.abs(floats)),
     )
 
 
-def verify_mscs(sset: SequenceSet, S: int, *, early_exit: bool = False) -> CorrelationReport:
+def verify_mscs(sset: SequenceSet, S: int) -> CorrelationReport:
     """Check sum of member AACFs vanishes at every nonzero multiple of S.
 
     Negative shifts follow from conjugate symmetry, so only 0 < tau < L is
@@ -681,23 +666,23 @@ def verify_mscs(sset: SequenceSet, S: int, *, early_exit: bool = False) -> Corre
     L = sset.length
     if not (1 <= S < L):
         raise ValueError(f"S={S} must satisfy 1 <= S < L={L}")
-    return _verify(sset, range(S, L, S), "MSCS", S, early_exit)
+    return _verify(sset, range(S, L, S), "MSCS", S)
 
 
-def verify_gcs(sset: SequenceSet, *, early_exit: bool = False) -> CorrelationReport:
+def verify_gcs(sset: SequenceSet) -> CorrelationReport:
     """Check sum of member AACFs vanishes at every nonzero shift."""
     L = sset.length
     if L < 2:
         raise ValueError("GCS verification needs length >= 2")
-    return _verify(sset, range(1, L), "GCS", None, early_exit)
+    return _verify(sset, range(1, L), "GCS", None)
 
 
-def verify_type2_zcs(sset: SequenceSet, Z: int, *, early_exit: bool = False) -> CorrelationReport:
+def verify_type2_zcs(sset: SequenceSet, Z: int) -> CorrelationReport:
     """Check sum of member AACFs vanishes in the tail band L-Z < tau < L."""
     L = sset.length
     if not (1 <= Z < L):
         raise ValueError(f"Z={Z} must satisfy 1 <= Z < L={L}")
-    return _verify(sset, range(L - Z + 1, L), "ZCS", Z, early_exit)
+    return _verify(sset, range(L - Z + 1, L), "ZCS", Z)
 
 
 def _accf_or_zero(x: PhaseSequence, tau: int) -> CyclotomicSum:

@@ -31,14 +31,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# Largest sequence length materialize will produce by default.  Exhaustive
-# exact verification gets impractical well before this.
+# Largest sequence length materialize will produce.  Exhaustive exact
+# verification gets impractical well before this.
 MAX_LENGTH = 1_000_000
 
 # Moduli materialize accepts lie below this.  Every value it forms in int64
 # is built from entries already reduced mod lambda, each below lambda, and
 # digits, each below a prime p <= L, which is far below 2^32 for any L an
-# array can hold (MAX_LENGTH < 2^20 by default):
+# array can hold (MAX_LENGTH < 2^20):
 #   * a monomial table multiplies its running product (< lambda) by a digit
 #     or a power looked up mod lambda, so it stays below
 #     lambda * max(lambda, p) < 2^63 before it is reduced again;
@@ -398,23 +398,22 @@ class SequenceSet:
         return self.sequences == other.sequences
 
 
-def check_length(factors: Iterable[tuple[int, int]], max_length: int | None = None) -> int:
-    """Length prod p^m of ``factors``; raises if it exceeds the capacity cap.
+def check_length(factors: Iterable[tuple[int, int]]) -> int:
+    """Length prod p^m of ``factors``; raises if it exceeds ``MAX_LENGTH``.
 
-    The cap is ``MAX_LENGTH`` unless overridden.  Factors with p < 2 or
-    m < 1 are left to the caller's own checks.  A factor with m > 64 is over
-    any cap below 2^64; it is reported as ``p^m`` and p^m is never formed.
+    Factors with p < 2 or m < 1 are left to the caller's own checks.  A
+    factor with m > 64 is over the cap, which is below 2^64; it is reported
+    as ``p^m`` and p^m is never formed.
     """
-    cap = MAX_LENGTH if max_length is None else max_length
     length = 1
     for p, m in factors:
         if p < 2 or m < 1:
             continue
-        if m > max(64, cap.bit_length()):
-            raise ValueError(f"sequence length {p}^{m} exceeds capacity limit {cap}")
+        if m > 64:
+            raise ValueError(f"sequence length {p}^{m} exceeds capacity limit {MAX_LENGTH}")
         length *= p**m
-    if length > cap:
-        raise ValueError(f"sequence length {length} exceeds capacity limit {cap}")
+    if length > MAX_LENGTH:
+        raise ValueError(f"sequence length {length} exceeds capacity limit {MAX_LENGTH}")
     return length
 
 
@@ -446,7 +445,7 @@ def _digit_tensor(domain: MixedDomain):
     return tuple(domain.radix(v) for v in reversed(variables)), index
 
 
-def materialize(f: MultivariableFunction, *, max_length: int | None = None) -> PhaseSequence:
+def materialize(f: MultivariableFunction) -> PhaseSequence:
     """Evaluate f at every flat index and return the phase sequence.
 
     f is evaluated on the digit tensor (see :func:`_digit_tensor`).  Each
@@ -458,11 +457,11 @@ def materialize(f: MultivariableFunction, *, max_length: int | None = None) -> P
 
     Deterministic and order-stable: the same function always yields the
     identical array.  Raises before any work if the modulus is not below
-    ``MAX_MODULUS`` (:func:`check_modulus`) or the domain length exceeds the
-    capacity cap (``MAX_LENGTH`` unless overridden).
+    ``MAX_MODULUS`` (:func:`check_modulus`) or the domain length exceeds
+    ``MAX_LENGTH`` (:func:`check_length`).
     """
     lam = check_modulus(f.modulus)
-    L = check_length(f.domain.blocks, max_length)
+    L = check_length(f.domain.blocks)
     shape, index = _digit_tensor(f.domain)
     constant = f.constant
     tables = []  # (axes, table over those axes)

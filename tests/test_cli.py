@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import random
@@ -26,6 +27,7 @@ from mscs.cli import (
     write_document,
 )
 from mscs.constructions import (
+    PrimeBlock,
     length_extended_mscs,
     multi_prime_mscs,
     random_block,
@@ -311,7 +313,10 @@ def _document_mutants(draw):
         malformed = not 1 <= doc["claim"]["S"] < 27
     elif kind == "claim-kind":
         doc["claim"]["kind"] = draw(st.sampled_from(["GCS", "ZCS", "mscs", "", "MSCS "]))
-        malformed = doc["claim"]["kind"] != "GCS"  # a ZCS claim needs Z
+        if doc["claim"]["kind"] == "GCS" and draw(st.booleans()):
+            del doc["claim"]["S"]
+        # a GCS claim takes no S, and a ZCS claim needs Z and takes no S
+        malformed = doc["claim"] != {"kind": "GCS"}
     else:
         doc["provenance"] = draw(st.dictionaries(st.text(max_size=3), _NOT_OBJECT, max_size=2))
         malformed = False
@@ -577,6 +582,26 @@ def test_generate_params_file(tmp_path, capsys):
     assert code == 0
     assert "M=3 L=54 lambda=6 claim=MSCS S=2" in capsys.readouterr().out
     assert read_document(str(out)) == document_from_set(mscs_3_54_2())
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "5"), ("--m", "7"), ("--s", "2"), ("--lambda", "10"), ("--pi", "9"),
+    ("--linear", "1,2"), ("--constant", "4"), ("--h-table", "0,1"),
+])
+def test_generate_params_excludes_block_flags(tmp_path, capsys, flag, value):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"lambda": 6, "p": 3, "m": 2}))
+    out = tmp_path / "y.json"
+    assert main(["generate", "--params", str(params), flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --params cannot be combined with {flag}\n"
+    assert not out.exists()
+    # several at once are all named, in the order of the flag list
+    assert main(["generate", "--params", str(params), "--p", "5", "--m", "7", "--lambda", "10",
+                 "--s", "2", "--pi", "9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --params cannot be combined with --p, --m, --s, --lambda, --pi\n")
 
 
 def test_generate_seeded_determinism(tmp_path):
@@ -867,9 +892,18 @@ def test_pmepr_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
                             "capacity limit 64000000\n")
 
 
-@pytest.mark.parametrize("claim", [{"kind": "MSCS", "S": 0}, {"kind": "MSCS", "S": -3},
-                                   {"kind": "ZCS", "Z": 0}], ids=["S-0", "S-negative", "Z-0"])
-def test_pmepr_rejects_claim_below_one(tmp_path, capsys, monkeypatch, claim):
+@pytest.mark.parametrize("claim, message", [
+    ({"kind": "MSCS", "S": 0}, "claim S=0 must be >= 1"),
+    ({"kind": "MSCS", "S": -3}, "claim S=-3 must be >= 1"),
+    ({"kind": "ZCS", "Z": 0}, "claim Z=0 must be >= 1"),
+    ({"kind": "GCS", "S": 2}, "GCS claim takes no S"),
+    ({"kind": "ZCS", "Z": 26, "S": 100}, "ZCS claim takes no S"),
+    ({"kind": "MSCS", "S": 3, "Z": 24}, "MSCS claim takes no Z"),
+    ({"kind": "GCS", "note": "x"}, "GCS claim takes no note"),
+], ids=["S-0", "S-negative", "Z-0", "GCS-with-S", "ZCS-with-S", "MSCS-with-Z", "GCS-with-note"])
+def test_pmepr_rejects_claim_below_one(tmp_path, capsys, monkeypatch, claim, message):
+    # a claim holds its kind and that kind's own parameter, at least 1;
+    # verify and pmepr refuse anything else before any work
     def refuse(*args):
         raise AssertionError("iapr_curve called before the claim check")
 
@@ -879,11 +913,31 @@ def test_pmepr_rejects_claim_below_one(tmp_path, capsys, monkeypatch, claim):
     payload = json.loads(path.read_text())
     payload["claim"] = claim
     path.write_text(json.dumps(payload))
-    assert main(["pmepr", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    key = "S" if "S" in claim else "Z"
-    assert captured.err == f"error: claim {key}={claim[key]} must be >= 1\n"
+    for command in ("pmepr", "verify"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("claim, bound", [
+    ({"kind": "GCS"}, "bound (M*S): 6\nbound satisfied: yes\n"),
+    ({"kind": "MSCS", "S": 2}, "bound (M*S): 12\nbound satisfied: yes\n"),
+    ({"kind": "ZCS", "Z": 5}, ""),
+], ids=["GCS", "MSCS", "ZCS"])
+def test_pmepr_stdout_is_pinned_for_each_claim_kind(tmp_path, capsys, claim, bound):
+    # the bound is M*S with S = 1 for a GCS and the claim's S for an MSCS;
+    # a type-II ZCS has none.  M = 6, L = 12: a GCS, hence also an MSCS and
+    # a ZCS of any S and Z
+    sset = multi_prime_mscs([PrimeBlock(p=2, m=2), PrimeBlock(p=3, m=1)], 6)
+    doc = dataclasses.replace(document_from_set(sset), claim=claim)
+    path = str(tmp_path / "set.json")
+    write_document(doc, path)
+    assert main(["pmepr", path]) == 0
+    assert capsys.readouterr().out == (
+        f"document: {path}\nset: M=6 L=12 lambda=6\noversampling: 64\n"
+        "pmepr[0]: 3.244674\npmepr[1]: 3.244674\npmepr[2]: 5.256396\npmepr[3]: 5.256396\n"
+        "pmepr[4]: 5.256396\npmepr[5]: 5.256396\nset pmepr: 5.256396\n" + bound)
 
 
 def test_pmepr_rejects_zero_length_document(tmp_path, capsys):

@@ -342,13 +342,6 @@ def test_verify_type2_zcs_cases():
     assert len(bad.failing_shifts) > 0
 
 
-def test_verify_early_exit():
-    report = verify_gcs(mscs_3_27_3(), early_exit=True)
-    assert not report.passed
-    assert len(report.shifts) == 1
-    assert report.shifts[0].shift == 1
-
-
 def count_shift_checks(monkeypatch) -> list:
     """Record every ShiftCheck the correlation module builds from now on."""
     built = []
@@ -397,13 +390,9 @@ def test_report_checks_behave_as_the_tuple_of_checks():
     assert list(reversed(report.shifts)) == list(reversed(checks))
     assert report.shifts == checks and checks == report.shifts and report.shifts != list(checks)
     assert hash(report.shifts) == hash(checks)
-    as_tuple = dataclasses.replace(report, shifts=checks)
-    assert report == as_tuple and hash(report) == hash(as_tuple)
-    assert type(as_tuple.shifts) is ShiftChecks and as_tuple.shifts == checks
-    assert as_tuple.passed == report.passed and as_tuple.failing_shifts == report.failing_shifts
-    empty = dataclasses.replace(report, shifts=())
+    empty = dataclasses.replace(report, shifts=ShiftChecks([], [], []))
     assert empty.passed and empty.failing_shifts == () and empty.shifts == ()
-    assert report == verify_gcs(sset) and report != verify_gcs(sset, early_exit=True)
+    assert report == verify_gcs(sset) and report != empty
     assert verify_type2_zcs(sset, 1).shifts == ()
     assert report.shifts != () and () != report.shifts
     nudged = report.shifts.magnitudes.copy()
@@ -462,7 +451,7 @@ def test_separation_tripwire(monkeypatch):
         if groups == 2:
             _split_groups(monkeypatch, 2)
             assert len(correlation._member_groups(3, 27, 6)) == 2
-        assert verify_gcs(sset).path == "all-shift"
+        assert verify_gcs(sset).mode == "exact"
         monkeypatch.setattr(correlation, "_residues_from_lift_sums",
                             lambda sset, shifts, sums: np.zeros((len(shifts), 2), dtype=np.int64))
         with pytest.raises(RuntimeError, match="separation violated at shift 1:"):
@@ -600,50 +589,43 @@ def test_both_paths_give_identical_reports(monkeypatch, case):
         "flipped-gcs30": (_flipped(multi_prime_mscs(gcs30, 30), 7), verify_gcs),
     }[case]
     single, grouped = _both_paths(monkeypatch, sset, verify)
-    assert single.path == grouped.path == "all-shift"
+    assert single.mode == grouped.mode == "exact"
     if case.startswith("flipped"):
         assert not single.passed
 
 
-def test_early_exit_truncates_alike_on_both_paths(monkeypatch):
-    flipped = _flipped(mscs_3_27_3())
-    for sset, verify in ((mscs_3_27_3(), lambda s: verify_gcs(s, early_exit=True)),
-                         (flipped, lambda s: verify_mscs(s, 3, early_exit=True))):
-        single, grouped = _both_paths(monkeypatch, sset, verify)
-        assert not single.shifts[-1].exact_zero
-        assert all(c.exact_zero for c in single.shifts[:-1])
-    assert len(verify_mscs(flipped, 3).shifts) > len(single.shifts)
-
-
 def test_size_rule_picks_the_path(monkeypatch):
-    # the path comes from (M, L, lambda) alone; the benchmark's shapes all
-    # stay far below the rounding bound's 1/2 and take the residue path
-    for L in (19683, 177147, 531441):
-        assert correlation._choose_path(3, L, 6) == "all-shift"
-    assert correlation._choose_path(3, 27, 1009 * 2) == "numerical"
+    # the mode comes from lambda alone; the benchmark's shapes all stay far
+    # below the rounding bound's 1/2 and are verified exactly in one group
+    for m in (9, 11, 12):
+        sset = single_prime_mscs(PrimeBlock(p=3, m=m), 6)
+        assert correlation._member_groups(3, sset.length, 6) == [slice(0, 3)]
+        report = verify_type2_zcs(sset, 10)
+        assert report.passed and report.mode == "exact" and len(report.shifts) == 9
+    report = verify_gcs(single_prime_mscs(PrimeBlock(p=2, m=3), 1009 * 2))
+    assert report.passed and report.mode == "numerical" and len(report.shifts) == 7
     # the same ratios at L = 2187, built and verified
     fine = single_prime_mscs(PrimeBlock(p=3, m=7, s=3), 6)
     report = verify_mscs(fine, 9)
-    assert report.passed and report.path == "all-shift" and len(report.shifts) == 242
+    assert report.passed and report.mode == "exact" and len(report.shifts) == 242
     sparse = single_prime_mscs(PrimeBlock(p=3, m=7, s=4), 6)
     report = verify_mscs(sparse, 27)
-    assert report.passed and report.path == "all-shift" and len(report.shifts) == 80
+    assert report.passed and report.mode == "exact" and len(report.shifts) == 80
     # lambda = 30 needs phi/2 = 4 embeddings, whatever the number of shifts
     L = 1800
     gcs30 = multi_prime_mscs([PrimeBlock(p=2, m=3), PrimeBlock(p=3, m=2),
                               PrimeBlock(p=5, m=2)], 30)
     assert (len(gcs30), gcs30.length) == (30, L)
     report = verify_gcs(gcs30)
-    assert report.passed and report.path == "all-shift" and len(report.shifts) == L - 1
+    assert report.passed and report.mode == "exact" and len(report.shifts) == L - 1
     report = verify_mscs(gcs30, 450)
-    assert report.passed and report.path == "all-shift" and len(report.shifts) == 3
+    assert report.passed and report.mode == "exact" and len(report.shifts) == 3
     # a second group from the member count where the bound reaches 1/2
     for lam in (6, 30):
         lo, hi = 1, 2**40
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if correlation._rounding_bound(mid, L, lam) < 0.5 else (lo, mid)
-        assert correlation._choose_path(hi, L, lam) == "all-shift"
         assert correlation._member_groups(lo, L, lam) == [slice(0, lo)]
         assert correlation._member_groups(hi, L, lam) == [slice(0, lo), slice(lo, hi)]
         assert correlation._member_groups(2 * lo + 1, L, lam) == [
@@ -651,10 +633,14 @@ def test_size_rule_picks_the_path(monkeypatch):
     monkeypatch.setattr(correlation, "_rounding_bound",
                         lambda M, L, lam: 0.5 if M > 1 else float(np.nextafter(0.5, 0)))
     assert correlation._member_groups(3, L, 30) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    # past the bound a set is still verified exactly, one member per group
+    report = verify_gcs(gcs30)
+    assert report.passed and report.mode == "exact" and len(report.shifts) == L - 1
     monkeypatch.setattr(correlation, "_rounding_bound", lambda M, L, lam: 0.5)
-    assert correlation._choose_path(3, L, 30) == "all-shift"
     with pytest.raises(ValueError, match="single member"):
         correlation._member_groups(3, L, 30)
+    with pytest.raises(ValueError, match="single member"):
+        verify_gcs(gcs30)
 
 
 def _is_7_smooth(n):
@@ -675,7 +661,6 @@ def test_rounding_bound_splits_large_sets_into_groups():
     # one group fewer would need a group past the bound
     size = groups[0].stop
     assert correlation._rounding_bound(size + 1, L, 6) >= 0.5
-    assert correlation._choose_path(10**6, L, 6) == "all-shift"
     # one member stays far below 1/2 at the length cap for every exact modulus
     for lam in (2, 30, 210, 935, 997):
         assert correlation._rounding_bound(1, MAX_LENGTH, lam) <= 1.03e-3
@@ -684,7 +669,6 @@ def test_rounding_bound_splits_large_sets_into_groups():
     n = correlation._fft_length(L)
     assert _is_7_smooth(n) and n >= 2 * L - 1
     assert correlation._rounding_bound(3, L, 6) < 1e-3
-    assert correlation._choose_path(3, L, 6) == "all-shift"
 
 
 def test_fft_length_is_the_next_7_smooth():
@@ -742,7 +726,7 @@ def test_every_length_takes_the_residue_path():
     sset = _random_set(rng, 6, 3, 4001)
     assert correlation._fft_length(4001) == 8064
     report = verify_gcs(sset)
-    assert report.path == "all-shift" and len(report.shifts) == 4000
+    assert report.mode == "exact" and len(report.shifts) == 4000
     sample = sorted(rng.sample(range(1, 4001), 40)) + [4000]
     assert np.array_equal(correlation.aacf_set_residues(sset, sample),
                           _residues_by_oracle(sset, sample))
@@ -794,7 +778,7 @@ def test_all_shift_verification_calls_each_exact_span_once(monkeypatch):
 
         monkeypatch.setattr(correlation, name, counted)
     report = verify_mscs(mscs_3_54_2(), 2)
-    assert report.path == "all-shift" and report.passed and len(report.shifts) == 26
+    assert report.mode == "exact" and report.passed and len(report.shifts) == 26
     assert calls == {"aacf_set_sum": 1, "is_zero": 1}
 
 
@@ -946,7 +930,7 @@ def test_large_modulus_gcs_passes_numerically():
     sset = _seeded_gcs(2310, [(2, 2), (3, 2), (5, 1), (7, 1), (11, 1)])
     assert (len(sset), sset.length) == (2310, 13860)
     report = verify_gcs(sset)
-    assert report.mode == report.path == "numerical" and report.passed
+    assert report.mode == "numerical" and report.passed
     assert max(c.magnitude for c in report.shifts) > 1e-9
     flipped = verify_gcs(_flipped(sset))
     assert len(flipped.failing_shifts) == sset.length - 1

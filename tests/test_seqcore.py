@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,8 +310,21 @@ def test_materialize_capacity():
     f = MultivariableFunction(d, 2)
     with pytest.raises(ValueError, match="capacity"):
         materialize(f)
-    with pytest.raises(ValueError, match="capacity"):
-        materialize(MultivariableFunction(MixedDomain([(2, 3)]), 2), max_length=4)
+    # exactly at the cap the sequence is built
+    at_cap = MixedDomain([(2, 6), (5, 6)])
+    assert at_cap.length() == MAX_LENGTH
+    assert len(materialize(MultivariableFunction(at_cap, 10))) == MAX_LENGTH
+    # just over it, refused before anything of its 8 MB is allocated
+    over = MultivariableFunction(MixedDomain([(2, 20)]), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^sequence length 1048576 exceeds capacity limit 1000000$"):
+            materialize(over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     # p^m is reported, never formed or formatted
     with pytest.raises(ValueError, match=r"^sequence length 3\^200000 exceeds capacity limit 1000000$"):
         materialize(MultivariableFunction(MixedDomain([(3, 200000)]), 6))
@@ -339,7 +354,7 @@ def test_materialize_refuses_modulus_that_overflows_int64(lam):
 
 def test_check_length():
     assert check_length([(3, 2), (2, 1)]) == 18
-    assert check_length([(2, 3)], max_length=8) == 8
+    assert check_length([(2, 6), (5, 6)]) == MAX_LENGTH == 1_000_000
     assert check_length([(3, 2), (1, 5), (7, 0)]) == 9  # left to the caller's checks
     with pytest.raises(ValueError, match=r"^sequence length 2097152 exceeds capacity limit 1000000$"):
         check_length([(2, 21)])
@@ -347,8 +362,8 @@ def test_check_length():
         check_length([(2, 10), (3, 7)])
     with pytest.raises(ValueError, match=r"^sequence length 2\^1000000000 exceeds capacity limit 1000000$"):
         check_length([(2, 10**9)])
-    with pytest.raises(ValueError, match=r"^sequence length 16 exceeds capacity limit 8$"):
-        check_length([(2, 4)], max_length=8)
+    with pytest.raises(ValueError, match=r"^sequence length 1048576 exceeds capacity limit 1000000$"):
+        check_length([(2, 20)])
 
 
 def test_phase_sequence_basics():
