@@ -30,7 +30,7 @@ import random
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .constructions import (
     single_prime_mscs,
 )
 from .correlation import (
-    NONZERO_TOL,
-    ZERO_TOL,
     CyclotomicSum,
     aacf_set_residues,
     aacf_set_sum,
@@ -81,6 +79,9 @@ CLAIMS = {
     "MSCS": ("S", lambda sset, S: verify_mscs(sset, S), True),
     "ZCS": ("Z", lambda sset, Z: verify_type2_zcs(sset, Z), False),
 }
+
+# The keys of one block record in a parameter file.
+BLOCK_KEYS = ("p", "m", "s", "pi", "linear", "constant", "h_table")
 
 # Values formatted per write of the IAPR export.
 CSV_CHUNK_VALUES = 1 << 16
@@ -153,6 +154,14 @@ def _claim_tag(claim: dict) -> str:
 def _verify_claim(sset: SequenceSet, claim: dict):
     key, verify, _ = CLAIMS[claim["kind"]]
     return verify(sset) if key is None else verify(sset, claim[key])
+
+
+def _bound_S(claim: dict) -> int | None:
+    """The S of the claim's M*S PMEPR bound, or None for a kind without the bound."""
+    key, _, bounded = CLAIMS[claim["kind"]]
+    if not bounded:
+        return None
+    return 1 if key is None else claim[key]
 
 
 def document_from_set(sset: SequenceSet) -> SetDocument:
@@ -299,23 +308,36 @@ def read_document(path: str) -> SetDocument:
         return document_from_json(fh.read())
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _int_list(text: str) -> list[int]:
+    """The integers of a comma or space separated flag value."""
+    values = []
+    for tok in text.replace(",", " ").split():
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{tok!r} is not an integer") from None
+    return values
 
 
-def _field_int_list(rec: dict, key: str) -> tuple[int, ...] | None:
-    if key not in rec:
-        return None
+def _field_int_list(rec: dict, key: str) -> tuple[int, ...]:
     value = rec[key]
     if not isinstance(value, list) or any(type(v) is not int for v in value):
         raise ValueError(f"{key} must be a list of integers, got {value!r}")
     return tuple(value)
 
 
+def _check_keys(rec: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Refuse a key outside ``allowed``, which would otherwise be ignored."""
+    for key in rec:
+        if key not in allowed:
+            raise ValueError(f"{where} takes no key {key!r}")
+
+
 def _block_shape(rec: dict) -> tuple[int, int]:
     """The (p, m) of a block record, whose sequence length factor is p^m."""
     if not isinstance(rec, dict):
         raise ValueError(f"block parameters must be an object, got {rec!r}")
+    _check_keys(rec, BLOCK_KEYS, "block")
     if "p" not in rec or "m" not in rec:
         raise ValueError("block parameters need at least p and m")
     return _field_int(rec, "p"), _field_int(rec, "m")
@@ -325,18 +347,8 @@ def _block_from_dict(rec: dict, modulus: int, rng: random.Random | None) -> Prim
     p, m = _block_shape(rec)
     s = _field_int(rec, "s", 1)
     base = random_block(rng, p, m, s, modulus) if rng is not None else PrimeBlock(p, m, s)
-    pi = _field_int_list(rec, "pi")
-    linear = _field_int_list(rec, "linear")
-    h_table = _field_int_list(rec, "h_table")
-    return PrimeBlock(
-        p=p,
-        m=m,
-        s=s,
-        pi=pi if pi is not None else base.pi,
-        linear=linear if linear is not None else base.linear,
-        constant=_field_int(rec, "constant", base.constant),
-        h_table=h_table if h_table is not None else base.h_table,
-    )
+    given = {key: _field_int_list(rec, key) for key in ("pi", "linear", "h_table") if key in rec}
+    return replace(base, constant=_field_int(rec, "constant", base.constant), **given)
 
 
 def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
@@ -346,7 +358,11 @@ def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
     if "lambda" not in params:
         raise ValueError("parameter file needs lambda")
     modulus = _field_int(params, "lambda")
-    recs = params.get("blocks", [params])
+    # block keys stand at the top level only when there is no blocks list
+    flat = "blocks" not in params
+    _check_keys(params, ("lambda", "extension") + (BLOCK_KEYS if flat else ("blocks",)),
+                "parameter file" if flat else "parameter file with blocks")
+    recs = [{k: params[k] for k in BLOCK_KEYS if k in params}] if flat else params["blocks"]
     if not isinstance(recs, list):
         raise ValueError(f"blocks must be a list of objects, got {recs!r}")
     factors = [_block_shape(rec) for rec in recs]
@@ -355,6 +371,7 @@ def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
         ext = params["extension"]
         if not isinstance(ext, dict):
             raise ValueError(f"extension must be an object, got {ext!r}")
+        _check_keys(ext, ("p", "linear", "constant"), "extension")
         if "p" not in ext:
             raise ValueError("extension needs p")
         factors.append((_field_int(ext, "p"), 1))
@@ -376,10 +393,8 @@ def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
 
 def cmd_generate(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
-    block = {key: value for key, value in (
-        ("p", args.p), ("m", args.m), ("s", args.s), ("lambda", args.modulus), ("pi", args.pi),
-        ("linear", args.linear), ("constant", args.constant), ("h_table", args.h_table),
-    ) if value is not None}
+    block = {key: getattr(args, key) for key in ("p", "m", "s", "lambda", *BLOCK_KEYS[3:])
+             if getattr(args, key) is not None}
     if args.params is not None:
         if block:
             flags = ", ".join("--" + key.replace("_", "-") for key in block)
@@ -391,11 +406,8 @@ def cmd_generate(args) -> int:
                 raise ValueError(f"parameter file is not valid JSON: {exc}") from None
         sset = _build_from_params(params, rng)
     else:
-        if args.p is None or args.m is None or args.modulus is None:
+        if not {"p", "m", "lambda"} <= block.keys():
             raise ValueError("generate needs either --params or --p/--m/--lambda")
-        for key in ("pi", "linear", "h_table"):
-            if key in block:
-                block[key] = _parse_int_list(block[key])
         sset = _build_from_params(block, rng)
     doc = document_from_set(sset)
     if args.verify:
@@ -417,8 +429,8 @@ def _claim_from_args(doc: SetDocument, args) -> dict:
     it; a flag given for any other claim kind is an error.  A claim of a
     kind the document does not carry needs its flag.
     """
-    claim = dict(doc.claim) if args.claim is None else {"kind": args.claim.upper()}
-    kind = claim["kind"]
+    kind = doc.claim["kind"] if args.claim is None else args.claim.upper()
+    claim = dict(doc.claim) if kind == doc.claim["kind"] else {"kind": kind}
     for owner, (key, _, _) in CLAIMS.items():
         if key is None:
             continue
@@ -428,9 +440,7 @@ def _claim_from_args(doc: SetDocument, args) -> dict:
                 raise ValueError(f"--{key} applies only to {owner} claims, not {kind}")
             claim[key] = value
         elif kind == owner and key not in claim:
-            if doc.claim["kind"] != kind:
-                raise ValueError(f"{kind} claim needs --{key}")
-            claim[key] = doc.claim[key]
+            raise ValueError(f"{kind} claim needs --{key}")
     return _check_claim(claim)
 
 
@@ -497,9 +507,8 @@ def cmd_pmepr(args) -> int:
         if args.iapr_out is not None:
             curves.append(curve)
         del curve
-    key, _, bounded = CLAIMS[doc.claim["kind"]]
-    S = 1 if key is None else doc.claim[key]
-    report = pmepr_report(per, S, args.n_os) if bounded else None
+    S = _bound_S(doc.claim)
+    report = None if S is None else pmepr_report(per, S, args.n_os)
     for i, v in enumerate(per):
         print(f"pmepr[{i}]: {v:.6f}")
     print(f"set pmepr: {max(per):.6f}")
@@ -512,36 +521,58 @@ def cmd_pmepr(args) -> int:
     return 0
 
 
+def _claims_failure(sset: SequenceSet, claims: list[dict]) -> str | None:
+    """None if every claim verifies in exact mode, else what the first failing one gave."""
+    for claim in claims:
+        report = _verify_claim(sset, claim)
+        if report.mode != "exact" or not report.passed:
+            return (f"{_claim_tag(claim)}: {report.mode} mode, "
+                    f"failing shifts {list(report.failing_shifts[:5])}")
+    return None
+
+
+def _reference_checks(name: str):
+    """One check per claim reference set ``name`` carries, named kind-M-L[-parameter].
+
+    A set that fails to build is one failing check named after it.
+    """
+    try:
+        sset = getattr(reference_sets, name)()
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        return [(name.replace("_", "-"), lambda: detail)]
+    checks = []
+    for claim in sset.metadata["claims"]:
+        key = CLAIMS[claim["kind"]][0]
+        tag = f"{claim['kind'].lower()}-{len(sset)}-{sset.length}"
+        checks.append((tag if key is None else f"{tag}-{claim[key]}",
+                       functools.partial(_claims_failure, sset, [claim])))
+    return checks
+
+
 def _selftest_checks():
-    """Named reduced-scale checks; each returns None or a failure detail."""
+    """Named reduced-scale checks; each returns None or a failure detail.
 
-    def reference_check(build, verify, param, exact):
-        def check():
-            report = verify(build(), param)
-            if exact and report.mode != "exact":
-                return f"expected exact mode, got {report.mode}"
-            if not report.passed:
-                return f"failing shifts {report.failing_shifts[:5]}"
-            return None
-
-        return check
-
-    # (name, set, verifier, parameter, exact mode expected)
-    references = (
-        ("mscs-3-27-3", reference_sets.mscs_3_27_3, verify_mscs, 3, True),
-        ("zcs-3-27-24", reference_sets.mscs_3_27_3, verify_type2_zcs, 24, False),
-        ("mscs-3-54-2", reference_sets.mscs_3_54_2, verify_mscs, 2, True),
-    )
+    Claims are verified, and PMEPR bounds read, as ``verify`` and ``pmepr`` do.
+    """
 
     def check_pmepr_3_54_2():
-        report = pmepr_set(reference_sets.mscs_3_54_2(), 2)
+        sset = reference_sets.mscs_3_54_2()
+        report = pmepr_set(sset, _bound_S(sset.metadata["claims"][0]))
         if not report.bound_satisfied:
             return f"set pmepr {report.set_pmepr:.4f} beyond bound {report.bound}"
         if abs(report.set_pmepr - 5.9465) > 0.05:
             return f"set pmepr {report.set_pmepr:.4f} not within 0.05 of 5.9465"
         return None
 
-    def check_single_prime_sweep():
+    def check_sweep(draws):
+        for params, sset in draws:
+            detail = _claims_failure(sset, sset.metadata["claims"])
+            if detail is not None:
+                return f"{params}: {detail}"
+        return None
+
+    def single_prime_sets():
         rng = random.Random(101)
         for _ in range(24):
             p = rng.choice([2, 3, 5])
@@ -549,41 +580,18 @@ def _selftest_checks():
             s = rng.randint(1, m)
             lam = rng.choice([p, 2 * p, p * p])
             block = random_block(rng, p, m, s, lam)
-            sset = single_prime_mscs(block, lam)
-            S = p ** (s - 1)
-            if S < sset.length:
-                report = verify_mscs(sset, S)
-                if not report.passed:
-                    return f"p={p} m={m} s={s} lam={lam} failed MSCS"
-            Z = p**m - S
-            if 1 <= Z < sset.length:
-                report = verify_type2_zcs(sset, Z)
-                if not report.passed:
-                    return f"p={p} m={m} s={s} lam={lam} failed ZCS"
-        return None
+            yield f"p={p} m={m} s={s} lam={lam}", single_prime_mscs(block, lam)
 
-    def check_multi_prime_sweep():
+    def multi_prime_sets():
         rng = random.Random(202)
         for _ in range(10):
             primes = rng.sample([2, 3, 5], 2)
+            lam = primes[0] * primes[1]
             blocks = []
-            lam = 1
-            for p in primes:
-                lam *= p
-            S = 1
             for p in primes:
                 m = rng.randint(1, 2)
-                s = rng.randint(1, m)
-                blocks.append(random_block(rng, p, m, s, lam))
-                S *= p ** (s - 1)
-            sset = multi_prime_mscs(blocks, lam)
-            if S < sset.length:
-                if not verify_mscs(sset, S).passed:
-                    return f"primes={primes} failed MSCS S={S}"
-            if all(b.s == 1 for b in blocks):
-                if not verify_gcs(sset).passed:
-                    return f"primes={primes} failed GCS"
-        return None
+                blocks.append(random_block(rng, p, m, rng.randint(1, m), lam))
+            yield f"primes={primes}", multi_prime_mscs(blocks, lam)
 
     def check_kronecker_split():
         rng = random.Random(303)
@@ -609,8 +617,9 @@ def _selftest_checks():
             gap = np.max(np.abs(np.tile(_family_energy(members, 3, 8), 3) - envelopes))
             if gap > 1e-12 * len(sset) * sset.length * 3:
                 return f"family energy differs from the companion envelopes by {gap:.3e}"
-        for build, S in ((reference_sets.mscs_3_27_3, 3), (reference_sets.mscs_3_54_2, 2)):
-            dev = energy_identity_check(build(), S)
+        for build in (reference_sets.mscs_3_27_3, reference_sets.mscs_3_54_2):
+            ref = build()
+            dev = energy_identity_check(ref, _bound_S(ref.metadata["claims"][0]))
             if dev >= 1e-9:
                 return f"deviation {dev:.3e} for {build.__name__}"
         dev = energy_identity_check(flipped, 3)
@@ -619,21 +628,16 @@ def _selftest_checks():
         return None
 
     def check_exact_float_separation():
+        # a GCS claim tests every shift, and each float sum outside the proven bound
+        # of its exact value raises; the flags must be the cyclotomic sums' verdicts
         sset = reference_sets.mscs_3_27_3()
-        zeros = nonzeros = 0
-        for tau in range(1, sset.length):
-            total = aacf_set_sum(sset, tau)
-            mag = abs(total.value())
-            if is_zero(total):
-                zeros += 1
-                if mag >= ZERO_TOL:
-                    return f"exact zero at tau={tau} but |sum|={mag:.3e}"
-            else:
-                nonzeros += 1
-                if mag <= NONZERO_TOL:
-                    return f"exact nonzero at tau={tau} but |sum|={mag:.3e}"
-        if not zeros or not nonzeros:
-            return f"degenerate split: {zeros} zeros, {nonzeros} nonzeros"
+        checks = _verify_claim(sset, {"kind": "GCS"}).shifts
+        for tau, zero in zip(checks.tested.tolist(), checks.zeros.tolist()):
+            if zero != is_zero(aacf_set_sum(sset, tau)):
+                return f"tau={tau}: exact_zero={zero} but the cyclotomic sum says otherwise"
+        zeros = int(checks.zeros.sum())
+        if not 0 < zeros < len(checks):
+            return f"degenerate split: {zeros} zeros, {len(checks) - zeros} nonzeros"
         return None
 
     def check_residue_path():
@@ -656,7 +660,7 @@ def _selftest_checks():
 
     def check_iapr_curves():
         sset = reference_sets.mscs_3_54_2()
-        report = pmepr_set(sset, 2)
+        report = pmepr_set(sset, _bound_S(sset.metadata["claims"][0]))
         peak = 0.0
         for s in sset.sequences:
             curve = iapr_curve(s)
@@ -685,10 +689,10 @@ def _selftest_checks():
                         return f"lambda={sset.modulus} L={sset.length}: rewrite differs"
         return None
 
-    return [(name, reference_check(*row)) for name, *row in references] + [
+    return _reference_checks("mscs_3_27_3") + _reference_checks("mscs_3_54_2") + [
         ("pmepr-3-54-2", check_pmepr_3_54_2),
-        ("single-prime-sweep", check_single_prime_sweep),
-        ("multi-prime-sweep", check_multi_prime_sweep),
+        ("single-prime-sweep", lambda: check_sweep(single_prime_sets())),
+        ("multi-prime-sweep", lambda: check_sweep(multi_prime_sets())),
         ("kronecker-split", check_kronecker_split),
         ("energy-identity", check_energy_identity),
         ("exact-float-separation", check_exact_float_separation),
@@ -731,11 +735,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=int, help="prime base")
     gen.add_argument("--m", type=int, help="number of digits")
     gen.add_argument("--s", type=int, help="shift exponent parameter (default 1)")
-    gen.add_argument("--lambda", dest="modulus", type=int, help="phase modulus")
-    gen.add_argument("--pi", help="permutation of {s..m}, comma separated")
-    gen.add_argument("--linear", help="linear coefficients g_1..g_m, comma separated")
+    gen.add_argument("--lambda", type=int, help="phase modulus")
+    gen.add_argument("--pi", type=_int_list, help="permutation of {s..m}, comma separated")
+    gen.add_argument("--linear", type=_int_list,
+                     help="linear coefficients g_1..g_m, comma separated")
     gen.add_argument("--constant", type=int, help="additive constant")
-    gen.add_argument("--h-table", help="head function table, comma separated")
+    gen.add_argument("--h-table", type=_int_list, help="head function table, comma separated")
     gen.add_argument("--seed", type=int, help="randomize unspecified parameters")
     gen.add_argument("--verify", action="store_true",
                      help="exactly verify the claim before writing")

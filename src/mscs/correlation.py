@@ -54,7 +54,6 @@ from .seqcore import PhaseSequence, SequenceSet, to_complex, unit_lift
 
 EXACT_MODULUS_CAP = 1000
 ZERO_TOL = 1e-9
-NONZERO_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)

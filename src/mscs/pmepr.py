@@ -54,15 +54,10 @@ class EnvelopeGrid:
     def __init__(self, oversampling: int, length: int, samples):
         oversampling = int(oversampling)
         length = int(length)
-        if oversampling < 1:
-            raise ValueError(f"oversampling {oversampling} must be >= 1")
-        if length < 1:
-            raise ValueError(f"length {length} must be >= 1")
+        n = grid_points(oversampling, length)
         arr = np.asarray(samples, dtype=complex)
-        if arr.shape != (oversampling * length,):
-            raise ValueError(
-                f"expected {oversampling * length} samples, got shape {arr.shape}"
-            )
+        if arr.shape != (n,):
+            raise ValueError(f"expected {n} samples, got shape {arr.shape}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "oversampling", oversampling)

@@ -374,6 +374,41 @@ def test_generate_rejects_malformed_params(tmp_path, capsys, params):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"lambda": 6, "p": 3, "m": 2, "bogus": 1}, "parameter file takes no key 'bogus'"),
+    ({"lambda": 6, "p": 3, "m": 2, "s": 2, "h-table": [0, 1, 2]},
+     "parameter file takes no key 'h-table'"),
+    ({"lambda": 6, "blocks": [{"p": 3, "m": 2, "zzz": 5}]}, "block takes no key 'zzz'"),
+    ({"lambda": 6, "blocks": [{"p": 3, "m": 2, "lambda": 6}]}, "block takes no key 'lambda'"),
+    ({"lambda": 6, "p": 3, "m": 2, "blocks": [{"p": 2, "m": 1}]},
+     "parameter file with blocks takes no key 'p'"),
+    ({"lambda": 6, "blocks": [{"p": 3, "m": 1}], "extension": {"p": 2, "s": 1}},
+     "extension takes no key 's'"),
+], ids=["top", "misspelt-h_table", "block", "lambda-in-block", "block-key-beside-blocks",
+        "extension"])
+def test_generate_refuses_unknown_params_keys(tmp_path, capsys, params, message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "set.json"
+    assert main(["generate", "--params", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pi", "--linear", "--h-table"])
+def test_generate_names_the_flag_and_token_of_a_bad_list(tmp_path, capsys, flag):
+    out = tmp_path / "q.json"
+    argv = ["generate", "--p", "3", "--m", "2", "--s", "2", "--lambda", "6",
+            flag, "1,x", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: 'x' is not an integer\n" in captured.err
+    assert not out.exists()
+
+
 def test_generate_names_an_invalid_params_file(tmp_path, capsys):
     path = tmp_path / "params.json"
     path.write_text('{"lambda": 6, "p": 3,\n')
@@ -989,6 +1024,62 @@ def test_selftest_catches_broken_document_reader(monkeypatch, capsys):
     out = capsys.readouterr().out
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["document-round-trip"]
+
+
+def _selftest_failures(capsys):
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    return [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
+
+
+def test_selftest_verifies_the_claims_a_construction_attaches(monkeypatch, capsys):
+    real = mscs.cli.single_prime_mscs
+
+    def wrong_claim(block, modulus):
+        sset = real(block, modulus)
+        if block.s == 1:
+            return sset
+        claims = [{"kind": "MSCS", "S": 1}]
+        return SequenceSet(sset.sequences, {**sset.metadata, "claims": claims})
+
+    monkeypatch.setattr(mscs.cli, "single_prime_mscs", wrong_claim)
+    assert _selftest_failures(capsys) == ["single-prime-sweep"]
+
+
+def test_selftest_fails_a_reference_set_that_does_not_build(monkeypatch, capsys):
+    def refuse():
+        raise RuntimeError("no set")
+
+    monkeypatch.setattr(mscs.reference_sets, "mscs_3_54_2", refuse)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL mscs-3-54-2: RuntimeError: no set\n" in out
+    failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["mscs-3-54-2", "pmepr-3-54-2", "energy-identity", "residue-path",
+                      "iapr-curves"]
+    assert "selftest: 7/12 ok" in out
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_selftest_separation_compares_the_exact_flags(monkeypatch, capsys, verdict):
+    monkeypatch.setattr(mscs.cli, "is_zero", lambda total: verdict)
+    assert "exact-float-separation" in _selftest_failures(capsys)
+
+
+def test_selftest_separation_fails_a_float_sum_off_its_exact_value(monkeypatch, capsys):
+    real = mscs.correlation._grouped_sums
+
+    def pushed(sset, shifts):
+        sums, residues = real(sset, shifts)
+        sums = sums.copy()
+        sums[0, 0] += 1e-9
+        return sums, residues
+
+    monkeypatch.setattr(mscs.correlation, "_grouped_sums", pushed)
+    # every check that verifies a claim raises; the PMEPR and identity checks read no residues
+    assert _selftest_failures(capsys) == ["mscs-3-27-3", "zcs-3-27-24", "mscs-3-54-2",
+                                          "single-prime-sweep", "multi-prime-sweep",
+                                          "exact-float-separation"]
 
 
 def test_module_entry_point(tmp_path):
