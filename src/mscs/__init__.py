@@ -19,7 +19,6 @@ from .correlation import (
     CorrelationReport,
     CyclotomicSum,
     ShiftCheck,
-    aacf_set_residues,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -68,7 +67,6 @@ __all__ = [
     "CorrelationReport",
     "CyclotomicSum",
     "ShiftCheck",
-    "aacf_set_residues",
     "aacf_set_sum",
     "accf_exact",
     "accf_float",

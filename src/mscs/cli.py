@@ -10,8 +10,9 @@ Subcommands:
 * ``selftest``  run the bundled end-to-end checks at reduced scale.
 
 Exit codes: 0 success / claim verified, 1 verification or selftest
-failure, 2 usage or parse error, 3 an internal check failed (a float sum
-outside the proven bound of its exact value, or failed residue checks).
+failure, 2 usage or parse error, 3 an internal check failed (a conjugate
+sum between the proven bound and 1 minus it, or a verdict the
+``aacf_set_sum`` cross-check contradicts).
 Documents are written with sorted keys and fixed layout, so identical
 flags (and seed) give identical bytes.  A document's phases are one
 read-only (M, L) int64 matrix (``SetDocument.sequences``): the reader
@@ -43,8 +44,9 @@ from .constructions import (
     single_prime_mscs,
 )
 from .correlation import (
-    CyclotomicSum,
-    aacf_set_residues,
+    _conjugate_ks,
+    _embedding_bound,
+    _lift_sums,
     aacf_set_sum,
     is_zero,
     kronecker_accf_identity_check,
@@ -63,7 +65,7 @@ from .pmepr import (
     pmepr_report,
     pmepr_set,
 )
-from .seqcore import PhaseSequence, SequenceSet, check_length, phase_rows
+from .seqcore import PhaseSequence, SequenceSet, check_length, phase_rows, unit_lift
 
 SCHEMA_VERSION = 1
 
@@ -628,8 +630,8 @@ def _selftest_checks():
         return None
 
     def check_exact_float_separation():
-        # a GCS claim tests every shift, and each float sum outside the proven bound
-        # of its exact value raises; the flags must be the cyclotomic sums' verdicts
+        # a GCS claim tests every shift, and a conjugate maximum between the proven
+        # bound and 1 minus it raises; the flags must be the cyclotomic sums' verdicts
         sset = reference_sets.mscs_3_27_3()
         checks = _verify_claim(sset, {"kind": "GCS"}).shifts
         for tau, zero in zip(checks.tested.tolist(), checks.zeros.tolist()):
@@ -640,22 +642,26 @@ def _selftest_checks():
             return f"degenerate split: {zeros} zeros, {len(checks) - zeros} nonzeros"
         return None
 
-    def check_residue_path():
+    def check_conjugate_path():
         a, b = reference_sets.mscs_3_27_3(), reference_sets.mscs_3_54_2()
         # every shift, then a stride-3 MSCS plan and a type-II ZCS tail window
-        for sset, shifts in ((a, range(1, 27)), (b, range(1, 54)), (a, range(3, 27, 3)),
-                             (b, range(54 - 20, 54))):
-            lam = sset.modulus
-            for tau, row in zip(shifts, aacf_set_residues(sset, shifts)):
-                # the residue read as counts of w^0..w^(phi-1) is the same sum
-                as_counts = CyclotomicSum(lam, np.pad(row, (0, lam - len(row))))
-                if not is_zero(aacf_set_sum(sset, tau) - as_counts):
-                    return f"L={sset.length} tau={tau}: residues {row.tolist()} differ"
-        # residues add over members, which splitting a set into groups rests on
-        parts = [aacf_set_residues(SequenceSet(b.sequences[i:j]), range(1, 54))
-                 for i, j in ((0, 2), (2, 3))]
-        if not np.array_equal(aacf_set_residues(b, range(1, 54)), parts[0] + parts[1]):
-            return "L=54: residues of two member slices do not add up"
+        for sset, claim in ((a, {"kind": "GCS"}), (b, {"kind": "GCS"}),
+                            (a, {"kind": "MSCS", "S": 3}), (b, {"kind": "ZCS", "Z": 21})):
+            lam, checks = sset.modulus, _verify_claim(sset, claim).shifts
+            counts = np.array([aacf_set_sum(sset, t).counts for t in checks.tested.tolist()])
+            if not np.array_equal(checks.zeros, is_zero(counts)):
+                return f"L={sset.length} {_claim_tag(claim)}: verdicts differ from the counts'"
+            # sigma_k of the counts, from roots within 24u of w^(kj) and lambda-term
+            # sums of integer multiples, errs by at most (24 + 2 lambda)u per count
+            ks = _conjugate_ks(lam)
+            exact = counts @ unit_lift(np.outer(ks, np.arange(lam)) % lam, lam).T
+            slack = (_embedding_bound(len(sset), sset.length)
+                     + (24 + 2 * lam) * 2.0**-53 * counts.sum(axis=1, keepdims=True))
+            error = np.abs(_lift_sums(sset, ks, checks.tested).T - exact)
+            if (error > slack).any():
+                i, k = np.argwhere(error > slack)[0]
+                return (f"L={sset.length} tau={checks.tested[i]} k={ks[k]}: conjugate off "
+                        f"its exact value by {error[i, k]:.3e}")
         return None
 
     def check_iapr_curves():
@@ -696,7 +702,7 @@ def _selftest_checks():
         ("kronecker-split", check_kronecker_split),
         ("energy-identity", check_energy_identity),
         ("exact-float-separation", check_exact_float_separation),
-        ("residue-path", check_residue_path),
+        ("conjugate-path", check_conjugate_path),
         ("iapr-curves", check_iapr_curves),
         ("document-round-trip", check_document_round_trip),
     ]
@@ -736,11 +742,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, help="number of digits")
     gen.add_argument("--s", type=int, help="shift exponent parameter (default 1)")
     gen.add_argument("--lambda", type=int, help="phase modulus")
-    gen.add_argument("--pi", type=_int_list, help="permutation of {s..m}, comma separated")
+    gen.add_argument("--pi", type=_int_list,
+                     help="permutation of {s..m}, comma separated (--pi=-1,2 if it starts "
+                          "with a negative value)")
     gen.add_argument("--linear", type=_int_list,
-                     help="linear coefficients g_1..g_m, comma separated")
+                     help="linear coefficients g_1..g_m, comma separated (--linear=-1,2 if "
+                          "they start with a negative value)")
     gen.add_argument("--constant", type=int, help="additive constant")
-    gen.add_argument("--h-table", type=_int_list, help="head function table, comma separated")
+    gen.add_argument("--h-table", type=_int_list,
+                     help="head function table, comma separated (--h-table=-1,2 if it "
+                          "starts with a negative value)")
     gen.add_argument("--seed", type=int, help="randomize unspecified parameters")
     gen.add_argument("--verify", action="store_true",
                      help="exactly verify the claim before writing")

@@ -6,30 +6,27 @@ exponent (:class:`CyclotomicSum`).  Such a sum is exactly zero iff its
 generating polynomial sum_j counts[j] x^j is divisible by the lambda-th
 cyclotomic polynomial, the minimal polynomial of exp(2*pi*1j/lambda).  The
 test multiplies the counts by the integer matrix of the residues
-x^j mod Phi_lambda, so GCS / MSCS / type-II ZCS verdicts carry no floating
-point tolerance.
+x^j mod Phi_lambda (:func:`is_zero`), so it carries no floating point
+tolerance.
 
-Exact verification computes the residues r(tau) = counts @ R of every
-tested shift at once (:func:`aacf_set_residues`).  The embedding sums
-E_k(tau), the members' autocorrelations of w^(k*x) summed, are the Galois
-conjugates sum_j r_j w^(kj) of the correlation value, so phi(lambda)/2 FFT
-autocorrelations and one cached real phi x phi inverse give every residue
-after rounding (:func:`_residue_table`); E_1 is the float sum itself.
-Rounding is sound while :func:`_rounding_bound` stays below 1/2, so a
-set past it is split into the fewest member groups under it
-(:func:`_member_groups`), whose rounded residues are added.  A group's
-largest rounding residual must stay within its bound, and the residue at
-that shift must equal :func:`aacf_set_sum`'s, or ``RuntimeError`` is raised.
+Verification decides every tested shift from FFT autocorrelations.  The
+embedding sums E_k(tau), the members' autocorrelations of w^(k*x)
+summed (:func:`_lift_sums`), are the Galois conjugates of the
+correlation value; the units k <= lambda/2 give one per conjugate pair,
+phi(lambda)/2 embeddings, and E_1 is the float sum itself.  Each computed
+sum lies within one a-priori bound B of its exact value
+(:func:`_embedding_bound`).  A nonzero cyclotomic integer has a conjugate
+of modulus at least 1, so while B < 1/2 a shift is zero exactly when
+max_k |E_k(tau)| <= B (:func:`_verify` derives it).  A maximum between B
+and 1 - B, or a verdict that one :func:`aacf_set_sum` + :func:`is_zero`
+cross-check contradicts, raises ``RuntimeError``; a set whose B reaches
+1/2 is refused with ``ValueError`` before any transform.
 
 Transforms are sized by the tested lags (:func:`_lag_plan`): cut to the
 window the shifts touch and split into polyphase rows by their gcd.
 
-One rule separates floats from exact values: at every tested shift the
-float k = 1 sum must lie within :func:`_embedding_bound` of the exact
-value sum_j r_j w^j, plus the proven error of evaluating it
-(:func:`_check_separation`), or ``RuntimeError`` is raised.  Moduli above
-``EXACT_MODULUS_CAP`` have no residues: a sum counts as zero when its
-magnitude is within :func:`_embedding_bound`, and the report's ``mode``
+Moduli above ``EXACT_MODULUS_CAP`` take the k = 1 embedding alone: a sum
+counts as zero when its magnitude is within B, and the report's ``mode``
 is "numerical" instead of "exact".
 
 A :class:`CorrelationReport` keeps the verdict of every tested shift as
@@ -41,11 +38,10 @@ over every shift of a near-cap set costs no Python object per shift.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +49,6 @@ from .constructions import kronecker_compose
 from .seqcore import PhaseSequence, SequenceSet, to_complex, unit_lift
 
 EXACT_MODULUS_CAP = 1000
-ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,158 +387,15 @@ def _embedding_bound(M: int, L: int) -> float:
     7-smooth numbers 2^a * (1, 5/4, 3/2, 7/4) from 4 on step by ratios of
     at most 5/4; so n/n' >= 8g(Q - 1)/(5(2Q - 1)) >= 16g/25.  For g >= 2
     both ratios exceed (2g)^(1/24) >= 2^(ceil(log2(g))/24).
-
-    Sums of G member groups of M_g members (:func:`_member_groups`), added
-    in turn, are covered too: the groups' bounds and the G - 1 additions
-    (u*M*L each) add up to at most the bound, as M_g >= 1 gives
-    sum_g M_g*(M - M_g) >= sum_g (M - M_g) = (G - 1)*M.
     """
     n = _fft_length(L)
     return _UNIT_ROUNDOFF * M * L * (24 * math.log2(n) + M + 53)
 
 
 @functools.lru_cache(maxsize=None)
-def _residue_table(lam: int) -> tuple[tuple[int, ...], np.ndarray, float, float]:
-    """Embeddings ks, table W with residues = [Re E_k, Im E_k over ks] @ W, and error constants.
-
-    ks are the units k of Z/lambda with k <= lambda/2, one per conjugate
-    pair (k = 1 alone for lambda = 2, whose Im E_1 is zero and is dropped):
-    phi(lambda)/2 embeddings.  W inverts the real phi x phi matrix B with
-    B[j, (cos|sin) k] = cos|sin(2*pi*k*j/lambda), j < phi(lambda), which
-    maps a residue r to [Re, Im] of its conjugates E_k = sum_j r_j w^(kj).
-
-    Also returned: c, the largest column l1 norm of W, and the constant
-    ``extra`` of :func:`_rounding_bound`.
-    """
-    phi = len(cyclotomic_polynomial(lam)) - 1
-    ks = tuple(k for k in range(1, lam // 2 + 1) if math.gcd(k, lam) == 1)
-    angle = 2 * np.pi * ((np.arange(phi)[:, None] * np.array(ks)) % lam) / lam
-    basis = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)[:, :phi]
-    table = np.linalg.inv(basis)
-    table.flags.writeable = False
-    c = float(np.abs(table).sum(axis=0).max())
-    off = float(np.abs(np.eye(phi) - basis @ table).max())
-    rho = int(np.abs(_reduction_matrix(lam)[0]).sum(axis=1).max())
-    extra = phi * c + rho * (off / _UNIT_ROUNDOFF + (phi + 24) * c)
-    return ks, table, c, extra
-
-
-def _rounding_bound(M: int, L: int, lam: int) -> float:
-    """A-priori bound on |computed - exact| of every all-shift residue before rounding.
-
-    The bound is c*B + u*M*L*extra, B = :func:`_embedding_bound`, with c
-    and extra from :func:`_residue_table`.  A residue is r = e @ W for the
-    exact [Re E_k, Im E_k] row e; the computed one is fl(e' @ W'), with e'
-    the computed sums and W' the computed table:
-
-    * Propagation.  |e' - e| <= B per entry, so at most c*B.
-    * Solve.  The phi-term dot product errs by phi*u * sum|W'||e'| <=
-      phi*u*c*M*L, as |E_k(tau)| <= M*L.
-    * Table.  e @ (W - W') = r @ (I - B @ W') with B the exact matrix,
-      and ||r||_1 <= rho*M*L, rho the largest l1 norm of a row of R.  An
-      entry of |I - B @ W'| is at most the largest entry ``off`` of the
-      computed |I - B' @ W'|, plus phi*u*c for computing it, plus 24u*c
-      (B' entries lie within 24u of B), so this term is at most
-      rho*M*L*(off + (phi + 24)*u*c).
-
-    c is at most 2.96 for lambda <= 60 (4.67 at lambda = 105).  Below 1/2
-    the bound guarantees that rint recovers every residue; the neglected
-    second-order terms are then smaller by a factor of about 10^13.
-    """
-    _, _, c, extra = _residue_table(lam)
-    return c * _embedding_bound(M, L) + _UNIT_ROUNDOFF * M * L * extra
-
-
-def _member_groups(M: int, L: int, lam: int) -> list[slice]:
-    """Fewest consecutive member slices whose own :func:`_rounding_bound` is below 1/2.
-
-    Each holds the largest such member count but the last, which holds the
-    rest.  One member's bound at ``MAX_LENGTH`` is at most 1.03e-3 for every
-    lambda <= ``EXACT_MODULUS_CAP``, so a grouping exists up to that length.
-    A set under the bound as a whole is one group, found without a search.
-    """
-    if _rounding_bound(M, L, lam) < 0.5:
-        return [slice(0, M)]
-    size = bisect.bisect_left(range(1, M + 1), True,
-                              key=lambda m: _rounding_bound(m, L, lam) >= 0.5)
-    if not size:
-        raise ValueError("FFT rounding bound reaches 1/2 for a single member")
-    return [slice(start, min(start + size, M)) for start in range(0, M, size)]
-
-
-def _residues_from_lift_sums(sset: SequenceSet, shifts: Sequence[int],
-                             sums: np.ndarray) -> np.ndarray:
-    """Exact residues counts @ R, one row per shift, from the embedding sums of ks.
-
-    ``sums`` holds one row per k of :func:`_residue_table`.  Raises
-    RuntimeError when the largest rounding residual exceeds
-    :func:`_rounding_bound`, or the residue of the shift with the largest
-    residual differs from that of :func:`aacf_set_sum`.
-    """
-    lam = sset.modulus
-    _, table, _, _ = _residue_table(lam)
-    phi = table.shape[0]
-    approx = np.concatenate([sums.real, sums.imag])[:phi].T @ table
-    rounded = np.rint(approx)
-    residues = rounded.astype(np.int64)
-    if len(shifts):
-        residual = np.abs(approx - rounded).max(axis=1)
-        i = int(np.argmax(residual))
-        bound = _rounding_bound(len(sset), sset.length, lam)
-        if residual[i] > bound:
-            raise RuntimeError(f"all-shift rounding residual {residual[i]:.3e} "
-                               f"exceeds its bound {bound:.3e}")
-        tau = int(shifts[i])
-        # x^j mod Phi_lambda is x^j for j < phi, so the residue read as
-        # counts is the same element of Z[w]
-        as_counts = CyclotomicSum(lam, np.pad(residues[i], (0, lam - phi)))
-        if not is_zero(aacf_set_sum(sset, tau) - as_counts):
-            raise RuntimeError(f"all-shift residues disagree with aacf_set_sum at shift {tau}")
-    return residues
-
-
-def _grouped_sums(sset: SequenceSet, shifts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding sums of the ks of :func:`_residue_table` and exact residues, added over groups."""
-    ks = _residue_table(sset.modulus)[0]
-    sums = residues = 0
-    for group in _member_groups(len(sset), sset.length, sset.modulus):
-        part = SequenceSet(sset.sequences[group])
-        part_sums = _lift_sums(part, ks, shifts)
-        residues = residues + _residues_from_lift_sums(part, shifts, part_sums)
-        sums = sums + part_sums
-    return sums, residues
-
-
-def aacf_set_residues(sset: SequenceSet, shifts: Sequence[int]) -> np.ndarray:
-    """Residues of the set autocorrelation sum at many shifts 0 <= tau < L.
-
-    Row i equals ``aacf_set_sum(sset, shifts[i]).counts @ R``, R holding
-    x^j mod Phi_lambda, so the sum is zero exactly when its row is.  All
-    rows come from FFT embeddings per member group (:func:`_grouped_sums`).
-    """
-    L = sset.length
-    if any(not 0 <= tau < L for tau in shifts):
-        raise ValueError(f"shifts must lie in [0, {L})")
-    return _grouped_sums(sset, shifts)[1]
-
-
-def _check_separation(floats: np.ndarray, residues: np.ndarray, lam: int, bound: float,
-                      shifts: Sequence[int]) -> None:
-    """Raise unless each float k = 1 sum lies within its proven bound of sum_j r_j w^j.
-
-    The float sum errs by at most ``bound`` (:func:`_embedding_bound`).  The
-    exact value, taken as two real phi-term dot products of the integers r
-    with roots within 24u of w^j, errs by at most (24 + 2*phi)*u*sum|r_j|
-    in any summation order; the comparison adds second-order terms only.
-    """
-    phi = residues.shape[1]
-    roots = unit_lift(np.arange(phi), lam)
-    error = np.abs(floats - residues @ roots.real - 1j * (residues @ roots.imag))
-    slack = bound + (24 + 2 * phi) * _UNIT_ROUNDOFF * np.abs(residues).sum(axis=1)
-    if (error > slack).any():
-        i = int(np.argmax(error > slack))
-        raise RuntimeError(f"exact/float separation violated at shift {shifts[i]}: "
-                           f"|float - exact| = {error[i]:.3e} exceeds its bound {slack[i]:.3e}")
+def _conjugate_ks(lam: int) -> tuple[int, ...]:
+    """The units k <= lambda/2 of Z/lambda: one embedding per conjugate pair."""
+    return tuple(k for k in range(1, lam // 2 + 1) if math.gcd(k, lam) == 1)
 
 
 @dataclass(frozen=True)
@@ -606,7 +458,7 @@ class ShiftChecks(Sequence[ShiftCheck]):
 class CorrelationReport:
     """Outcome of a GCS / MSCS / type-II ZCS verification run.
 
-    ``mode`` names how the verdicts were reached: "exact" residues, or
+    ``mode`` names how the verdicts were reached: "exact" conjugates, or
     "numerical" float sums within :func:`_embedding_bound` for moduli above
     ``EXACT_MODULUS_CAP``.  ``shifts`` holds the verdicts of every tested
     shift as arrays (:class:`ShiftChecks`), and ``passed`` and
@@ -633,26 +485,62 @@ class CorrelationReport:
 
 def _verify(sset: SequenceSet, shifts: range, claim: str,
             parameter: int | None) -> CorrelationReport:
-    lam = sset.modulus
+    """Verdicts of the tested shifts: zero where every conjugate is within the bound.
+
+    Let C = sum_j c_j w^j, w = exp(2*pi*1j/lambda), be the exact set
+    autocorrelation at a shift, an element of Z[w].  Its conjugates are
+    sigma_k(C) = sum_j c_j w^(kj) over the units k of Z/lambda, and the
+    embedding sum E_k of :func:`_lift_sums` is sigma_k(C).  The norm
+    N(C) = prod_k sigma_k(C) is a rational integer, nonzero iff C != 0
+    (Washington, Introduction to Cyclotomic Fields, GTM 83).  As
+    sigma_(lambda-k)(C) = conj(sigma_k(C)), |N(C)| is the product of
+    |sigma_k(C)|^2 over the units k < lambda/2 (of |sigma_1(C)| alone for
+    lambda = 2), so C != 0 gives max_k |sigma_k(C)| >= 1 over the units
+    k <= lambda/2 (:func:`_conjugate_ks`), and C = 0 gives sigma_k(C) = 0.
+
+    Each computed E'_k lies within B = :func:`_embedding_bound` of
+    sigma_k(C).  So C = 0 gives max_k |E'_k| <= B, and C != 0 gives
+    max_k |E'_k| >= 1 - B.  While B < 1/2 the two ranges are disjoint:
+    the verdict is max_k |E'_k| <= B, and a maximum strictly between B and
+    1 - B means the bound failed, so ``RuntimeError`` is raised.  A set
+    with B >= 1/2 is refused with ``ValueError`` before any transform.
+    The verdict at the largest nonzero tested shift (the largest tested
+    shift if none is nonzero), the one with the fewest terms, is checked
+    against ``is_zero(aacf_set_sum(...))``; a mismatch raises
+    ``RuntimeError``.
+
+    Above ``EXACT_MODULUS_CAP`` only E_1 is computed ("numerical" mode): a
+    shift with |E'_1| > B is proven nonzero, a pass is not proven.
+    """
+    M, L, lam = len(sset), sset.length, sset.modulus
     numerical = lam > EXACT_MODULUS_CAP
-    bound = _embedding_bound(len(sset), sset.length)
-    if numerical:
-        floats = _lift_sums(sset, (1,), shifts)[0]
-        zeros = np.abs(floats) <= bound
-    else:
-        sums, residues = _grouped_sums(sset, shifts)
-        floats = sums[0]
-        zeros = ~residues.any(axis=1)
-        _check_separation(floats, residues, lam, bound, shifts)
+    bound = _embedding_bound(M, L)
+    if bound >= 0.5:
+        raise ValueError(f"FFT rounding bound {bound:.3g} of {M} members of length {L} "
+                         "reaches 1/2; verify fewer members")
+    sums = _lift_sums(sset, (1,) if numerical else _conjugate_ks(lam), shifts)
+    peak = np.abs(sums).max(axis=0)
+    zeros = peak <= bound
+    tested = np.arange(shifts.start, shifts.stop, shifts.step)
+    if not numerical and len(tested):
+        between = np.flatnonzero(~zeros & (peak < 1 - bound))
+        if len(between):
+            i = between[0]
+            raise RuntimeError(f"conjugate maximum {peak[i]:.3e} at shift {tested[i]} lies "
+                               f"between the bound {bound:.3e} and 1 minus it")
+        nonzero = np.flatnonzero(~zeros)
+        i = nonzero[-1] if len(nonzero) else len(tested) - 1
+        tau = int(tested[i])
+        if zeros[i] != is_zero(aacf_set_sum(sset, tau)):
+            raise RuntimeError(f"the verdict at shift {tau} disagrees with aacf_set_sum")
     return CorrelationReport(
         claim=claim,
         parameter=parameter,
-        set_size=len(sset),
-        length=sset.length,
+        set_size=M,
+        length=L,
         modulus=lam,
         mode="numerical" if numerical else "exact",
-        shifts=ShiftChecks(np.arange(shifts.start, shifts.stop, shifts.step), zeros,
-                           np.abs(floats)),
+        shifts=ShiftChecks(tested, zeros, np.abs(sums[0])),
     )
 
 
@@ -696,6 +584,20 @@ def _accf_float_or_zero(x: PhaseSequence, tau: int) -> complex:
     return accf_float(x, x, tau)
 
 
+def _accf_float_error(n: int) -> float:
+    """First-order bound on |computed - exact| of an :func:`accf_float` sum of n terms.
+
+    Each factor is a unit root within 24u of its exact value (u = 2^-53),
+    so a term is within 48u of its exact product before it is formed, and
+    the complex product rounds by at most sqrt(2)*gamma_2 < 3u (Higham,
+    Accuracy and Stability of Numerical Algorithms, Lemma 3.5).  A complex
+    addition rounds by at most u times its result, so n terms summed in any
+    order err by at most (n - 1)u times the sum of their moduli, at most n.
+    Together n*(n + 50)*u.
+    """
+    return _UNIT_ROUNDOFF * n * (n + 50)
+
+
 def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) -> bool:
     """Check the correlation split of a Kronecker product against direct computation.
 
@@ -707,28 +609,36 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
     where the second term is present only when r != 0 and out-of-range
     shifts contribute zero.  Floor division extends the split to negative
     shifts unchanged.  The identity is checked exactly through count
-    vector convolution and in floats within ``ZERO_TOL``; both must hold.
+    vector convolution, and in floats within the first-order rounding
+    error of both sides; both must hold.  A product of sums of n_a and n_b
+    terms, each within e(n) = :func:`_accf_float_error` of its value of
+    modulus at most n, errs by at most n_a*e(n_b) + n_b*e(n_a) plus 3u*n_a*n_b
+    for the product and u*n_a*n_b for adding it.
     """
     if a.modulus != b.modulus:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
-    L2 = len(b)
-    total = len(a) * L2
+    L1, L2 = len(a), len(b)
+    total = L1 * L2
     if not (-total < tau < total):
         raise ValueError(f"shift {tau} out of range for composed length {total}")
     q, r = divmod(tau, L2)
+    pairs = [(q, r), (q + 1, r - L2)] if r else [(q, r)]
     composed = kronecker_compose(a, b)
 
     lhs_f = accf_float(composed, composed, tau)
-    rhs_f = _accf_float_or_zero(a, q) * _accf_float_or_zero(b, r)
-    if r != 0:
-        rhs_f += _accf_float_or_zero(a, q + 1) * _accf_float_or_zero(b, r - L2)
-    float_ok = abs(lhs_f - rhs_f) <= ZERO_TOL
+    rhs_f = sum(_accf_float_or_zero(a, s) * _accf_float_or_zero(b, t) for s, t in pairs)
+    slack = _accf_float_error(total - abs(tau))
+    for s, t in pairs:
+        na, nb = max(L1 - abs(s), 0), max(L2 - abs(t), 0)
+        slack += (na * _accf_float_error(nb) + nb * _accf_float_error(na)
+                  + 4 * _UNIT_ROUNDOFF * na * nb)
+    float_ok = abs(lhs_f - rhs_f) <= slack
 
     if a.modulus > EXACT_MODULUS_CAP:
         return float_ok
 
     lhs = accf_exact(composed, composed, tau)
-    rhs = _accf_or_zero(a, q) * _accf_or_zero(b, r)
-    if r != 0:
-        rhs = rhs + _accf_or_zero(a, q + 1) * _accf_or_zero(b, r - L2)
+    rhs = CyclotomicSum.zero(a.modulus)
+    for s, t in pairs:
+        rhs = rhs + _accf_or_zero(a, s) * _accf_or_zero(b, t)
     return float_ok and is_zero(lhs - rhs)

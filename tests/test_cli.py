@@ -409,6 +409,25 @@ def test_generate_names_the_flag_and_token_of_a_bad_list(tmp_path, capsys, flag)
     assert not out.exists()
 
 
+def test_generate_takes_a_negative_leading_list_after_an_equals_sign(tmp_path, capsys):
+    docs = []
+    for value in ("--linear=-1,2,3", "--linear=5,2,3"):
+        out = tmp_path / f"{len(docs)}.json"
+        assert main(["generate", "--p", "3", "--m", "3", "--lambda", "6", value,
+                     "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    # after a space argparse reads the value as an option, as --help says
+    capsys.readouterr()
+    assert main(["generate", "--p", "3", "--m", "3", "--lambda", "6", "--linear", "-1,2,3",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert "argument --linear: expected one argument" in capsys.readouterr().err
+    assert main(["generate", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    for flag in ("--pi", "--linear", "--h-table"):
+        assert f"{flag}=-1,2" in help_text
+
+
 def test_generate_names_an_invalid_params_file(tmp_path, capsys):
     path = tmp_path / "params.json"
     path.write_text('{"lambda": 6, "p": 3,\n')
@@ -581,16 +600,32 @@ def test_generate_flags_check_length_before_drawing(tmp_path, capsys, monkeypatc
     assert err == "error: sequence length 2097152 exceeds capacity limit 1000000\n"
 
 
+def _move_sums(monkeypatch, move):
+    """Apply ``move`` to the embedding sums that verification computes."""
+    inner = mscs.correlation._lift_sums
+    monkeypatch.setattr(mscs.correlation, "_lift_sums",
+                        lambda sset, ks, shifts: move(inner(sset, ks, shifts)))
+
+
+def _pull_first_shift(sums):
+    # every conjugate of the first tested shift, zero or not, between B and 1 - B
+    sums[:, 0] = 0.5
+    return sums
+
+
 def test_verify_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     path = _example_doc_path(tmp_path)
-    # the residues call every sum zero; the float sums lie far outside the
-    # proven bound of that exact value
-    monkeypatch.setattr(mscs.correlation, "_residues_from_lift_sums",
-                        lambda sset, shifts, sums: np.zeros((len(shifts), 2), dtype=np.int64))
+    _move_sums(monkeypatch, _pull_first_shift)
     assert main(["verify", path, "--claim", "gcs"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: internal check failed: exact/float separation")
-    assert err.count("\n") == 1
+    assert err == ("error: internal check failed: conjugate maximum 5.000e-01 at shift 1 lies "
+                   "between the bound 1.746e-12 and 1 minus it\n")
+    monkeypatch.undo()
+    # a flipped oracle contradicts the verdict at the largest nonzero shift
+    monkeypatch.setattr(mscs.correlation, "is_zero", lambda total: False)
+    assert main(["verify", path, "--S", "3"]) == 3
+    assert capsys.readouterr().err == ("error: internal check failed: the verdict at shift 24 "
+                                       "disagrees with aacf_set_sum\n")
 
 
 def test_generate_explicit_flags(tmp_path, capsys):
@@ -1004,7 +1039,7 @@ def test_selftest_catches_broken_reference(monkeypatch, capsys):
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     # three checks fail on the corrupted set; the other nine still pass
-    # (residue-path compares two engines on the same set, and
+    # (conjugate-path compares the verdicts and conjugates with the counts, and
     # document-round-trip writes and reads back whatever phases it holds)
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["mscs-3-27-3", "zcs-3-27-24", "energy-identity"]
@@ -1055,7 +1090,7 @@ def test_selftest_fails_a_reference_set_that_does_not_build(monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "FAIL mscs-3-54-2: RuntimeError: no set\n" in out
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
-    assert failed == ["mscs-3-54-2", "pmepr-3-54-2", "energy-identity", "residue-path",
+    assert failed == ["mscs-3-54-2", "pmepr-3-54-2", "energy-identity", "conjugate-path",
                       "iapr-curves"]
     assert "selftest: 7/12 ok" in out
 
@@ -1067,19 +1102,19 @@ def test_selftest_separation_compares_the_exact_flags(monkeypatch, capsys, verdi
 
 
 def test_selftest_separation_fails_a_float_sum_off_its_exact_value(monkeypatch, capsys):
-    real = mscs.correlation._grouped_sums
-
-    def pushed(sset, shifts):
-        sums, residues = real(sset, shifts)
-        sums = sums.copy()
-        sums[0, 0] += 1e-9
-        return sums, residues
-
-    monkeypatch.setattr(mscs.correlation, "_grouped_sums", pushed)
-    # every check that verifies a claim raises; the PMEPR and identity checks read no residues
+    _move_sums(monkeypatch, _pull_first_shift)
+    # every check that verifies a claim raises; the PMEPR and identity checks
+    # take the energy sums through their own import of _lift_sums
     assert _selftest_failures(capsys) == ["mscs-3-27-3", "zcs-3-27-24", "mscs-3-54-2",
                                           "single-prime-sweep", "multi-prime-sweep",
-                                          "exact-float-separation"]
+                                          "exact-float-separation", "conjugate-path"]
+
+
+def test_selftest_conjugate_path_catches_a_conjugate_off_its_exact_value(monkeypatch, capsys):
+    # 1e-9 leaves every verdict as it was, but not the conjugates' distance to the counts
+    real = mscs.cli._lift_sums
+    monkeypatch.setattr(mscs.cli, "_lift_sums", lambda *args: real(*args) + 1e-9)
+    assert _selftest_failures(capsys) == ["conjugate-path"]
 
 
 def test_module_entry_point(tmp_path):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import mscs.correlation as correlation
 from conftest import lift, naive_rho, naive_set_aacf
-from mscs.cli import _build_from_params
+from mscs.cli import _build_from_params, document_from_set, write_document
+from mscs.cli import main as cli_main
 from mscs.constructions import (
     PrimeBlock,
     kronecker_compose,
@@ -412,16 +413,6 @@ def test_report_checks_behave_as_the_tuple_of_checks():
     assert nudged.flags.writeable and flags.flags.writeable
 
 
-def test_member_groups_skip_the_search_under_the_bound(monkeypatch):
-    def search(*args, **kwargs):
-        raise AssertionError("bisected a set that is one group")
-
-    monkeypatch.setattr(correlation.bisect, "bisect_left", search)
-    assert correlation._member_groups(30, 972000, 30) == [slice(0, 30)]
-    assert correlation._member_groups(3, 27, 6) == [slice(0, 3)]
-    assert verify_mscs(mscs_3_27_3(), 3).passed
-
-
 def test_verify_numerical_mode_above_cap():
     lam = 2 * 1009
     assert lam > EXACT_MODULUS_CAP
@@ -431,46 +422,52 @@ def test_verify_numerical_mode_above_cap():
     assert report.passed
 
 
-def _push_float_sums(monkeypatch, tau, by):
-    """Move the float k = 1 sum at shift tau by ``by`` after the residues are rounded."""
-    inner = correlation._grouped_sums
+def _move_sums(monkeypatch, move, tau=None, rows=slice(None)):
+    """Apply ``move`` to the embedding sums of ``rows`` at shift tau (every shift if None)."""
+    inner = correlation._lift_sums
 
-    def pushed(sset, shifts):
-        sums, residues = inner(sset, shifts)
-        sums[0, list(shifts).index(tau)] += by
-        return sums, residues
+    def moved(sset, ks, shifts):
+        sums = inner(sset, ks, shifts)
+        at = slice(None) if tau is None else list(shifts).index(tau)
+        sums[rows, at] = move(sums[rows, at])
+        return sums
 
-    monkeypatch.setattr(correlation, "_grouped_sums", pushed)
+    monkeypatch.setattr(correlation, "_lift_sums", moved)
 
 
 def test_separation_tripwire(monkeypatch):
-    # make the exact path lie, in one group and in two; the float sums must catch it
-    sset = mscs_3_27_3()
-    bound = correlation._embedding_bound(len(sset), sset.length)
-    for groups in (1, 2):
-        if groups == 2:
-            _split_groups(monkeypatch, 2)
-            assert len(correlation._member_groups(3, 27, 6)) == 2
-        assert verify_gcs(sset).mode == "exact"
-        monkeypatch.setattr(correlation, "_residues_from_lift_sums",
-                            lambda sset, shifts, sums: np.zeros((len(shifts), 2), dtype=np.int64))
-        with pytest.raises(RuntimeError, match="separation violated at shift 1:"):
+    # the lambda = 15 set checked as a GCS has zeros at multiples of 3,
+    # nonzeros elsewhere, and four conjugates per shift
+    for sset in (mscs_3_27_3(), _claim_breakers()[15]):
+        bound = correlation._embedding_bound(len(sset), sset.length)
+        report = verify_gcs(sset)
+        zero_at = next(c.shift for c in report.shifts if c.exact_zero)
+        nonzero_at = next(c.shift for c in report.shifts if not c.exact_zero)
+        # one conjugate of a zero moved between B and 1 - B raises; within B it passes
+        _move_sums(monkeypatch, lambda v: v + 0.25, zero_at, rows=-1)
+        with pytest.raises(RuntimeError, match=f"at shift {zero_at} lies between the bound"):
             verify_gcs(sset)
         monkeypatch.undo()
-    # float sums pushed past the proven bound of their exact value raise,
-    # at an exact zero and at a nonzero; within the bound they pass
-    report = verify_gcs(sset)
-    zero_at = next(c.shift for c in report.shifts if c.exact_zero)
-    assert not report.shifts[0].exact_zero
-    for tau in (zero_at, 1):
-        _push_float_sums(monkeypatch, tau, 2 * bound)
-        with pytest.raises(RuntimeError, match=f"separation violated at shift {tau}:"):
+        _move_sums(monkeypatch, lambda v: v + bound / 2, zero_at, rows=-1)
+        assert verify_gcs(sset).shifts.zeros.tolist() == report.shifts.zeros.tolist()
+        monkeypatch.undo()
+        # every conjugate of a nonzero pulled below 1 - B raises
+        _move_sums(monkeypatch, lambda v: 0.5, nonzero_at)
+        with pytest.raises(RuntimeError, match=f"at shift {nonzero_at} lies between the bound"):
             verify_gcs(sset)
         monkeypatch.undo()
-        _push_float_sums(monkeypatch, tau, bound / 2)
-        pushed = verify_gcs(sset)
+        # a flipped oracle contradicts the verdict at the largest nonzero shift
+        monkeypatch.setattr(correlation, "is_zero", lambda s: not is_zero(s))
+        largest = max(report.failing_shifts)
+        with pytest.raises(RuntimeError, match=f"verdict at shift {largest} disagrees"):
+            verify_gcs(sset)
         monkeypatch.undo()
-        assert [c.exact_zero for c in pushed.shifts] == [c.exact_zero for c in report.shifts]
+    # +1 on every sum calls each shift nonzero; with no nonzero shift the
+    # cross-check sits at the largest, an exact zero of mscs_3_27_3 at S = 3
+    assert verify_mscs(mscs_3_27_3(), 3).passed
+    _move_sums(monkeypatch, lambda v: v + 1)
+    with pytest.raises(RuntimeError, match="verdict at shift 24 disagrees"):
+        verify_mscs(mscs_3_27_3(), 3)
 
 
 def test_kronecker_identity_trivial_shift():
@@ -499,6 +496,37 @@ def test_kronecker_identity_exhaustive_small():
         total = len(a) * len(b)
         for tau in range(-total + 1, total):
             assert kronecker_accf_identity_check(a, b, tau)
+
+
+def test_kronecker_identity_holds_at_large_sizes():
+    # composed length 10^6: the float sides differ by about 1e-9, above the
+    # fixed 1e-9 tolerance this check once used, far inside their error bound
+    rng = random.Random(1)
+    a = PhaseSequence(6, [rng.randrange(6) for _ in range(1000)])
+    b = PhaseSequence(6, [rng.randrange(6) for _ in range(1000)])
+    assert kronecker_accf_identity_check(a, b, 2)
+
+
+def test_kronecker_identity_float_half_catches_a_perturbation(monkeypatch):
+    # factors of 2..4 entries: the composed sequence, of at most 16, is longer
+    # than either, and only its correlation is moved by 1e-6
+    rng = random.Random(34)
+    cases = []
+    for _ in range(10):
+        lam = rng.randint(2, 12)
+        a = PhaseSequence(lam, [rng.randrange(lam) for _ in range(rng.randint(2, 4))])
+        b = PhaseSequence(lam, [rng.randrange(lam) for _ in range(rng.randint(2, 4))])
+        cases += [(a, b, tau) for tau in range(1 - len(a) * len(b), len(a) * len(b))]
+    assert all(kronecker_accf_identity_check(a, b, tau) for a, b, tau in cases)
+    inner, composed = correlation.accf_float, {}
+
+    def perturbed(x, y, tau):
+        return inner(x, y, tau) + (1e-6 if len(x) == composed["length"] else 0)
+
+    monkeypatch.setattr(correlation, "accf_float", perturbed)
+    for a, b, tau in cases:
+        composed["length"] = len(a) * len(b)
+        assert not kronecker_accf_identity_check(a, b, tau)
 
 
 def test_kronecker_identity_validation():
@@ -531,51 +559,24 @@ def _flipped(sset, index=0):
     return SequenceSet(members)
 
 
-def _split_groups(monkeypatch, size):
-    """Let the rounding bound reach 1/2 above ``size`` members, so larger sets form groups."""
-    inner = correlation._rounding_bound
-    monkeypatch.setattr(correlation, "_rounding_bound",
-                        lambda M, L, lam: inner(M, L, lam) if M <= size else 0.5)
+def _oracle_report(sset, verify):
+    """The report, after checking it against the same report with the oracle's verdicts.
 
-
-def _assert_same_report(grouped, single):
-    # grouping reorders the float additions; each sum stays within the
-    # proven bound of its exact value
-    bound = correlation._embedding_bound(single.set_size, single.length)
-    assert dataclasses.replace(grouped, shifts=()) == dataclasses.replace(single, shifts=())
-    assert ([(c.shift, c.exact_zero) for c in grouped.shifts]
-            == [(c.shift, c.exact_zero) for c in single.shifts])
-    assert all(abs(g.magnitude - c.magnitude) <= 2 * bound
-               for g, c in zip(grouped.shifts, single.shifts))
-
-
-def _both_paths(monkeypatch, sset, verify):
-    """Reports from one member group and from groups of two members (one for M = 2).
-
-    A set of three members makes a ragged last group.  With the groups in
-    force, the added residues must be the oracle's at every shift and each
-    verdict must be the oracle's.
+    The oracle decides each tested shift by :func:`is_zero` of
+    :func:`aacf_set_sum`, one shift at a time.
     """
-    single = verify(sset)
-    size = min(2, len(sset) - 1)
-    _split_groups(monkeypatch, size)
-    assert len(correlation._member_groups(len(sset), sset.length, sset.modulus)) \
-        == -(-len(sset) // size) >= 2
-    grouped = verify(sset)
-    every = range(sset.length)
-    assert np.array_equal(correlation.aacf_set_residues(sset, every),
-                          _residues_by_oracle(sset, every))
-    monkeypatch.undo()
-    assert ([c.exact_zero for c in grouped.shifts]
-            == [is_zero(aacf_set_sum(sset, c.shift)) for c in grouped.shifts])
-    _assert_same_report(grouped, single)
-    return single, grouped
+    report = verify(sset)
+    checks = report.shifts
+    oracle = [is_zero(aacf_set_sum(sset, t)) for t in checks.tested.tolist()]
+    assert report == dataclasses.replace(
+        report, shifts=ShiftChecks(checks.tested, oracle, checks.magnitudes))
+    return report
 
 
 @pytest.mark.parametrize("case", ["3-27-3", "3-27-3-gcs", "3-54-2", "flipped", "flipped-zcs",
                                   "binary", "lambda-12", "flipped-gcs30"])
-def test_both_paths_give_identical_reports(monkeypatch, case):
-    # one member group against several, with the same exact verdicts
+def test_both_paths_give_identical_reports(case):
+    # the conjugate verdicts against the per-shift cyclotomic oracle
     gcs30 = [PrimeBlock(p=2, m=2), PrimeBlock(p=3, m=1), PrimeBlock(p=5, m=1)]
     sset, verify = {
         "3-27-3": (mscs_3_27_3(), lambda s: verify_mscs(s, 3)),
@@ -588,18 +589,18 @@ def test_both_paths_give_identical_reports(monkeypatch, case):
                                                 12)), verify_gcs),
         "flipped-gcs30": (_flipped(multi_prime_mscs(gcs30, 30), 7), verify_gcs),
     }[case]
-    single, grouped = _both_paths(monkeypatch, sset, verify)
-    assert single.mode == grouped.mode == "exact"
+    report = _oracle_report(sset, verify)
+    assert report.mode == "exact"
     if case.startswith("flipped"):
-        assert not single.passed
+        assert not report.passed
 
 
-def test_size_rule_picks_the_path(monkeypatch):
+def test_size_rule_picks_the_path():
     # the mode comes from lambda alone; the benchmark's shapes all stay far
-    # below the rounding bound's 1/2 and are verified exactly in one group
+    # below the rounding bound's 1/2
     for m in (9, 11, 12):
         sset = single_prime_mscs(PrimeBlock(p=3, m=m), 6)
-        assert correlation._member_groups(3, sset.length, 6) == [slice(0, 3)]
+        assert correlation._embedding_bound(3, sset.length) < 1e-6
         report = verify_type2_zcs(sset, 10)
         assert report.passed and report.mode == "exact" and len(report.shifts) == 9
     report = verify_gcs(single_prime_mscs(PrimeBlock(p=2, m=3), 1009 * 2))
@@ -620,27 +621,6 @@ def test_size_rule_picks_the_path(monkeypatch):
     assert report.passed and report.mode == "exact" and len(report.shifts) == L - 1
     report = verify_mscs(gcs30, 450)
     assert report.passed and report.mode == "exact" and len(report.shifts) == 3
-    # a second group from the member count where the bound reaches 1/2
-    for lam in (6, 30):
-        lo, hi = 1, 2**40
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if correlation._rounding_bound(mid, L, lam) < 0.5 else (lo, mid)
-        assert correlation._member_groups(lo, L, lam) == [slice(0, lo)]
-        assert correlation._member_groups(hi, L, lam) == [slice(0, lo), slice(lo, hi)]
-        assert correlation._member_groups(2 * lo + 1, L, lam) == [
-            slice(0, lo), slice(lo, 2 * lo), slice(2 * lo, 2 * lo + 1)]
-    monkeypatch.setattr(correlation, "_rounding_bound",
-                        lambda M, L, lam: 0.5 if M > 1 else float(np.nextafter(0.5, 0)))
-    assert correlation._member_groups(3, L, 30) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-    # past the bound a set is still verified exactly, one member per group
-    report = verify_gcs(gcs30)
-    assert report.passed and report.mode == "exact" and len(report.shifts) == L - 1
-    monkeypatch.setattr(correlation, "_rounding_bound", lambda M, L, lam: 0.5)
-    with pytest.raises(ValueError, match="single member"):
-        correlation._member_groups(3, L, 30)
-    with pytest.raises(ValueError, match="single member"):
-        verify_gcs(gcs30)
 
 
 def _is_7_smooth(n):
@@ -650,25 +630,32 @@ def _is_7_smooth(n):
     return n == 1
 
 
-def test_rounding_bound_splits_large_sets_into_groups():
-    L = 3**19
-    assert correlation._rounding_bound(3, L, 6) < 1e-3
-    assert correlation._member_groups(3, L, 6) == [slice(0, 3)]
-    assert correlation._rounding_bound(10**6, L, 6) >= 0.5
-    groups = correlation._member_groups(10**6, L, 6)
-    assert len(groups) >= 2 and groups[-1].stop == 10**6
-    assert all(correlation._rounding_bound(g.stop - g.start, L, 6) < 0.5 for g in groups)
-    # one group fewer would need a group past the bound
-    size = groups[0].stop
-    assert correlation._rounding_bound(size + 1, L, 6) >= 0.5
-    # one member stays far below 1/2 at the length cap for every exact modulus
-    for lam in (2, 30, 210, 935, 997):
-        assert correlation._rounding_bound(1, MAX_LENGTH, lam) <= 1.03e-3
+def test_sets_whose_bound_reaches_half_are_refused(monkeypatch, tmp_path, capsys):
+    # computed thresholds: B reaches 1/2 at 66832 members at the length cap
+    # of 10^6, and at 47453088 members of length 2
+    for M, L in ((66832, MAX_LENGTH), (47453088, 2)):
+        assert correlation._embedding_bound(M - 1, L) < 0.5 <= correlation._embedding_bound(M, L)
     # 2L = 2 * 37^4 has a prime factor above 7; the padded length has none
     L = 37**4
     n = correlation._fft_length(L)
     assert _is_7_smooth(n) and n >= 2 * L - 1
-    assert correlation._rounding_bound(3, L, 6) < 1e-3
+    assert correlation._embedding_bound(3, L) < 1e-6
+    path = tmp_path / "set.json"
+    write_document(document_from_set(mscs_3_27_3()), str(path))
+
+    def no_transform(*args):
+        raise AssertionError("transformed a set past the bound")
+
+    monkeypatch.setattr(correlation, "_embedding_bound", lambda M, L: 0.5)
+    monkeypatch.setattr(correlation, "_lift_sums", no_transform)
+    for sset in (mscs_3_27_3(), single_prime_mscs(PrimeBlock(p=2, m=2), 2 * 1009)):
+        with pytest.raises(ValueError, match="bound 0.5 .* reaches 1/2"):
+            verify_gcs(sset)
+    assert cli_main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: FFT rounding bound 0.5 of 3 members of length 27 reaches "
+                            "1/2; verify fewer members\n")
 
 
 def test_fft_length_is_the_next_7_smooth():
@@ -681,9 +668,34 @@ def test_fft_length_is_the_next_7_smooth():
         assert correlation._fft_length(L) == 2 * L
 
 
-def _residues_by_oracle(sset, shifts):
-    reduction = correlation._reduction_matrix(sset.modulus)[0]
-    return np.array([aacf_set_sum(sset, t).counts @ reduction for t in shifts])
+def _check_conjugates(sset, shifts):
+    """Check the embedding sums at these shifts against the exact conjugates.
+
+    Row k of :func:`_lift_sums` must lie within B = ``_embedding_bound`` of
+    sum_j counts_j w^(kj), with the counts from :func:`aacf_set_sum`,
+    evaluated in mpmath at 30 digits; the rule max_k |E'_k| <= B must give
+    the :func:`is_zero` verdict of those counts.  There are phi(lambda)/2
+    embeddings (one for lambda = 2).  Returns the largest |E'_k - sigma_k|,
+    and the verdicts.
+    """
+    import mpmath
+
+    lam = sset.modulus
+    ks = correlation._conjugate_ks(lam)
+    assert len(ks) == max(1, (len(cyclotomic_polynomial(lam)) - 1) // 2)
+    sums = correlation._lift_sums(sset, ks, shifts)
+    counts = np.array([aacf_set_sum(sset, t).counts for t in shifts]).reshape(len(shifts), lam)
+    bound = correlation._embedding_bound(len(sset), sset.length)
+    with mpmath.workdps(30):
+        roots = np.array([[mpmath.expjpi(mpmath.mpf(2 * (k * j % lam)) / lam)
+                           for j in range(lam)] for k in ks], dtype=object)
+        exact = counts.astype(object) @ roots.T
+        error = max((abs(mpmath.mpc(e) - x) for e, x in zip(sums.T.ravel().tolist(),
+                                                           exact.ravel())), default=0)
+        assert error <= bound
+    zeros = np.abs(sums).max(axis=0) <= bound
+    assert zeros.tolist() == is_zero(counts).tolist()
+    return float(error), zeros
 
 
 def _claim_breakers():
@@ -701,19 +713,17 @@ def test_residues_match_counts_at_every_shift(lam):
     if lam in _claim_breakers():
         sets.append(_claim_breakers()[lam])
     for sset in sets:
-        shifts = range(sset.length)
-        residues = correlation.aacf_set_residues(sset, shifts)
-        assert residues.dtype == np.int64
-        assert residues.shape == (sset.length, len(cyclotomic_polynomial(lam)) - 1)
-        assert np.array_equal(residues, _residues_by_oracle(sset, shifts))
-        zeros = ~residues[1:].any(axis=1)
-        assert list(zeros) == [is_zero(aacf_set_sum(sset, t)) for t in range(1, sset.length)]
+        _, zeros = _check_conjugates(sset, range(sset.length))
+        assert not zeros[0]
+        report = _oracle_report(sset, verify_gcs)
+        assert report.shifts.zeros.tolist() == zeros[1:].tolist()
+        assert not all(zeros[1:])
 
 
-def test_claim_breakers_fail_alike_on_both_paths(monkeypatch):
+def test_claim_breakers_fail_alike_on_both_paths():
     # the lambda = 10 and 15 sets are MSCSs (S = 5, S = 3), not GCSs
     for lam, sset in _claim_breakers().items():
-        fast, _ = _both_paths(monkeypatch, sset, verify_gcs)
+        fast = _oracle_report(sset, verify_gcs)
         assert not fast.passed
         S = {10: 5, 15: 3}[lam]
         assert all(t % S for t in fast.failing_shifts)
@@ -728,48 +738,18 @@ def test_every_length_takes_the_residue_path():
     report = verify_gcs(sset)
     assert report.mode == "exact" and len(report.shifts) == 4000
     sample = sorted(rng.sample(range(1, 4001), 40)) + [4000]
-    assert np.array_equal(correlation.aacf_set_residues(sset, sample),
-                          _residues_by_oracle(sset, sample))
-    for t in sample:
-        assert report.shifts[t - 1].exact_zero == is_zero(aacf_set_sum(sset, t))
-
-
-def test_perturbed_residue_raises():
-    sset = mscs_3_27_3()
-    shifts = range(1, 27)
-    sums = correlation._lift_sums(sset, (1,), shifts)
-    residues = correlation._residues_from_lift_sums(sset, shifts, sums)
-    assert np.array_equal(residues, _residues_by_oracle(sset, shifts))
-    # +1 on every k = 1 sum moves every residue by (1, 0) exactly, so the
-    # rounding residuals stay small and the cross-check must catch it
-    with pytest.raises(RuntimeError, match="residues disagree with aacf_set_sum"):
-        correlation._residues_from_lift_sums(sset, shifts, sums + 1)
-    # a quarter off at one shift leaves a residual far above the bound
-    bumped = sums.copy()
-    bumped[0, 10] += 0.25
-    with pytest.raises(RuntimeError, match="exceeds its bound"):
-        correlation._residues_from_lift_sums(sset, shifts, bumped)
-
-
-def test_all_shift_residues_validation(monkeypatch):
-    sset = mscs_3_27_3()
-    with pytest.raises(ValueError, match="shifts must lie"):
-        correlation.aacf_set_residues(sset, [27])
-    with pytest.raises(ValueError, match="shifts must lie"):
-        correlation.aacf_set_residues(sset, [-1])
-    assert correlation.aacf_set_residues(sset, []).shape == (0, 2)
+    _, zeros = _check_conjugates(sset, sample)
+    assert report.shifts.zeros[np.array(sample) - 1].tolist() == zeros.tolist()
     # 2L = 136 = 8 * 17 pads to 135 = 27 * 5, a plan the bound covers
     odd = _random_set(random.Random(5), 6, 2, 68)
-    assert np.array_equal(correlation.aacf_set_residues(odd, [1]), _residues_by_oracle(odd, [1]))
-    # past the bound the members form groups, whose residues add up
-    _split_groups(monkeypatch, 1)
-    assert np.array_equal(correlation.aacf_set_residues(odd, [1]), _residues_by_oracle(odd, [1]))
-    assert correlation.aacf_set_residues(sset, []).shape == (0, 2)
+    assert correlation._fft_length(68) == 135
+    _check_conjugates(odd, range(68))
+    _oracle_report(odd, verify_gcs)
 
 
 def test_all_shift_verification_calls_each_exact_span_once(monkeypatch):
     # the benchmark tracer times the exact layer through these two module
-    # attributes; the residue path's cross-check is their only caller
+    # attributes; the conjugate path's cross-check is their only caller
     calls = {"aacf_set_sum": 0, "is_zero": 0}
     for name in calls:
         def counted(*args, name=name, inner=getattr(correlation, name)):
@@ -802,13 +782,12 @@ def test_residual_within_bound(case):
     }[case]()
     planned = case not in ("3-27-3", "3-54-2", "gcs30")
     assert (correlation._lag_plan(sset.length, shifts)[:2] != (0, 1)) == planned
-    ks, table, _, _ = correlation._residue_table(sset.modulus)
-    sums = correlation._lift_sums(sset, ks, shifts)
-    approx = np.concatenate([sums.real, sums.imag])[:table.shape[0]].T @ table
-    residual = np.abs(approx - np.rint(approx)).max()
-    bound = correlation._rounding_bound(len(sset), sset.length, sset.modulus)
-    assert 0 < residual <= bound < 1e-6
-    assert np.array_equal(np.rint(approx).astype(np.int64), _residues_by_oracle(sset, shifts))
+    error, zeros = _check_conjugates(sset, shifts)
+    assert 0 < error <= correlation._embedding_bound(len(sset), sset.length) < 1e-6
+    # sets with both zero and nonzero shifts, with zeros only and with nonzeros only
+    assert int(zeros.sum()) == {"3-27-3": 24, "3-54-2": 52, "gcs30": 179, "gcs30-mscs": 4,
+                                "gcs30-zcs": 40, "3-54-2-mscs": 26,
+                                "random30-past-half": 0}[case]
 
 
 def test_is_zero_batches_and_overflow_guard():
@@ -870,16 +849,16 @@ def _planned_shift_sets(rng, L):
 @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 30])
 def test_kernels_match_the_oracle_on_planned_shifts(lam):
     rng = random.Random(4000 + lam)
-    reduction = correlation._reduction_matrix(lam)[0]
     for L in (40, 81, 97):
         sset = _random_set(rng, lam, rng.randint(1, 4), L)
         for name, shifts in _planned_shift_sets(rng, L).items():
             drop, g, n = correlation._lag_plan(L, shifts)
             assert (drop > 0) == (name in ("one-shift-past-half", "zcs-windowed")), name
             assert (g > 1) == (name in ("mscs-stride", "one-shift-past-half")), name
-            oracle = np.array([aacf_set_sum(sset, t).counts for t in shifts])
-            assert np.array_equal(correlation.aacf_set_residues(sset, shifts),
-                                  oracle @ reduction), name
+            _, zeros = _check_conjugates(sset, shifts)
+            if isinstance(shifts, range):
+                assert correlation._verify(sset, shifts, "GCS", None).shifts.zeros.tolist() \
+                    == zeros.tolist(), name
 
 
 def test_plan_comes_from_the_sizes_alone():
@@ -938,16 +917,24 @@ def test_large_modulus_gcs_passes_numerically():
     assert min(c.magnitude for c in flipped.shifts) > 100 * bound
 
 
-def test_float_sums_at_exact_zeros_pass_within_the_bound():
+def test_float_sums_at_exact_zeros_pass_within_the_bound(monkeypatch):
     # M = 210, L = 105840: the k = 1 sum at shift 30240 is 1.15e-9, past a
     # fixed 1e-9 threshold and far inside the proven 1.7e-6 bound
     sset = _seeded_gcs(210, [(2, 4), (3, 3), (5, 1), (7, 2)])
     assert (len(sset), sset.length) == (210, 105840)
     shifts = range(1, sset.length)
-    floats = correlation._lift_sums(sset, (1,), shifts)[0]
-    assert abs(floats[30240 - 1]) > 1e-9
+    floats = correlation._lift_sums(sset, (1,), shifts)
+    assert abs(floats[0, 30240 - 1]) > 1e-9
     bound = correlation._embedding_bound(len(sset), sset.length)
     assert bound > 1e-6
-    # every exact value of a GCS is zero
-    zero = np.zeros((len(shifts), len(cyclotomic_polynomial(210)) - 1), dtype=np.int64)
-    correlation._check_separation(floats, zero, 210, bound, shifts)
+    # every exact value of a GCS is zero, so each of the 24 conjugates is
+    # within B of 0; the k = 1 row stands for them here, and all pass
+    assert len(correlation._conjugate_ks(210)) == 24
+    monkeypatch.setattr(correlation, "_lift_sums", lambda sset, ks, shifts: floats.copy())
+    report = verify_gcs(sset)
+    assert report.mode == "exact" and report.passed
+    assert np.array_equal(report.shifts.magnitudes, np.abs(floats[0]))
+    # the same sum moved between B and 1 - B raises
+    floats[0, 30240 - 1] = 0.25
+    with pytest.raises(RuntimeError, match="at shift 30240 lies between the bound"):
+        verify_gcs(sset)
