@@ -17,7 +17,8 @@ Documents are written with sorted keys and fixed layout, so identical
 flags (and seed) give identical bytes.  A document's phases are one
 read-only (M, L) int64 matrix (``SetDocument.sequences``): the reader
 fills it row by row straight from the parsed JSON lists, the set's
-members are views of its rows, and the writer formats each row from it.
+members are views of its rows, and the writer gathers each row's text
+from one byte table of the phase values.
 """
 
 from __future__ import annotations
@@ -127,7 +128,13 @@ class SetDocument:
                 and np.array_equal(self.sequences, other.sequences))
 
 
-def _check_claim(claim: dict) -> dict:
+def _check_claim(claim: dict, length: int | None = None) -> dict:
+    """A copy of the claim, refused unless well formed.
+
+    With the set's ``length`` L, the claim's parameter P must also satisfy
+    1 <= P < L, the rule its verifier applies; ``verify`` and ``pmepr``
+    both check the claim they use this way.
+    """
     if not isinstance(claim, dict):
         raise ValueError("claim must be an object")
     kind = claim.get("kind")
@@ -144,6 +151,8 @@ def _check_claim(claim: dict) -> dict:
             raise ValueError(f"claim {key} must be an integer, got {claim[key]!r}")
         if claim[key] < 1:
             raise ValueError(f"claim {key}={claim[key]} must be >= 1")
+        if length is not None and claim[key] >= length:
+            raise ValueError(f"{key}={claim[key]} must satisfy 1 <= {key} < L={length}")
     return dict(claim)
 
 
@@ -198,12 +207,18 @@ def document_to_set(doc: SetDocument) -> SequenceSet:
 
 
 def _document_chunks(doc: SetDocument):
-    """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, in pieces.
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, in pieces.
 
     The indenting encoder has no C implementation and would handle every
-    phase in Python, so only the small fields go through it.  Each sequence
-    is one string join of its phases, formatted through a table of the
-    row's distinct values.
+    phase in Python, so only the small fields go through it.  The phases
+    are looked up in one byte table per document, whose row j holds the
+    text ``f"{v},\\n      "`` of the j-th value v, NUL-padded to one width.
+    The values are 0..lambda-1 when lambda is at most M*L, else the distinct
+    phases (:func:`unit_lift`'s rule: a table no larger than the data).  Each
+    sequence is one gather of its rows; the padding is masked out only when
+    the widths differ, and the last separator is cut off.  Besides the table
+    (and the index matrix of the distinct phases), the transient is one
+    sequence's text.
     """
     header = json.dumps({
         "claim": doc.claim,
@@ -213,20 +228,33 @@ def _document_chunks(doc: SetDocument):
         "schema": doc.schema,
     }, indent=2, sort_keys=True)
     # the header keys all sort before "sequences", which sorts before "set_size"
-    yield header[:-2] + ',\n  "sequences": ['
-    sep = "\n    "
-    for row in doc.sequences:
-        row = row.tolist()
-        table = {v: str(v) for v in set(row)}
-        phases = ",\n      ".join(map(table.__getitem__, row))
-        yield f"{sep}[\n      {phases}\n    ]" if row else sep + "[]"
-        sep = ",\n    "
-    close = "\n  ]" if len(doc.sequences) else "]"
-    yield f'{close},\n  "set_size": {json.dumps(doc.set_size)}\n}}\n'
+    yield (header[:-2] + ',\n  "sequences": [').encode()
+    rows = doc.sequences
+    if doc.modulus <= rows.size:
+        values, index = range(doc.modulus), rows
+    else:
+        values, index = np.unique(rows, return_inverse=True)
+        values, index = values.tolist(), index.reshape(rows.shape)
+    table = np.array([f"{v},\n      " for v in values], dtype=bytes)
+    mixed = len(values) and len(str(values[0])) != len(str(values[-1]))
+    sep = b"\n    "
+    for row in index:
+        if not len(row):
+            yield sep + b"[]"
+        else:
+            text = np.take(table, row).view(np.uint8)
+            if mixed:
+                text = text[text != 0]
+            yield sep + b"[\n      "
+            yield text[:-8]
+            yield b"\n    ]"
+        sep = b",\n    "
+    close = "\n  ]" if len(rows) else "]"
+    yield f'{close},\n  "set_size": {json.dumps(doc.set_size)}\n}}\n'.encode()
 
 
 def document_to_json(doc: SetDocument) -> str:
-    return "".join(_document_chunks(doc))
+    return b"".join(_document_chunks(doc)).decode()
 
 
 def _field_int(payload: dict, key: str, default: int | None = None) -> int:
@@ -301,7 +329,7 @@ def document_from_json(text: str) -> SetDocument:
 
 
 def write_document(doc: SetDocument, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_document_chunks(doc))
 
 
@@ -443,7 +471,7 @@ def _claim_from_args(doc: SetDocument, args) -> dict:
             claim[key] = value
         elif kind == owner and key not in claim:
             raise ValueError(f"{kind} claim needs --{key}")
-    return _check_claim(claim)
+    return _check_claim(claim, doc.length)
 
 
 def cmd_verify(args) -> int:
@@ -494,6 +522,7 @@ def _write_iapr_csv(path: str, doc: SetDocument, n_os: int, curves: list[np.ndar
 
 def cmd_pmepr(args) -> int:
     doc = read_document(args.input)
+    claim = _check_claim(doc.claim, doc.length)
     grid_points(args.n_os, doc.length)
     sset = document_to_set(doc)
     print(f"document: {args.input}")
@@ -509,7 +538,7 @@ def cmd_pmepr(args) -> int:
         if args.iapr_out is not None:
             curves.append(curve)
         del curve
-    S = _bound_S(doc.claim)
+    S = _bound_S(claim)
     report = None if S is None else pmepr_report(per, S, args.n_os)
     for i, v in enumerate(per):
         print(f"pmepr[{i}]: {v:.6f}")

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .constructions import kronecker_compose
-from .seqcore import PhaseSequence, SequenceSet, to_complex, unit_lift
+from .seqcore import PhaseSequence, SequenceSet, _roots_of_unity, to_complex, unit_lift
 
 EXACT_MODULUS_CAP = 1000
 
@@ -330,11 +330,14 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
     grid = np.zeros((g, n), dtype=complex)
     power = np.empty((g, n))
     out = np.empty((len(ks), len(lags)), dtype=complex)
+    # where unit_lift would look the roots up, w^(k*x) comes from a per-k table
+    tabled = lam <= L - drop
     for row, k in enumerate(ks):
         power.fill(0.0)
+        roots = _roots_of_unity(lam)[k * np.arange(lam) % lam] if tabled else None
         for s in sset.sequences:
             x = np.concatenate((s.values[:head], s.values[head + drop:])) if drop else s.values
-            lift = unit_lift(x if k == 1 else (k * x) % lam, lam)
+            lift = roots[x] if tabled else unit_lift(x if k == 1 else (k * x) % lam, lam)
             # entry q*g + r of the window goes to row r, column q
             grid[:, :cols] = lift[:cols * g].reshape(cols, g).T
             if rem:

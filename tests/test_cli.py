@@ -40,7 +40,7 @@ from mscs.seqcore import PhaseSequence, SequenceSet
 
 _ONE_MEMBER = SetDocument(
     modulus=5, length=64, set_size=1,
-    claim={"kind": "MSCS", "S": 64},
+    claim={"kind": "MSCS", "S": 32},
     provenance={"construction": "external"},
     sequences=(tuple((i * i) % 5 for i in range(64)),),
 )
@@ -48,7 +48,7 @@ _ONE_MEMBER = SetDocument(
 
 _SINGLE_CARRIER = SetDocument(
     modulus=2, length=1, set_size=1,
-    claim={"kind": "MSCS", "S": 1},
+    claim={"kind": "GCS"},
     provenance={"construction": "external"},
     sequences=((0,),),
 )
@@ -97,6 +97,11 @@ def _seeded_documents():
 ], ids=["single-prime", "single-prime-lambda-30", "multi-prime-lambda-30", "length-extended",
         "one-member", "single-carrier", "lambda-over-length", "no-members", "empty-members"])
 def test_document_bytes_are_indent_2_json(tmp_path, doc):
+    _check_document_bytes(doc, tmp_path / "set.json")
+
+
+def _check_document_bytes(doc, path):
+    """The document's text and written bytes are those of the indenting encoder."""
     payload = {
         "schema": doc.schema,
         "lambda": doc.modulus,
@@ -106,11 +111,40 @@ def test_document_bytes_are_indent_2_json(tmp_path, doc):
         "provenance": doc.provenance,
         "sequences": doc.sequences.tolist(),
     }
+    # compared as lists of lines, so a failure names the first line that
+    # differs instead of diffing the whole text
     text = document_to_json(doc)
-    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path = tmp_path / "set.json"
+    assert text.split("\n") == (json.dumps(payload, indent=2, sort_keys=True) + "\n").split("\n")
     write_document(doc, str(path))
-    assert path.read_bytes() == text.encode()
+    assert path.read_bytes().split(b"\n") == text.encode().split(b"\n")
+
+
+@st.composite
+def _written_documents(draw):
+    """M <= 4 rows of L <= 40 phases, lambda in one band of digit widths.
+
+    lambda <= 10 gives one width, 11..10^4 mixed widths, and lambda up to
+    2^63 - 1 mostly lambda > M*L, where the writer's table holds the
+    distinct phases.  A row draws either from the whole range or from a
+    pool of at most 3 values.
+    """
+    lam = draw(st.one_of(st.integers(2, 10), st.integers(11, 10**4), st.integers(2, 2**63 - 1)))
+    M, L = draw(st.integers(0, 4)), draw(st.integers(0, 40))
+    phases = st.integers(0, lam - 1)
+    rows = []
+    for _ in range(M):
+        pool = draw(st.one_of(st.just(phases),
+                              st.lists(phases, min_size=1, max_size=3).map(st.sampled_from)))
+        rows.append(draw(st.lists(pool, min_size=L, max_size=L)))
+    return SetDocument(lam, L, M, {"kind": "GCS"}, {"construction": "external"}, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_written_documents())
+@example(doc=SetDocument(11, 3, 2, {"kind": "GCS"}, {}, ((10, 0, 3), (3, 3, 3))))
+@example(doc=SetDocument(2**63 - 1, 2, 1, {"kind": "GCS"}, {}, ((2**63 - 2, 7),)))
+def test_document_bytes_match_the_encoder_for_any_phases(tmp_path_factory, doc):
+    _check_document_bytes(doc, tmp_path_factory.getbasetemp() / "drawn.json")
 
 
 def test_document_parse_errors():
@@ -988,6 +1022,51 @@ def test_pmepr_rejects_claim_below_one(tmp_path, capsys, monkeypatch, claim, mes
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+_SHORT_PARAMETERS = pytest.mark.parametrize("claim, message", [
+    ({"kind": "MSCS", "S": 5}, "S=5 must satisfy 1 <= S < L=3"),
+    ({"kind": "MSCS", "S": 3}, "S=3 must satisfy 1 <= S < L=3"),
+    ({"kind": "ZCS", "Z": 3}, "Z=3 must satisfy 1 <= Z < L=3"),
+], ids=["S-over-L", "S-at-L", "Z-at-L"])
+
+
+def _short_document(tmp_path, claim):
+    """An M = 2, L = 3 document carrying ``claim``."""
+    doc = SetDocument(modulus=3, length=3, set_size=2, claim=claim,
+                      provenance={"construction": "external"}, sequences=((0, 1, 2), (0, 0, 0)))
+    path = str(tmp_path / "short.json")
+    write_document(doc, path)
+    return path
+
+
+@_SHORT_PARAMETERS
+def test_verify_refuses_a_claim_parameter_not_below_the_length(tmp_path, capsys, claim, message):
+    path = _short_document(tmp_path, claim)
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the rule applies to the claim after the flags: a flag can bring the
+    # parameter in range, or put it out of range of a valid document claim
+    key = "S" if claim["kind"] == "MSCS" else "Z"
+    assert main(["verify", path, f"--{key}", "1"]) in (0, 1)
+    assert f"claim: {claim['kind']} {key}=1" in capsys.readouterr().out
+    assert main(["verify", path, "--claim", "gcs"]) in (0, 1)
+    assert "claim: GCS" in capsys.readouterr().out
+    valid = _short_document(tmp_path, {"kind": claim["kind"], key: 1})
+    assert main(["verify", valid, f"--{key}", str(claim[key])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@_SHORT_PARAMETERS
+def test_pmepr_refuses_a_claim_parameter_not_below_the_length(tmp_path, capsys, monkeypatch,
+                                                              claim, message):
+    def refuse(*args):
+        raise AssertionError("iapr_curve called before the claim check")
+
+    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    path = _short_document(tmp_path, claim)
+    assert main(["pmepr", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("claim, bound", [

@@ -2,12 +2,15 @@
 
 Builds the M = 30, lambda = 30, L = 972000 GCS of three blocks (2^5, 3^5,
 5^3; permutations and coefficients drawn from ``random.Random(SEED)``),
-times ``verify_gcs`` on it and prints one JSON record: build and verify
-wall and CPU time, peak RSS, the verdict, the checkout's git revision and
-the git tree hash of its ``src`` directory as it was run, which equals
-``git rev-parse REV:src`` of the revision that commits that code.  The
-CPU time leaves out time spent waiting for a processor, so on a shared
-host it is the steadier figure.
+times ``verify_gcs`` on it, then the writing of its set document
+(``write_document(document_from_set(sset))``, to a temporary file), and
+prints one JSON record: build, verify and write wall time, verify CPU
+time, peak RSS, the verdict, the document's byte count and sha256 (equal
+digests mean two revisions wrote the same bytes), the checkout's git
+revision and the git tree hash of its ``src`` directory as it was run,
+which equals ``git rev-parse REV:src`` of the revision that commits that
+code.  The CPU time leaves out time spent waiting for a processor, so on
+a shared host it is the steadier figure.
 
     python tools/bench_gcs_cap.py [--repo CHECKOUT] [--out FILE --label NAME]
 
@@ -20,6 +23,7 @@ FILE, which is created if it does not exist.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -59,6 +63,7 @@ def measure(repo: Path) -> dict:
     import random
 
     import numpy as np
+    from mscs.cli import document_from_set, write_document
     from mscs.constructions import multi_prime_mscs, random_block
     from mscs.correlation import verify_gcs
 
@@ -70,6 +75,17 @@ def measure(repo: Path) -> dict:
     c1 = process_time()
     report = verify_gcs(sset)
     t2, c2 = perf_counter(), process_time()
+    verify_rss = _peak_rss_mb()
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "gcs_cap.json"
+        t3 = perf_counter()
+        write_document(document_from_set(sset), str(path))
+        t4 = perf_counter()
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 24):
+                digest.update(chunk)
+        written = path.stat().st_size
     return {
         "revision": _git(repo, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git(repo, "status", "--porcelain", "--untracked-files=no")),
@@ -82,8 +98,12 @@ def measure(repo: Path) -> dict:
         "build_s": round(t1 - t0, 3),
         "verify_s": round(t2 - t1, 3),
         "verify_cpu_s": round(c2 - c1, 3),
+        "write_s": round(t4 - t3, 3),
+        "document_bytes": written,
+        "document_sha256": digest.hexdigest(),
         "peak_rss_mb_after_build": round(build_rss, 1),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": round(verify_rss, 1),
+        "peak_rss_mb_after_write": round(_peak_rss_mb(), 1),
         "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
