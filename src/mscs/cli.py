@@ -15,10 +15,10 @@ sum between the proven bound and 1 minus it, or a verdict the
 ``aacf_set_sum`` cross-check contradicts).
 Documents are written with sorted keys and fixed layout, so identical
 flags (and seed) give identical bytes.  A document's phases are one
-read-only (M, L) int64 matrix (``SetDocument.sequences``): the reader
-fills it row by row straight from the parsed JSON lists, the set's
-members are views of its rows, and the writer gathers each row's text
-from one byte table of the phase values.
+read-only (M, L) int64 matrix (``SetDocument.sequences``), the same
+object as its set's ``SequenceSet.phases``: the reader fills it row by row
+straight from the parsed JSON lists, and the writer gathers each row's
+text from one byte table of the phase values.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .pmepr import (
     pmepr_report,
     pmepr_set,
 )
-from .seqcore import PhaseSequence, SequenceSet, check_length, phase_rows, unit_lift
+from .seqcore import PhaseSequence, SequenceSet, check_length, unit_lift
 
 SCHEMA_VERSION = 1
 
@@ -132,8 +132,9 @@ def _check_claim(claim: dict, length: int | None = None) -> dict:
     """A copy of the claim, refused unless well formed.
 
     With the set's ``length`` L, the claim's parameter P must also satisfy
-    1 <= P < L, the rule its verifier applies; ``verify`` and ``pmepr``
-    both check the claim they use this way.
+    1 <= P < L, the rule its verifier applies, with P = 1 for a GCS as in
+    :func:`_bound_S`; ``verify`` and ``pmepr`` both check the claim they use
+    this way.
     """
     if not isinstance(claim, dict):
         raise ValueError("claim must be an object")
@@ -151,8 +152,9 @@ def _check_claim(claim: dict, length: int | None = None) -> dict:
             raise ValueError(f"claim {key} must be an integer, got {claim[key]!r}")
         if claim[key] < 1:
             raise ValueError(f"claim {key}={claim[key]} must be >= 1")
-        if length is not None and claim[key] >= length:
-            raise ValueError(f"{key}={claim[key]} must satisfy 1 <= {key} < L={length}")
+    if length is not None and (1 if key is None else claim[key]) >= length:
+        raise ValueError("GCS verification needs length >= 2" if key is None
+                         else f"{key}={claim[key]} must satisfy 1 <= {key} < L={length}")
     return dict(claim)
 
 
@@ -184,26 +186,23 @@ def document_from_set(sset: SequenceSet) -> SetDocument:
     provenance = {"construction": meta.get("construction", "external")}
     if "params" in meta:
         provenance["params"] = meta["params"]
-    sequences = np.stack([s.values for s in sset.sequences])
-    sequences.flags.writeable = False
     return SetDocument(
         modulus=sset.modulus,
         length=sset.length,
         set_size=len(sset),
         claim=_check_claim(claims[0]),
         provenance=provenance,
-        sequences=sequences,
+        sequences=sset.phases,
     )
 
 
 def document_to_set(doc: SetDocument) -> SequenceSet:
-    """The document's set; its members are views of the rows of ``doc.sequences``."""
-    members = phase_rows(doc.modulus, doc.sequences)
+    """The document's set, whose ``phases`` is ``doc.sequences``."""
     meta = {
         "construction": doc.provenance.get("construction", "external"),
         "claims": [dict(doc.claim)],
     }
-    return SequenceSet(members, meta)
+    return SequenceSet.from_phases(doc.modulus, doc.sequences, meta)
 
 
 def _document_chunks(doc: SetDocument):
@@ -522,8 +521,8 @@ def _write_iapr_csv(path: str, doc: SetDocument, n_os: int, curves: list[np.ndar
 
 def cmd_pmepr(args) -> int:
     doc = read_document(args.input)
+    grid_points(args.n_os, doc.length)  # first, so a length-0 document reports its length
     claim = _check_claim(doc.claim, doc.length)
-    grid_points(args.n_os, doc.length)
     sset = document_to_set(doc)
     print(f"document: {args.input}")
     print(f"set: M={doc.set_size} L={doc.length} lambda={doc.modulus}")
@@ -658,28 +657,18 @@ def _selftest_checks():
             return f"phase-flip control deviation {dev:.3e} not detected"
         return None
 
-    def check_exact_float_separation():
-        # a GCS claim tests every shift, and a conjugate maximum between the proven
-        # bound and 1 minus it raises; the flags must be the cyclotomic sums' verdicts
-        sset = reference_sets.mscs_3_27_3()
-        checks = _verify_claim(sset, {"kind": "GCS"}).shifts
-        for tau, zero in zip(checks.tested.tolist(), checks.zeros.tolist()):
-            if zero != is_zero(aacf_set_sum(sset, tau)):
-                return f"tau={tau}: exact_zero={zero} but the cyclotomic sum says otherwise"
-        zeros = int(checks.zeros.sum())
-        if not 0 < zeros < len(checks):
-            return f"degenerate split: {zeros} zeros, {len(checks) - zeros} nonzeros"
-        return None
-
     def check_conjugate_path():
         a, b = reference_sets.mscs_3_27_3(), reference_sets.mscs_3_54_2()
-        # every shift, then a stride-3 MSCS plan and a type-II ZCS tail window
+        # every shift (neither set is a GCS, so both verdicts must occur), then a
+        # stride-3 MSCS plan and a type-II ZCS tail window
         for sset, claim in ((a, {"kind": "GCS"}), (b, {"kind": "GCS"}),
                             (a, {"kind": "MSCS", "S": 3}), (b, {"kind": "ZCS", "Z": 21})):
             lam, checks = sset.modulus, _verify_claim(sset, claim).shifts
             counts = np.array([aacf_set_sum(sset, t).counts for t in checks.tested.tolist()])
             if not np.array_equal(checks.zeros, is_zero(counts)):
                 return f"L={sset.length} {_claim_tag(claim)}: verdicts differ from the counts'"
+            if claim == {"kind": "GCS"} and len(np.unique(checks.zeros)) < 2:
+                return f"L={sset.length} GCS: every shift has the same verdict"
             # sigma_k of the counts, from roots within 24u of w^(kj) and lambda-term
             # sums of integer multiples, errs by at most (24 + 2 lambda)u per count
             ks = _conjugate_ks(lam)
@@ -730,7 +719,6 @@ def _selftest_checks():
         ("multi-prime-sweep", lambda: check_sweep(multi_prime_sets())),
         ("kronecker-split", check_kronecker_split),
         ("energy-identity", check_energy_identity),
-        ("exact-float-separation", check_exact_float_separation),
         ("conjugate-path", check_conjugate_path),
         ("iapr-curves", check_iapr_curves),
         ("document-round-trip", check_document_round_trip),

@@ -43,7 +43,6 @@ from .seqcore import (
     check_length,
     check_modulus,
     materialize,
-    phase_rows,
 )
 
 
@@ -115,8 +114,8 @@ def _build(
     blocks: Sequence[PrimeBlock],
     modulus: int,
     extension: tuple[int, int, int] | None = None,
-) -> tuple[tuple[PhaseSequence, ...], dict]:
-    """Members and parameter record of the family over ``blocks``.
+) -> tuple[np.ndarray, dict]:
+    """Phase matrix and parameter record of the family over ``blocks``.
 
     ``extension`` is (prime, g1, g0): one more digit w, most significant,
     that adds g1*w + g0 to the base function.  Block a contributes
@@ -124,7 +123,7 @@ def _build(
     (empty when s = m), its linear part, its constant and its head table.
     The base function and each block's tag (lambda/p_a) * v_{a,pi_a(s_a)}
     are materialized once; member gamma (gamma_1 fastest) is
-    (base + sum_a gamma_a * tag_a) mod lambda, a row of one read-only
+    (base + sum_a gamma_a * tag_a) mod lambda, row gamma of one read-only
     (M, L) matrix.  The modulus is checked first (``check_modulus``): below
     2^31, no int64 product or sum here or in ``materialize`` overflows.
     """
@@ -176,7 +175,7 @@ def _build(
             rows -= modulus * (rows >= modulus)
         n *= p
     phases.flags.writeable = False
-    return phase_rows(modulus, phases), params
+    return phases, params
 
 
 def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:
@@ -186,12 +185,13 @@ def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:
     (lambda/p) * v_{pi(s)} * gamma.  The returned metadata also claims the
     type-II ZCS property of width p^m - p^(s-1).
     """
-    members, params = _build([block], modulus)
+    phases, params = _build([block], modulus)
     S = block.p ** (block.s - 1)
     claims = [{"kind": "MSCS", "S": S}, {"kind": "ZCS", "Z": block.p**block.m - S}]
     if S == 1:
         claims.insert(1, {"kind": "GCS"})
-    return SequenceSet(members, {"construction": "single_prime", "params": params, "claims": claims})
+    return SequenceSet.from_phases(
+        modulus, phases, {"construction": "single_prime", "params": params, "claims": claims})
 
 
 def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
@@ -202,12 +202,13 @@ def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
     block this reduces to :func:`single_prime_mscs`.
     """
     blocks = tuple(blocks)
-    members, params = _build(blocks, modulus)
+    phases, params = _build(blocks, modulus)
     S = math.prod(b.p ** (b.s - 1) for b in blocks)
     claims = [{"kind": "MSCS", "S": S}]
     if S == 1:
         claims.append({"kind": "GCS"})
-    return SequenceSet(members, {"construction": "multi_prime", "params": params, "claims": claims})
+    return SequenceSet.from_phases(
+        modulus, phases, {"construction": "multi_prime", "params": params, "claims": claims})
 
 
 def length_extended_mscs(
@@ -236,9 +237,10 @@ def length_extended_mscs(
         raise ValueError(f"extension prime {ext_prime} duplicates a base prime")
     if modulus % ext_prime != 0:
         raise ValueError(f"extension prime {ext_prime} must divide the modulus {modulus}")
-    members, params = _build(blocks, modulus, (ext_prime, ext_linear, ext_constant))
+    phases, params = _build(blocks, modulus, (ext_prime, ext_linear, ext_constant))
     claims = [{"kind": "MSCS", "S": ext_prime}]
-    return SequenceSet(members, {"construction": "length_extended", "params": params, "claims": claims})
+    return SequenceSet.from_phases(
+        modulus, phases, {"construction": "length_extended", "params": params, "claims": claims})
 
 
 def random_block(rng: random.Random, p: int, m: int, s: int, modulus: int) -> PrimeBlock:

@@ -238,9 +238,9 @@ def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
     lead, lag = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L),
                                                                       slice(0, L + tau))
     bins = np.zeros(2 * lam, dtype=np.int64)
-    for s in sset.sequences:
-        codes = lam - s.values[lag]
-        codes += s.values[lead]
+    for row in sset.phases:
+        codes = lam - row[lag]
+        codes += row[lead]
         bins += np.bincount(codes, minlength=2 * lam)
     return CyclotomicSum(lam, bins[:lam] + bins[lam:])
 
@@ -335,8 +335,8 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
     for row, k in enumerate(ks):
         power.fill(0.0)
         roots = _roots_of_unity(lam)[k * np.arange(lam) % lam] if tabled else None
-        for s in sset.sequences:
-            x = np.concatenate((s.values[:head], s.values[head + drop:])) if drop else s.values
+        for member in sset.phases:
+            x = np.concatenate((member[:head], member[head + drop:])) if drop else member
             lift = roots[x] if tabled else unit_lift(x if k == 1 else (k * x) % lam, lam)
             # entry q*g + r of the window goes to row r, column q
             grid[:, :cols] = lift[:cols * g].reshape(cols, g).T

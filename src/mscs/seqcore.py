@@ -308,8 +308,8 @@ def evaluate(f: MultivariableFunction, idx: MixedRadixIndex) -> int:
 class PhaseSequence:
     """A length-L vector over Z_lambda, stored as a read-only int array.
 
-    The constructor copies ``values`` and reduces them mod lambda;
-    :func:`phase_rows` wraps rows of an already reduced matrix instead.
+    The constructor copies ``values`` and reduces them mod lambda; the
+    members of a :class:`SequenceSet` are views of its phase matrix's rows.
     """
 
     modulus: int
@@ -338,37 +338,20 @@ class PhaseSequence:
         return hash((self.modulus, self.values.tobytes()))
 
 
-def phase_rows(modulus: int, matrix: np.ndarray) -> tuple[PhaseSequence, ...]:
-    """One member per row of a read-only (M, L) int64 matrix of reduced phases.
-
-    Each member's values are a view of its row: nothing is copied or
-    reduced, so every entry must already lie in [0, modulus).
-    """
-    modulus = int(modulus)
-    if modulus < 2:
-        raise ValueError(f"modulus {modulus} must be >= 2")
-    if matrix.dtype != np.int64 or matrix.ndim != 2 or matrix.flags.writeable:
-        raise ValueError("phase rows need a read-only two-dimensional int64 matrix")
-    members = []
-    for row in matrix:
-        member = object.__new__(PhaseSequence)
-        object.__setattr__(member, "modulus", modulus)
-        object.__setattr__(member, "values", row)
-        members.append(member)
-    return tuple(members)
-
-
 @dataclass(frozen=True, eq=False)
 class SequenceSet:
     """An ordered set of M phase sequences sharing one (modulus, length).
 
-    ``metadata`` records construction provenance and the correlation claims
-    the set was built to satisfy; externally loaded sets carry
-    ``{"construction": "external"}``.
+    ``phases`` is one read-only (M, L) int64 matrix whose rows the members
+    in ``sequences`` view: the constructor stacks the members it is given,
+    :meth:`from_phases` takes a matrix as it is.  ``metadata`` records
+    construction provenance and the correlation claims the set was built to
+    satisfy; externally loaded sets carry ``{"construction": "external"}``.
     """
 
     modulus: int
     length: int
+    phases: np.ndarray
     sequences: tuple[PhaseSequence, ...]
     metadata: dict = field(default_factory=dict)
 
@@ -376,14 +359,39 @@ class SequenceSet:
         sequences = tuple(sequences)
         if not sequences:
             raise ValueError("a sequence set needs at least one member")
-        modulus = sequences[0].modulus
-        length = len(sequences[0])
-        for s in sequences:
-            if s.modulus != modulus or len(s) != length:
-                raise ValueError("all set members must share modulus and length")
+        modulus, length = sequences[0].modulus, len(sequences[0])
+        if any(s.modulus != modulus or len(s) != length for s in sequences):
+            raise ValueError("all set members must share modulus and length")
+        phases = np.stack([s.values for s in sequences])
+        phases.flags.writeable = False
+        self._hold(modulus, phases, metadata)
+
+    @classmethod
+    def from_phases(cls, modulus: int, phases: np.ndarray, metadata=None) -> "SequenceSet":
+        """The set whose members are the rows of a read-only (M, L) int64 matrix.
+
+        Nothing is copied or reduced: every entry must lie in [0, modulus).
+        """
+        modulus = int(modulus)
+        if modulus < 2:
+            raise ValueError(f"modulus {modulus} must be >= 2")
+        if phases.dtype != np.int64 or phases.ndim != 2 or phases.flags.writeable:
+            raise ValueError("phases need a read-only two-dimensional int64 matrix")
+        if not len(phases):
+            raise ValueError("a sequence set needs at least one member")
+        sset = object.__new__(cls)
+        sset._hold(modulus, phases, metadata)
+        return sset
+
+    def _hold(self, modulus: int, phases: np.ndarray, metadata: dict | None) -> None:
+        members = tuple(object.__new__(PhaseSequence) for _ in phases)
+        for member, row in zip(members, phases):
+            object.__setattr__(member, "modulus", modulus)
+            object.__setattr__(member, "values", row)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "sequences", sequences)
+        object.__setattr__(self, "length", phases.shape[1])
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "sequences", members)
         object.__setattr__(self, "metadata", dict(metadata) if metadata else {})
 
     def __len__(self) -> int:

@@ -172,16 +172,20 @@ def test_document_parse_errors():
 
 def test_document_phases_are_one_read_only_matrix():
     sset = mscs_3_27_3()
-    built = sset.sequences[0].values.base
-    assert built.shape == (3, 27) and not built.flags.writeable
+    built = sset.phases
+    assert built.dtype == np.int64 and built.shape == (3, 27) and not built.flags.writeable
     assert all(s.values.base is built for s in sset.sequences)
-    doc = document_from_json(document_to_json(document_from_set(sset)))
+    # the builder's matrix is the document's, and the reader's is its set's
+    written = document_from_set(sset)
+    assert written.sequences is built
+    assert document_to_set(written).phases is built
+    doc = document_from_json(document_to_json(written))
     matrix = doc.sequences
     assert isinstance(matrix, np.ndarray) and matrix.dtype == np.int64
     assert matrix.shape == (3, 27) and not matrix.flags.writeable
-    members = document_to_set(doc).sequences
-    assert members == sset.sequences
-    assert all(np.shares_memory(s.values, matrix) for s in members)
+    read = document_to_set(doc)
+    assert read.phases is matrix and read.sequences == sset.sequences
+    assert all(s.values.base is matrix for s in read.sequences)
     # nested sequences are copied into a matrix of the same kind, range checked
     assert _ONE_MEMBER.sequences.shape == (1, 64) and not _ONE_MEMBER.sequences.flags.writeable
     doc = SetDocument(5, 2, 1, {"kind": "GCS"}, {}, ((1, 4),))
@@ -953,13 +957,18 @@ def test_pmepr_iapr_export_bytes(tmp_path, capsys, doc, n_os):
     assert csv.read_bytes() == _reference_iapr_csv(doc, n_os)
 
 
-def test_pmepr_single_carrier_external(tmp_path, capsys):
+def test_pmepr_single_carrier_external(tmp_path, capsys, monkeypatch):
+    # a GCS claim holds S = 1 to 1 <= S < L, as an MSCS claim's S is held,
+    # so both commands refuse it on a length-1 document before any work
+    def refuse(*args):
+        raise AssertionError("iapr_curve called before the claim check")
+
+    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
     path = str(tmp_path / "one.json")
     write_document(_SINGLE_CARRIER, path)
-    assert main(["pmepr", path]) == 0
-    out = capsys.readouterr().out
-    assert "set pmepr: 1.000000" in out
-    assert "bound satisfied: yes" in out
+    for command in ("pmepr", "verify"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", "error: GCS verification needs length >= 2\n")
 
 
 def test_huge_modulus_document_verifies_and_measures(tmp_path, capsys):
@@ -1103,8 +1112,8 @@ def test_pmepr_rejects_zero_length_document(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "selftest: 12/12 ok" in out
-    assert out.count("ok   ") == 12
+    assert "selftest: 11/11 ok" in out
+    assert out.count("ok   ") == 11
     assert "FAIL" not in out
 
 
@@ -1117,12 +1126,12 @@ def test_selftest_catches_broken_reference(monkeypatch, capsys):
     monkeypatch.setattr(mscs.reference_sets, "mscs_3_27_3", lambda: broken)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    # three checks fail on the corrupted set; the other nine still pass
+    # three checks fail on the corrupted set; the other eight still pass
     # (conjugate-path compares the verdicts and conjugates with the counts, and
     # document-round-trip writes and reads back whatever phases it holds)
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["mscs-3-27-3", "zcs-3-27-24", "energy-identity"]
-    assert "selftest: 9/12 ok" in out
+    assert "selftest: 8/11 ok" in out
 
 
 def test_selftest_catches_broken_document_reader(monkeypatch, capsys):
@@ -1171,13 +1180,13 @@ def test_selftest_fails_a_reference_set_that_does_not_build(monkeypatch, capsys)
     failed = [line.split(":")[0][5:] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["mscs-3-54-2", "pmepr-3-54-2", "energy-identity", "conjugate-path",
                       "iapr-curves"]
-    assert "selftest: 7/12 ok" in out
+    assert "selftest: 6/11 ok" in out
 
 
 @pytest.mark.parametrize("verdict", [True, False])
 def test_selftest_separation_compares_the_exact_flags(monkeypatch, capsys, verdict):
     monkeypatch.setattr(mscs.cli, "is_zero", lambda total: verdict)
-    assert "exact-float-separation" in _selftest_failures(capsys)
+    assert "conjugate-path" in _selftest_failures(capsys)
 
 
 def test_selftest_separation_fails_a_float_sum_off_its_exact_value(monkeypatch, capsys):
@@ -1186,7 +1195,7 @@ def test_selftest_separation_fails_a_float_sum_off_its_exact_value(monkeypatch, 
     # take the energy sums through their own import of _lift_sums
     assert _selftest_failures(capsys) == ["mscs-3-27-3", "zcs-3-27-24", "mscs-3-54-2",
                                           "single-prime-sweep", "multi-prime-sweep",
-                                          "exact-float-separation", "conjugate-path"]
+                                          "conjugate-path"]
 
 
 def test_selftest_conjugate_path_catches_a_conjugate_off_its_exact_value(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from mscs.seqcore import (
     encode_index,
     evaluate,
     materialize,
-    phase_rows,
     to_complex,
 )
 
@@ -377,20 +376,40 @@ def test_phase_sequence_basics():
     assert not s.values.flags.writeable
 
 
-def test_phase_rows_wrap_a_read_only_matrix():
+def test_from_phases_takes_a_read_only_matrix():
     matrix = np.array([[0, 1, 5], [2, 3, 4]], dtype=np.int64)
     with pytest.raises(ValueError, match="read-only"):
-        phase_rows(6, matrix)
+        SequenceSet.from_phases(6, matrix)
     matrix.flags.writeable = False
-    rows = phase_rows(6, matrix)
-    assert rows == (PhaseSequence(6, [0, 1, 5]), PhaseSequence(6, [2, 3, 4]))
-    assert all(np.shares_memory(r.values, matrix) and not r.values.flags.writeable for r in rows)
+    sset = SequenceSet.from_phases(6, matrix, {"construction": "external"})
+    assert sset.phases is matrix
+    assert sset.sequences == (PhaseSequence(6, [0, 1, 5]), PhaseSequence(6, [2, 3, 4]))
+    assert all(s.values.base is matrix and not s.values.flags.writeable for s in sset)
+    assert (len(sset), sset.length, sset.modulus) == (2, 3, 6)
+    assert sset.metadata == {"construction": "external"}
     with pytest.raises(ValueError, match="read-only"):
-        phase_rows(6, matrix[0])
+        SequenceSet.from_phases(6, matrix[0])
     with pytest.raises(ValueError, match="read-only"):
-        phase_rows(6, matrix.astype(np.int32))
+        SequenceSet.from_phases(6, matrix.astype(np.int32))
+    with pytest.raises(ValueError, match="at least one member"):
+        SequenceSet.from_phases(6, matrix[:0])
     with pytest.raises(ValueError, match="must be >= 2"):
-        phase_rows(1, matrix)
+        SequenceSet.from_phases(1, matrix)
+
+
+def test_sequence_set_stacks_its_members_once():
+    members = [PhaseSequence(6, [0, 1, 5]), PhaseSequence(6, [8, 3, 4])]
+    sset = SequenceSet(iter(members))
+    matrix = sset.phases
+    assert matrix.dtype == np.int64 and matrix.shape == (2, 3) and not matrix.flags.writeable
+    assert matrix.tolist() == [[0, 1, 5], [2, 3, 4]]
+    # the members view the stack, not the objects passed in
+    assert all(s.values.base is matrix for s in sset)
+    assert not any(np.shares_memory(s.values, m.values) for s, m in zip(sset, members))
+    assert len(sset) == 2 and sset.sequences == tuple(members)
+    assert sset == SequenceSet.from_phases(6, matrix)
+    assert sset != SequenceSet(members[:1])
+    assert sset != SequenceSet([PhaseSequence(7, [0, 1, 5]), PhaseSequence(7, [2, 3, 4])])
 
 
 def test_phase_sequence_equality_and_hash():
