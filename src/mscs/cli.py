@@ -32,6 +32,7 @@ import random
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,7 +88,11 @@ CLAIMS = {
 BLOCK_KEYS = ("p", "m", "s", "pi", "linear", "constant", "h_table")
 
 # Values formatted per write of the IAPR export.
-CSV_CHUNK_VALUES = 1 << 16
+CSV_CHUNK_VALUES = 1 << 14
+
+# A cell whose scaled value lies this close to a rounding midpoint is left
+# to Python's formatter (see _format_cells).
+CSV_TIE_MARGIN = 2.0**-19
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,29 +499,165 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _write_iapr_csv(path: str, doc: SetDocument, n_os: int, curves: list[np.ndarray]) -> None:
-    """Write the time column and one IAPR column per member, ``%.10g`` each.
+@functools.cache
+def _cell_tables():
+    """The lookup tables of :func:`_format_cells`, built at its first call.
 
-    Rows are formatted a block at a time: one ``%`` call per block of at
-    most ``CSV_CHUNK_VALUES`` values, so the transient stays the same size
-    whatever the member count.
+    * ``digits[w]``: the five ASCII digits of w < 10^5, first digit in the
+      low byte, with the count of w's trailing zero digits in the top byte.
+    * ``pow10[k]`` = 10^k for k <= 22, each exact in float64.
+    * ``layouts[:, y]``, one column per layout y = 11 * (X + 13) + nd, for
+      the decimal exponent X in [-13, 10] and the nd in [1, 10] significant
+      digits left once the trailing zeros go: (a_low, a_high) and
+      (b_low, b_high) keep the digits shown of the high and low five-digit
+      words, split where the '.' goes, after ``point`` digits; ``shift``
+      moves the digits up past a ``0.000`` prefix (back = 63 - shift); low
+      and high hold the prefix, the '.' and the ``e+XX`` exponent text of
+      the two words of the cell.
+    """
+    w = np.arange(10**5)
+    digits = np.zeros(w.size, dtype=np.uint64)
+    for i in range(5):
+        digits |= (48 + w // 10 ** (4 - i) % 10).astype(np.uint64) << np.uint64(8 * i)
+        digits += (w % 10 ** (i + 1) == 0).astype(np.uint64) << np.uint64(56)
+
+    def split(kept, j):
+        """The kept digit bytes below byte j and from byte j of a five-digit word."""
+        keep, below = (1 << 8 * kept) - 1, (1 << 8 * j) - 1
+        return keep & below, keep & ~below
+
+    rows = []
+    for X in range(-13, 11):
+        fixed = -4 <= X < 10
+        point = X + 1 if 0 <= X < 10 else 10 if fixed else 1
+        prefix = "0." + "0" * (-X - 1) if fixed and X < 0 else ""
+        exponent = "" if fixed else f"e{X:+03d}"
+        for nd in range(11):
+            kept = max(nd, point) if 0 <= X < 10 else nd
+            ja, jb = min(point, 5), max(point - 5, 0)
+            # a fills bytes 0..5 and b bytes 5..10, so the '.' lands in byte
+            # point, and the exponent text follows in bytes 11..14
+            text = int.from_bytes(prefix.encode(), "little")
+            text |= int.from_bytes(exponent.encode(), "little") << 88
+            if nd > point:
+                text |= ord(".") << 8 * point
+            shift = 40 if prefix else 0
+            rows.append((*split(min(kept, 5), ja), *split(max(kept - 5, 0), jb), shift,
+                         63 - shift, text & (2**64 - 1), text >> 64))
+    pow10 = np.array([float(10**k) for k in range(23)])
+    layouts = np.array(rows, dtype=np.uint64).T.copy()
+    for table in (digits, pow10, layouts):
+        table.flags.writeable = False
+    return digits, pow10, layouts
+
+
+def _format_cells(block: np.ndarray) -> bytes:
+    """The rows of ``block`` as ``%.10g`` text, cells joined by ``,``, rows ended by ``\\n``.
+
+    Each value v in [1e-13, 1e10) is scaled to its ten significant digits:
+    X = floor(log10 v), moved by one where the scaled value falls outside
+    the decade, and t = fl(v * 10^(9 - X)) in [1e9, 1e10).  10^(9 - X) is
+    exact (0 <= 9 - X <= 22 and 5^22 < 2^53), so t carries one rounding:
+    with T = v * 10^(9 - X) exactly, |t - T| <= ulp(T)/2 <= 2^-20, as
+    T < 2^34.  The digits are D = rint(t); D = 10^10 carries to 10^9 and
+    X + 1.  ``%.10g`` is correctly rounded (Gay's dtoa), so it shows the
+    integer nearest T, in T's decade.  A cell is certified when
+    |t - floor(t) - 1/2| > ``CSV_TIE_MARGIN`` = 2^-19:
+
+    * Every rounding midpoint lies more than 2^-19 from t, so T, within
+      2^-20 of t, lies on the same side of each; T is no tie and rounds to
+      the integer that t rounds to, D.
+    * At the decade ends.  If T < 1e9 <= t, then t - 1e9 < 2^-20 and D =
+      1e9; the exact significand 10T lies within 10 * 2^-20 below 1e10 and
+      rounds up to it, that is 1.000000000 at exponent X, the same text.
+      If t < 1e10 <= T, then t rounds to 1e10 and carries to 10^9 at X + 1,
+      and T / 10 within 2^-20 above 1e9 rounds to the same.
+
+    (Rounding is monotone and every midpoint below 2^52 is a double, so
+    only t on a midpoint would need excluding; the margin keeps the
+    argument to the error bound.)
+
+    A cell that is not certified (0, a value outside the range, a near
+    tie, NaN, a negative value) is formatted by ``'%.10g' %`` itself.
+    Otherwise the ``%g`` layout follows from X: fixed notation for
+    -4 <= X < 10, trailing zeros of the fraction and a bare '.' stripped,
+    else ``d.ddd...e+XX``.  A cell is 16 bytes, two little-endian words:
+    the digits (two gathers of five-digit words, the zeros past the digits
+    shown cleared to NUL) with a gap opened for the '.', moved up past a
+    ``0.000`` prefix, then the texts of its layout (:func:`_cell_tables`)
+    and the separator in byte 15 OR-ed in.  No text is longer than 15
+    bytes; one ``translate`` drops the NUL padding.
+    """
+    digits, pow10, layouts = _cell_tables()
+    rows, width = block.shape
+    v = block.ravel()
+    fast = (v >= 1e-13) & (v < 1e10)
+    v = np.where(fast, v, 1.0)
+    X = np.clip(np.floor(np.log10(v)), -13, 9).astype(np.int64)
+    t = v * np.take(pow10, 9 - X)
+    off = np.flatnonzero((t < 1e9) | (t >= 1e10))
+    if off.size:  # log10 rounded across a power of ten
+        X[off] = np.clip(X[off] - (t[off] < 1e9) + (t[off] >= 1e10), -13, 9)
+        t[off] = u = v[off] * np.take(pow10, 9 - X[off])
+        fast[off] &= (u >= 1e9) & (u < 1e10)
+    fast &= np.abs(t - np.floor(t) - 0.5) > CSV_TIE_MARGIN
+    D = np.rint(t)
+    carry = D == 1e10
+    D[carry] = 1e9
+    X += carry
+    hi = np.floor(D / 1e5)  # exact: D / 1e5 lies at least 1e-5 from the next integer
+    lo = D - hi * 1e5
+    a = np.take(digits, hi.astype(np.int64))
+    b = np.take(digits, lo.astype(np.int64))
+    # the trailing zeros of the word that holds the last nonzero digit
+    zeros = (np.where(lo == 0, a, b) >> np.uint64(56)).view(np.int64)
+    y = 11 * (X + 13) + np.where(lo == 0, 5, 10) - zeros
+    a_low, a_high, b_low, b_high, shift, back, low, high = np.take(layouts, y, axis=1)
+    a = (a & a_low) | ((a & a_high) << np.uint64(8))
+    b = (b & b_low) | ((b & b_high) << np.uint64(8))
+    w0 = a | (b << np.uint64(40))
+    w1 = (b >> np.uint64(24) << shift) | ((w0 >> np.uint64(1)) >> back)
+    w0 = (w0 << shift) | low
+    w1 |= high
+    slow = np.flatnonzero(~fast)
+    w0[slow] = 0
+    w1[slow] = 0
+    cells = np.empty((rows, width, 2), dtype="<u8")
+    cells[..., 0] = w0.reshape(rows, width)
+    cells[..., 1] = w1.reshape(rows, width)
+    cells[:, :-1, 1] |= np.uint64(ord(",") << 56)
+    cells[:, -1, 1] |= np.uint64(ord("\n") << 56)
+    data = cells.tobytes()
+    if slow.size:
+        parts, start = [], 0
+        for i, value in zip(slow.tolist(), block.ravel()[slow].tolist()):
+            parts += (data[start:16 * i], ("%.10g" % value).encode())
+            start = 16 * i
+        parts.append(data[start:])
+        data = b"".join(parts)
+    return data.translate(None, b"\0")
+
+
+def _write_iapr_csv(fh, doc: SetDocument, n_os: int, curves: list[np.ndarray]) -> None:
+    """Write the time column and one IAPR column per member, ``%.10g`` each, to ``fh``.
+
+    Rows are formatted a block at a time by :func:`_format_cells`, at most
+    ``CSV_CHUNK_VALUES`` values per block, so the transient stays the same
+    size whatever the member count.
     """
     n = n_os * doc.length
     width = len(curves) + 1
     rows = max(1, CSV_CHUNK_VALUES // width)
-    line = ",".join(["%.10g"] * width) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# iapr curves: M={doc.set_size} L={doc.length} "
-                 f"lambda={doc.modulus} oversampling={n_os}\n")
-        cols = ", ".join(f"iapr_{i}" for i in range(doc.set_size))
-        fh.write(f"# columns: dft_t, {cols}\n")
-        for a in range(0, n, rows):
-            b = min(a + rows, n)
-            block = np.empty((b - a, width))
-            block[:, 0] = np.arange(a, b) / n
-            for i, curve in enumerate(curves, 1):
-                block[:, i] = curve[a:b]
-            fh.write(line * (b - a) % tuple(block.ravel().tolist()))
+    cols = ", ".join(f"iapr_{i}" for i in range(doc.set_size))
+    fh.write(f"# iapr curves: M={doc.set_size} L={doc.length} lambda={doc.modulus} "
+             f"oversampling={n_os}\n# columns: dft_t, {cols}\n".encode())
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        block = np.empty((b - a, width))
+        block[:, 0] = np.arange(a, b) / n
+        for i, curve in enumerate(curves, 1):
+            block[:, i] = curve[a:b]
+        fh.write(_format_cells(block))
 
 
 def cmd_pmepr(args) -> int:
@@ -524,30 +665,32 @@ def cmd_pmepr(args) -> int:
     grid_points(args.n_os, doc.length)  # first, so a length-0 document reports its length
     claim = _check_claim(doc.claim, doc.length)
     sset = document_to_set(doc)
-    print(f"document: {args.input}")
-    print(f"set: M={doc.set_size} L={doc.length} lambda={doc.modulus}")
-    print(f"oversampling: {args.n_os}")
-    # pmepr() of a member is the max of its IAPR curve.  The curves are held
-    # only for the CSV export; otherwise each is freed before the next
-    # member's grid is allocated, so peak memory stays at one curve.
-    curves, per = [], []
-    for s in sset.sequences:
-        curve = iapr_curve(s, args.n_os)
-        per.append(float(np.max(curve)))
-        if args.iapr_out is not None:
-            curves.append(curve)
-        del curve
-    S = _bound_S(claim)
-    report = None if S is None else pmepr_report(per, S, args.n_os)
-    for i, v in enumerate(per):
-        print(f"pmepr[{i}]: {v:.6f}")
-    print(f"set pmepr: {max(per):.6f}")
-    if report is not None:
-        print(f"bound (M*S): {report.bound:g}")
-        print(f"bound satisfied: {'yes' if report.bound_satisfied else 'NO'}")
-    if args.iapr_out is not None:
-        _write_iapr_csv(args.iapr_out, doc, args.n_os, curves)
-        print(f"iapr curves written to {args.iapr_out}")
+    # opened before any output or envelope, so a path that cannot be written fails first
+    with open(args.iapr_out, "wb") if args.iapr_out is not None else nullcontext() as csv:
+        print(f"document: {args.input}")
+        print(f"set: M={doc.set_size} L={doc.length} lambda={doc.modulus}")
+        print(f"oversampling: {args.n_os}")
+        # pmepr() of a member is the max of its IAPR curve.  The curves are
+        # held only for the CSV export; otherwise each is freed before the
+        # next member's grid is allocated, so peak memory stays at one curve.
+        curves, per = [], []
+        for s in sset.sequences:
+            curve = iapr_curve(s, args.n_os)
+            per.append(float(np.max(curve)))
+            if csv is not None:
+                curves.append(curve)
+            del curve
+        S = _bound_S(claim)
+        report = None if S is None else pmepr_report(per, S, args.n_os)
+        for i, v in enumerate(per):
+            print(f"pmepr[{i}]: {v:.6f}")
+        print(f"set pmepr: {max(per):.6f}")
+        if report is not None:
+            print(f"bound (M*S): {report.bound:g}")
+            print(f"bound satisfied: {'yes' if report.bound_satisfied else 'NO'}")
+        if csv is not None:
+            _write_iapr_csv(csv, doc, args.n_os, curves)
+            print(f"iapr curves written to {args.iapr_out}")
     return 0
 
 

@@ -178,6 +178,21 @@ def _build(
     return phases, params
 
 
+def _claims(blocks: Sequence[PrimeBlock]) -> list[dict]:
+    """The claims of the set built from ``blocks``, in this order.
+
+    The MSCS of S = prod p_a^(s_a - 1), the GCS when S = 1 and, for one
+    block, the type-II ZCS of width p^m - S.
+    """
+    S = math.prod(b.p ** (b.s - 1) for b in blocks)
+    claims = [{"kind": "MSCS", "S": S}]
+    if S == 1:
+        claims.append({"kind": "GCS"})
+    if len(blocks) == 1:
+        claims.append({"kind": "ZCS", "Z": blocks[0].p ** blocks[0].m - S})
+    return claims
+
+
 def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:
     """Construct the p-member (p, p^m, p^(s-1))-MSCS for one prime block.
 
@@ -186,12 +201,9 @@ def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:
     type-II ZCS property of width p^m - p^(s-1).
     """
     phases, params = _build([block], modulus)
-    S = block.p ** (block.s - 1)
-    claims = [{"kind": "MSCS", "S": S}, {"kind": "ZCS", "Z": block.p**block.m - S}]
-    if S == 1:
-        claims.insert(1, {"kind": "GCS"})
     return SequenceSet.from_phases(
-        modulus, phases, {"construction": "single_prime", "params": params, "claims": claims})
+        modulus, phases,
+        {"construction": "single_prime", "params": params, "claims": _claims([block])})
 
 
 def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
@@ -199,16 +211,13 @@ def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
 
     The primes must be pairwise distinct.  Members are ordered by the tag
     vector gamma = (gamma_1, ..., gamma_k) with gamma_1 fastest.  With one
-    block this reduces to :func:`single_prime_mscs`.
+    block this reduces to :func:`single_prime_mscs`: the same set and claims.
     """
     blocks = tuple(blocks)
     phases, params = _build(blocks, modulus)
-    S = math.prod(b.p ** (b.s - 1) for b in blocks)
-    claims = [{"kind": "MSCS", "S": S}]
-    if S == 1:
-        claims.append({"kind": "GCS"})
     return SequenceSet.from_phases(
-        modulus, phases, {"construction": "multi_prime", "params": params, "claims": claims})
+        modulus, phases,
+        {"construction": "multi_prime", "params": params, "claims": _claims(blocks)})
 
 
 def length_extended_mscs(

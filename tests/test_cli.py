@@ -942,10 +942,20 @@ def _reference_iapr_csv(doc, n_os):
     return ("\n".join(lines) + "\n").encode()
 
 
+# P(t) = 1 - e^(2 pi i t): its curve is about 1e-32 at t = 0 and below 1e-4 near it
+_ZERO_AT_ORIGIN = SetDocument(
+    modulus=2, length=2, set_size=1,
+    claim={"kind": "MSCS", "S": 1},
+    provenance={"construction": "external"},
+    sequences=((0, 1),),
+)
+
+
 @pytest.mark.parametrize("doc, n_os", [
     (document_from_set(mscs_3_54_2()), 400),
     (_ONE_MEMBER, 600),
-], ids=["mscs-3-54-2", "one-member"])
+    (_ZERO_AT_ORIGIN, 5000),
+], ids=["mscs-3-54-2", "one-member", "zero-at-origin"])
 def test_pmepr_iapr_export_bytes(tmp_path, capsys, doc, n_os):
     # more values than one chunk holds, so the rows cross a chunk boundary
     assert n_os * doc.length * (doc.set_size + 1) > CSV_CHUNK_VALUES
@@ -955,6 +965,64 @@ def test_pmepr_iapr_export_bytes(tmp_path, capsys, doc, n_os):
     assert main(["pmepr", path, "--n-os", str(n_os), "--iapr-out", str(csv)]) == 0
     capsys.readouterr()
     assert csv.read_bytes() == _reference_iapr_csv(doc, n_os)
+
+
+def test_pmepr_iapr_export_curve_cells(tmp_path, capsys):
+    # a 0 cell, a cell below 1e-13 and cells in exponent notation reach the file
+    path = str(tmp_path / "set.json")
+    write_document(_ZERO_AT_ORIGIN, path)
+    csv = tmp_path / "iapr.csv"
+    assert main(["pmepr", path, "--n-os", "5000", "--iapr-out", str(csv)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in csv.read_text().splitlines()[2:]]
+    assert rows[0][0] == "0" and float(rows[0][1]) < 1e-13
+    assert sum("e-" in cell and float(cell) >= 1e-13 for _, cell in rows) > 10
+
+
+@pytest.mark.parametrize("target", ["missing/iapr.csv", "."],
+                         ids=["missing-directory", "directory"])
+def test_pmepr_unwritable_iapr_out_fails_before_any_work(tmp_path, capsys, monkeypatch, target):
+    def refuse(*args):
+        raise AssertionError("iapr_curve called before the output was opened")
+
+    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    path = _example_doc_path(tmp_path)
+    assert main(["pmepr", path, "--iapr-out", str(tmp_path / target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _reference_cells(block):
+    return "".join(",".join(f"{v:.10g}" for v in row) + "\n" for row in block).encode()
+
+
+def _near(x, ulps):
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else 0.0))
+    return x
+
+
+# finite non-negative doubles, subnormals and 0 included; values a few ulps
+# from 10^k and from the 10-digit rounding midpoints (D + 1/2) * 10^(X - 9);
+# exact dyadic values
+_CELL_VALUES = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, u: _near(float(f"1e{k}"), u), st.integers(-14, 10), st.integers(-4, 4)),
+    st.builds(lambda d, x, u: _near(float(f"{(2 * d + 1) * 5}e{x - 10}"), u),
+              st.integers(10**9, 10**10 - 1), st.integers(-14, 10), st.integers(-4, 4)),
+    st.builds(lambda m, e: float(np.ldexp(m, e)), st.integers(1, 2**12), st.integers(-60, 30)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_CELL_VALUES, min_size=1, max_size=124), width=st.integers(1, 31))
+@example(values=[0.5, 2.0**-20, 0.0, 1e-13, 9999999999.5, 1e10, 5e-324], width=1)
+@example(values=[0.033374467305, 4.6980617935e-06], width=2)  # t is a float midpoint, T is not
+def test_format_cells_matches_percent_g(values, width):
+    # the last row is filled up from the front of the list
+    block = np.resize(np.array(values), (-(-len(values) // width), width))
+    assert mscs.cli._format_cells(block) == _reference_cells(block.tolist())
 
 
 def test_pmepr_single_carrier_external(tmp_path, capsys, monkeypatch):

@@ -81,6 +81,17 @@ def test_single_block_multi_prime_consistency():
     assert [list(s.values) for s in a.sequences] == [list(s.values) for s in b.sequences]
 
 
+def test_one_block_multi_prime_is_the_single_prime_set():
+    # the same members and the same claims, the type-II ZCS of width 27 - 3 included
+    single = single_prime_mscs(PrimeBlock(3, 3, 2), 6)
+    multi = multi_prime_mscs([PrimeBlock(3, 3, 2)], 6)
+    assert np.array_equal(multi.phases, single.phases)
+    assert multi.metadata["claims"] == single.metadata["claims"] == [
+        {"kind": "MSCS", "S": 3}, {"kind": "ZCS", "Z": 24}]
+    assert multi_prime_mscs([PrimeBlock(3, 2)], 6).metadata["claims"] == [
+        {"kind": "MSCS", "S": 1}, {"kind": "GCS"}, {"kind": "ZCS", "Z": 8}]
+
+
 def test_two_prime_gcs():
     # (2,1) x (3,1) with lambda=6 and zero coefficients: a (6,6,1)-GCS
     sset = multi_prime_mscs([PrimeBlock(p=2, m=1), PrimeBlock(p=3, m=1)], 6)
