@@ -18,7 +18,6 @@ from .constructions import (
 from .correlation import (
     CorrelationReport,
     CyclotomicSum,
-    ShiftCheck,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -66,7 +65,6 @@ __all__ = [
     "single_prime_mscs",
     "CorrelationReport",
     "CyclotomicSum",
-    "ShiftCheck",
     "aacf_set_sum",
     "accf_exact",
     "accf_float",

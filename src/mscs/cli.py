@@ -86,6 +86,8 @@ CLAIMS = {
 
 # The keys of one block record in a parameter file.
 BLOCK_KEYS = ("p", "m", "s", "pi", "linear", "constant", "h_table")
+# The flags that take a comma separated list of integers.
+_LIST_FLAGS = ("--pi", "--linear", "--h-table")
 
 # Values formatted per write of the IAPR export.
 CSV_CHUNK_VALUES = 1 << 14
@@ -272,7 +274,7 @@ def _field_int(payload: dict, key: str, default: int | None = None) -> int:
 def document_from_json(text: str) -> SetDocument:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"document is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("document root must be an object")
@@ -436,7 +438,7 @@ def cmd_generate(args) -> int:
         with open(args.params) as fh:
             try:
                 params = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"parameter file is not valid JSON: {exc}") from None
         sset = _build_from_params(params, rng)
     else:
@@ -806,11 +808,11 @@ def _selftest_checks():
         # stride-3 MSCS plan and a type-II ZCS tail window
         for sset, claim in ((a, {"kind": "GCS"}), (b, {"kind": "GCS"}),
                             (a, {"kind": "MSCS", "S": 3}), (b, {"kind": "ZCS", "Z": 21})):
-            lam, checks = sset.modulus, _verify_claim(sset, claim).shifts
-            counts = np.array([aacf_set_sum(sset, t).counts for t in checks.tested.tolist()])
-            if not np.array_equal(checks.zeros, is_zero(counts)):
+            lam, report = sset.modulus, _verify_claim(sset, claim)
+            counts = np.array([aacf_set_sum(sset, t).counts for t in report.shifts.tolist()])
+            if not np.array_equal(report.zeros, is_zero(counts)):
                 return f"L={sset.length} {_claim_tag(claim)}: verdicts differ from the counts'"
-            if claim == {"kind": "GCS"} and len(np.unique(checks.zeros)) < 2:
+            if claim == {"kind": "GCS"} and len(np.unique(report.zeros)) < 2:
                 return f"L={sset.length} GCS: every shift has the same verdict"
             # sigma_k of the counts, from roots within 24u of w^(kj) and lambda-term
             # sums of integer multiples, errs by at most (24 + 2 lambda)u per count
@@ -818,10 +820,10 @@ def _selftest_checks():
             exact = counts @ unit_lift(np.outer(ks, np.arange(lam)) % lam, lam).T
             slack = (_embedding_bound(len(sset), sset.length)
                      + (24 + 2 * lam) * 2.0**-53 * counts.sum(axis=1, keepdims=True))
-            error = np.abs(_lift_sums(sset, ks, checks.tested).T - exact)
+            error = np.abs(_lift_sums(sset, ks, report.shifts).T - exact)
             if (error > slack).any():
                 i, k = np.argwhere(error > slack)[0]
-                return (f"L={sset.length} tau={checks.tested[i]} k={ks[k]}: conjugate off "
+                return (f"L={sset.length} tau={report.shifts[i]} k={ks[k]}: conjugate off "
                         f"its exact value by {error[i, k]:.3e}")
         return None
 
@@ -902,16 +904,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, help="number of digits")
     gen.add_argument("--s", type=int, help="shift exponent parameter (default 1)")
     gen.add_argument("--lambda", type=int, help="phase modulus")
-    gen.add_argument("--pi", type=_int_list,
-                     help="permutation of {s..m}, comma separated (--pi=-1,2 if it starts "
-                          "with a negative value)")
+    gen.add_argument("--pi", type=_int_list, help="permutation of {s..m}, comma separated")
     gen.add_argument("--linear", type=_int_list,
-                     help="linear coefficients g_1..g_m, comma separated (--linear=-1,2 if "
-                          "they start with a negative value)")
+                     help="linear coefficients g_1..g_m, comma separated")
     gen.add_argument("--constant", type=int, help="additive constant")
-    gen.add_argument("--h-table", type=_int_list,
-                     help="head function table, comma separated (--h-table=-1,2 if it "
-                          "starts with a negative value)")
+    gen.add_argument("--h-table", type=_int_list, help="head function table, comma separated")
     gen.add_argument("--seed", type=int, help="randomize unspecified parameters")
     gen.add_argument("--verify", action="store_true",
                      help="exactly verify the claim before writing")
@@ -936,9 +933,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_list_values(argv: list[str]) -> list[str]:
+    """``FLAG -1,2`` as ``FLAG=-1,2`` for the integer list flags.
+
+    argparse takes a value that starts with '-' for an option unless the
+    whole value is one number, so a list led by a negative value would be
+    refused with ``expected one argument``.  Joined, it is read as a value.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _LIST_FLAGS and token[:1] == "-" and token[1:2].isdigit():
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_list_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # looked up per call rather than stored in the cached parser, so a

@@ -29,11 +29,10 @@ Moduli above ``EXACT_MODULUS_CAP`` take the k = 1 embedding alone: a sum
 counts as zero when its magnitude is within B, and the report's ``mode``
 is "numerical" instead of "exact".
 
-A :class:`CorrelationReport` keeps the verdict of every tested shift as
-the arrays they are computed in (:class:`ShiftChecks`): the tested
-shifts, the exact zero flags and the float magnitudes.  A
-:class:`ShiftCheck` is built only for an entry that is read, so a report
-over every shift of a near-cap set costs no Python object per shift.
+A :class:`CorrelationReport` keeps the verdicts of the tested shifts as
+the read-only arrays they are computed in: the shifts, the exact zero
+flags and the float magnitudes, so a report over every shift of a
+near-cap set holds no Python object per shift.
 """
 
 from __future__ import annotations
@@ -320,8 +319,10 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
     length-n inverse FFT per embedding, read at lag (tau - drop) / g.  With
     the plan (0, 1, _fft_length(L)) this is one whole-sequence FFT per
     member.  The phases are already reduced, so k = 1 lifts them as they
-    are.
+    are.  An empty shift list takes no transform and gives (len(ks), 0).
     """
+    if not len(shifts):
+        return np.empty((len(ks), 0), dtype=complex)
     L, lam = sset.length, sset.modulus
     drop, g, n = _lag_plan(L, shifts)
     head = (L - drop) // 2
@@ -401,89 +402,31 @@ def _conjugate_ks(lam: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, lam // 2 + 1) if math.gcd(k, lam) == 1)
 
 
-@dataclass(frozen=True)
-class ShiftCheck:
-    """Verdict at one shift: exact zero flag plus float magnitude."""
-
-    shift: int
-    exact_zero: bool
-    magnitude: float
-
-
-class ShiftChecks(Sequence[ShiftCheck]):
-    """The verdicts of a verification run, held as arrays.
-
-    ``tested`` is the int64 array of tested shifts, ``zeros`` the bool
-    array of exact zero flags and ``magnitudes`` the float array of
-    |float sum|, one entry per shift; each is a read-only view of the
-    array passed in.  A :class:`ShiftCheck` is built only when an entry is
-    indexed, sliced (a slice is a tuple of checks) or iterated; ``len``
-    reads the arrays.  The checks compare and hash as the tuple of the same
-    :class:`ShiftCheck`s would.
-    """
-
-    __slots__ = ("tested", "zeros", "magnitudes")
-
-    def __init__(self, tested, zeros, magnitudes):
-        arrays = [np.asarray(a, dtype=t).view()
-                  for a, t in ((tested, np.int64), (zeros, bool), (magnitudes, float))]
-        for a in arrays:
-            a.flags.writeable = False
-        self.tested, self.zeros, self.magnitudes = arrays
-
-    def __len__(self) -> int:
-        return len(self.zeros)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(ShiftCheck, self.tested[index].tolist(), self.zeros[index].tolist(),
-                             self.magnitudes[index].tolist()))
-        return ShiftCheck(int(self.tested[index]), bool(self.zeros[index]),
-                          float(self.magnitudes[index]))
-
-    def __iter__(self):
-        return map(ShiftCheck, self.tested.tolist(), self.zeros.tolist(),
-                   self.magnitudes.tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (ShiftChecks, tuple)):
-            return len(self) == len(other) and tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationReport:
     """Outcome of a GCS / MSCS / type-II ZCS verification run.
 
     ``mode`` names how the verdicts were reached: "exact" conjugates, or
     "numerical" float sums within :func:`_embedding_bound` for moduli above
-    ``EXACT_MODULUS_CAP``.  ``shifts`` holds the verdicts of every tested
-    shift as arrays (:class:`ShiftChecks`), and ``passed`` and
-    ``failing_shifts`` read them without building a :class:`ShiftCheck`
-    per shift.
+    ``EXACT_MODULUS_CAP``.  The verdicts are three read-only arrays with one
+    entry per tested shift: ``shifts`` (int64), ``zeros`` (bool, the sum is
+    zero) and ``magnitudes`` (float64, |E'_1|, the float sum's modulus).
     """
 
     claim: str
     parameter: int | None
-    set_size: int
-    length: int
-    modulus: int
     mode: str
-    shifts: ShiftChecks
+    shifts: np.ndarray
+    zeros: np.ndarray
+    magnitudes: np.ndarray
 
     @property
     def passed(self) -> bool:
-        return bool(self.shifts.zeros.all())
+        return bool(self.zeros.all())
 
     @property
     def failing_shifts(self) -> tuple[int, ...]:
-        return tuple(self.shifts.tested[~self.shifts.zeros].tolist())
+        return tuple(self.shifts[~self.zeros].tolist())
 
 
 def _verify(sset: SequenceSet, shifts: range, claim: str,
@@ -524,7 +467,7 @@ def _verify(sset: SequenceSet, shifts: range, claim: str,
     sums = _lift_sums(sset, (1,) if numerical else _conjugate_ks(lam), shifts)
     peak = np.abs(sums).max(axis=0)
     zeros = peak <= bound
-    tested = np.arange(shifts.start, shifts.stop, shifts.step)
+    tested = np.arange(shifts.start, shifts.stop, shifts.step, dtype=np.int64)
     if not numerical and len(tested):
         between = np.flatnonzero(~zeros & (peak < 1 - bound))
         if len(between):
@@ -536,15 +479,11 @@ def _verify(sset: SequenceSet, shifts: range, claim: str,
         tau = int(tested[i])
         if zeros[i] != is_zero(aacf_set_sum(sset, tau)):
             raise RuntimeError(f"the verdict at shift {tau} disagrees with aacf_set_sum")
-    return CorrelationReport(
-        claim=claim,
-        parameter=parameter,
-        set_size=M,
-        length=L,
-        modulus=lam,
-        mode="numerical" if numerical else "exact",
-        shifts=ShiftChecks(tested, zeros, np.abs(sums[0])),
-    )
+    magnitudes = np.abs(sums[0])
+    for verdicts in (tested, zeros, magnitudes):
+        verdicts.flags.writeable = False
+    return CorrelationReport(claim, parameter, "numerical" if numerical else "exact",
+                             tested, zeros, magnitudes)
 
 
 def verify_mscs(sset: SequenceSet, S: int) -> CorrelationReport:

@@ -455,15 +455,44 @@ def test_generate_takes_a_negative_leading_list_after_an_equals_sign(tmp_path, c
                      "--out", str(out)]) == 0
         docs.append(out.read_bytes())
     assert docs[0] == docs[1]
-    # after a space argparse reads the value as an option, as --help says
-    capsys.readouterr()
-    assert main(["generate", "--p", "3", "--m", "3", "--lambda", "6", "--linear", "-1,2,3",
-                 "--out", str(tmp_path / "x.json")]) == 2
-    assert "argument --linear: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--linear", "-1,2,3"), ("--h-table", "-1,2,3"),
+                                         ("--pi", "-3,2")])
+def test_generate_takes_a_negative_leading_list_after_a_space(tmp_path, capsys, flag, value):
+    base = ["generate", "--p", "3", "--m", "3", "--s", "2", "--lambda", "6"]
+    outcomes = []
+    for given in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / f"{len(outcomes)}.json"
+        code = main([*base, *given, "--out", str(out)])
+        captured = capsys.readouterr()
+        text = captured.out.replace(str(out), "OUT")
+        outcomes.append((code, text, captured.err, out.read_bytes() if out.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    # pi must be a permutation of {2, 3}, so a negative entry is refused by value
+    assert outcomes[0][0] == (2 if flag == "--pi" else 0)
+    assert "expected one argument" not in outcomes[0][2]
+    # a flag with no value at all is still a usage error
+    assert main([*base, flag, "--seed", "3", "--out", str(tmp_path / "x.json")]) == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
     assert main(["generate", "--help"]) == 0
-    help_text = capsys.readouterr().out
-    for flag in ("--pi", "--linear", "--h-table"):
-        assert f"{flag}=-1,2" in help_text
+    assert "=-1,2" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{path}"], "error: document is not valid JSON: "),
+    (["generate", "--params", "{path}", "--out", "{out}"],
+     "error: parameter file is not valid JSON: "),
+], ids=["document", "params"])
+def test_deeply_nested_json_is_invalid_json(tmp_path, capsys, argv, message):
+    # json recursion past Python's limit is a malformed input, not an internal failure
+    path, out = tmp_path / "deep.json", tmp_path / "set.json"
+    path.write_text("[" * 200000)
+    assert main([a.format(path=path, out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_generate_names_an_invalid_params_file(tmp_path, capsys):
@@ -826,10 +855,7 @@ def test_verify_corrupt_document(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_stdout_is_pinned_and_builds_no_checks(tmp_path, capsys, monkeypatch):
-    built = []
-    real = mscs.correlation.ShiftCheck
-    monkeypatch.setattr(mscs.correlation, "ShiftCheck", lambda *a: built.append(a) or real(*a))
+def test_verify_stdout_is_pinned(tmp_path, capsys):
     path = _example_doc_path(tmp_path)
     assert main(["verify", path]) == 0
     assert capsys.readouterr().out == (
@@ -849,7 +875,6 @@ def test_verify_stdout_is_pinned_and_builds_no_checks(tmp_path, capsys, monkeypa
         f"document: {flipped}\nset: M=3 L=54 lambda=6\nclaim: GCS\nmode: exact\n"
         f"shifts checked: 53\nfailing shifts: {' '.join(map(str, failing[:20]))} "
         f"(+{len(failing) - 20} more)\nverdict: fail\n")
-    assert built == []
 
 
 def _hand_written(rows: str, provenance: str = '{"construction": "external"}',

@@ -21,8 +21,6 @@ from mscs.constructions import (
 from mscs.correlation import (
     EXACT_MODULUS_CAP,
     CyclotomicSum,
-    ShiftCheck,
-    ShiftChecks,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -288,7 +286,7 @@ def test_verify_mscs_reference_set():
     assert report.mode == "exact"
     assert report.claim == "MSCS"
     assert report.parameter == 3
-    assert [c.shift for c in report.shifts] == [3, 6, 9, 12, 15, 18, 21, 24]
+    assert report.shifts.tolist() == [3, 6, 9, 12, 15, 18, 21, 24]
     assert report.failing_shifts == ()
 
 
@@ -297,7 +295,7 @@ def test_verify_mscs_singleton_fails():
     report = verify_mscs(sset, 1)
     assert not report.passed
     assert report.failing_shifts == (1,)
-    assert report.shifts[0].magnitude > 0.5
+    assert report.magnitudes[0] > 0.5
 
 
 def test_verify_mscs_parameter_bounds():
@@ -327,13 +325,13 @@ def test_verify_type2_zcs_cases():
     sset = mscs_3_27_3()
     report = verify_type2_zcs(sset, 24)
     assert report.passed
-    assert [c.shift for c in report.shifts] == list(range(4, 27))
+    assert report.shifts.tolist() == list(range(4, 27))
     # Z=1 leaves an empty open window (26, 27), so the check is vacuous
     narrow = verify_type2_zcs(sset, 1)
-    assert narrow.shifts == ()
+    assert len(narrow.shifts) == 0
     assert narrow.passed
     two = verify_type2_zcs(sset, 2)
-    assert [c.shift for c in two.shifts] == [26]
+    assert two.shifts.tolist() == [26]
     rng = random.Random(17)
     noise = SequenceSet(
         [PhaseSequence(4, [rng.randrange(4) for _ in range(16)]) for _ in range(2)]
@@ -343,74 +341,94 @@ def test_verify_type2_zcs_cases():
     assert len(bad.failing_shifts) > 0
 
 
-def count_shift_checks(monkeypatch) -> list:
-    """Record every ShiftCheck the correlation module builds from now on."""
-    built = []
-
-    def counted(*args):
-        built.append(args)
-        return ShiftCheck(*args)
-
-    monkeypatch.setattr(correlation, "ShiftCheck", counted)
-    return built
-
-
-def test_report_verdicts_are_read_without_building_checks(monkeypatch):
+def test_report_verdicts_are_three_read_only_arrays(tmp_path, capsys):
     rng = random.Random(23)
     sset = SequenceSet([PhaseSequence(6, [rng.randrange(6) for _ in range(200)])
                         for _ in range(3)])
     failing = tuple(t for t in range(1, 200) if not is_zero(aacf_set_sum(sset, t)))
     assert len(failing) > 100
-    built = count_shift_checks(monkeypatch)
     report = verify_gcs(sset)
-    assert len(report.shifts) == 199 and report.shifts
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "claim", "parameter", "mode", "shifts", "zeros", "magnitudes"]
+    for name, dtype in (("shifts", np.int64), ("zeros", np.bool_), ("magnitudes", np.float64)):
+        verdicts = getattr(report, name)
+        assert verdicts.dtype == dtype and verdicts.shape == (199,)
+        with pytest.raises(ValueError):
+            verdicts[0] = 0
+    assert type(report.failing_shifts) is tuple
+    assert all(type(t) is int for t in report.failing_shifts)
+    # `mscs verify` prints len(report.shifts) as the shifts checked
+    path = tmp_path / "set.json"
+    write_document(document_from_set(mscs_3_27_3()), str(path))
+    for argv, verify in (([], lambda s: verify_mscs(s, 3)), (["--claim", "gcs"], verify_gcs),
+                         (["--claim", "zcs", "--Z", "1"], lambda s: verify_type2_zcs(s, 1))):
+        cli_main(["verify", str(path), *argv])
+        printed = capsys.readouterr().out.split("shifts checked: ")[1].split("\n")[0]
+        assert int(printed) == len(verify(mscs_3_27_3()).shifts)
+    assert printed == "0"
+
+
+def test_report_verdicts_are_read_without_building_checks():
+    # the verdicts are the arrays themselves: no per-shift object is built
+    assert not hasattr(correlation, "ShiftCheck") and not hasattr(correlation, "ShiftChecks")
+    rng = random.Random(23)
+    sset = SequenceSet([PhaseSequence(6, [rng.randrange(6) for _ in range(200)])
+                        for _ in range(3)])
+    failing = tuple(t for t in range(1, 200) if not is_zero(aacf_set_sum(sset, t)))
+    assert len(failing) > 100
+    report = verify_gcs(sset)
+    assert len(report.shifts) == 199 and report.shifts.tolist() == list(range(1, 200))
+    assert report.zeros.tolist() == [t not in failing for t in range(1, 200)]
     assert not report.passed and report.failing_shifts == failing
     assert all(type(t) is int for t in report.failing_shifts)
     strided = verify_mscs(sset, 7)
+    assert strided.shifts.tolist() == list(range(7, 200, 7))
     assert strided.failing_shifts == tuple(t for t in failing if t % 7 == 0)
-    assert built == []
-    assert report.shifts[5].shift == 6 and len(built) == 1
+    assert report.shifts[5] == 6
 
 
 def test_report_checks_behave_as_the_tuple_of_checks():
+    # one check per tested shift is one row across the three arrays
     sset = mscs_3_27_3()
     report = verify_gcs(sset)
-    checks = tuple(report.shifts)
-    assert [(c.shift, c.exact_zero) for c in checks] == [
+    rows = list(zip(report.shifts.tolist(), report.zeros.tolist(), report.magnitudes.tolist()))
+    assert [(t, zero) for t, zero, _ in rows] == [
         (t, is_zero(aacf_set_sum(sset, t))) for t in range(1, 27)]
-    assert all(type(c.shift) is int and type(c.exact_zero) is bool and type(c.magnitude) is float
-               for c in checks)
-    for i in range(-26, 26):
-        assert report.shifts[i] == checks[i]
-    for index in (26, -27):
-        with pytest.raises(IndexError):
-            report.shifts[index]
-    for cut in (slice(None), slice(3, 9), slice(-4, None), slice(None, None, -3), slice(30, 40)):
-        assert report.shifts[cut] == checks[cut]
-        assert type(report.shifts[cut]) is tuple
-    assert list(reversed(report.shifts)) == list(reversed(checks))
-    assert report.shifts == checks and checks == report.shifts and report.shifts != list(checks)
-    assert hash(report.shifts) == hash(checks)
-    empty = dataclasses.replace(report, shifts=ShiftChecks([], [], []))
-    assert empty.passed and empty.failing_shifts == () and empty.shifts == ()
-    assert report == verify_gcs(sset) and report != empty
-    assert verify_type2_zcs(sset, 1).shifts == ()
-    assert report.shifts != () and () != report.shifts
-    nudged = report.shifts.magnitudes.copy()
-    nudged[4] = np.nextafter(nudged[4], np.inf)
-    moved = ShiftChecks(report.shifts.tested, report.shifts.zeros.copy(), nudged)
-    assert dataclasses.replace(report, shifts=moved) != report
-    flags = report.shifts.zeros.copy()
+    assert all(type(t) is int and type(zero) is bool and type(mag) is float
+               for t, zero, mag in rows)
+    assert all(mag < 1e-9 for _, zero, mag in rows if zero)
+    assert all(mag > 0.5 for _, zero, mag in rows if not zero)
+    again = verify_gcs(sset)
+    for name in ("shifts", "zeros", "magnitudes"):
+        assert np.array_equal(getattr(report, name), getattr(again, name))
+    empty = dataclasses.replace(report, shifts=report.shifts[:0], zeros=report.zeros[:0],
+                                magnitudes=report.magnitudes[:0])
+    assert empty.passed and empty.failing_shifts == () and len(empty.shifts) == 0
+    assert len(verify_type2_zcs(sset, 1).shifts) == 0 and len(report.shifts) == 26
+    flags = report.zeros.copy()
     flags[0] = True
-    flipped = ShiftChecks(report.shifts.tested, flags, report.shifts.magnitudes.copy())
-    assert dataclasses.replace(report, shifts=flipped) != report
+    flipped = dataclasses.replace(report, zeros=flags)
+    assert flipped.failing_shifts == (2,) and report.failing_shifts == (1, 2)
     with pytest.raises(ValueError):
-        report.shifts.zeros[0] = True
+        report.zeros[0] = True
     with pytest.raises(ValueError):
-        report.shifts.magnitudes[0] = 0.0
+        report.magnitudes[0] = 0.0
     with pytest.raises(ValueError):
-        report.shifts.tested[0] = 0
-    assert nudged.flags.writeable and flags.flags.writeable
+        report.shifts[0] = 0
+    assert flags.flags.writeable
+
+
+def test_an_empty_shift_range_takes_no_transform(monkeypatch):
+    sset = mscs_3_27_3()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no transform was expected")
+
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    report = verify_type2_zcs(sset, 1)
+    assert report.passed and len(report.shifts) == 0 and report.failing_shifts == ()
+    assert correlation._lift_sums(sset, (1, 5), range(26, 26)).shape == (2, 0)
 
 
 def test_verify_numerical_mode_above_cap():
@@ -441,15 +459,15 @@ def test_separation_tripwire(monkeypatch):
     for sset in (mscs_3_27_3(), _claim_breakers()[15]):
         bound = correlation._embedding_bound(len(sset), sset.length)
         report = verify_gcs(sset)
-        zero_at = next(c.shift for c in report.shifts if c.exact_zero)
-        nonzero_at = next(c.shift for c in report.shifts if not c.exact_zero)
+        zero_at = int(report.shifts[report.zeros][0])
+        nonzero_at = int(report.shifts[~report.zeros][0])
         # one conjugate of a zero moved between B and 1 - B raises; within B it passes
         _move_sums(monkeypatch, lambda v: v + 0.25, zero_at, rows=-1)
         with pytest.raises(RuntimeError, match=f"at shift {zero_at} lies between the bound"):
             verify_gcs(sset)
         monkeypatch.undo()
         _move_sums(monkeypatch, lambda v: v + bound / 2, zero_at, rows=-1)
-        assert verify_gcs(sset).shifts.zeros.tolist() == report.shifts.zeros.tolist()
+        assert verify_gcs(sset).zeros.tolist() == report.zeros.tolist()
         monkeypatch.undo()
         # every conjugate of a nonzero pulled below 1 - B raises
         _move_sums(monkeypatch, lambda v: 0.5, nonzero_at)
@@ -566,10 +584,8 @@ def _oracle_report(sset, verify):
     :func:`aacf_set_sum`, one shift at a time.
     """
     report = verify(sset)
-    checks = report.shifts
-    oracle = [is_zero(aacf_set_sum(sset, t)) for t in checks.tested.tolist()]
-    assert report == dataclasses.replace(
-        report, shifts=ShiftChecks(checks.tested, oracle, checks.magnitudes))
+    oracle = [is_zero(aacf_set_sum(sset, t)) for t in report.shifts.tolist()]
+    assert report.zeros.tolist() == oracle
     return report
 
 
@@ -716,7 +732,7 @@ def test_residues_match_counts_at_every_shift(lam):
         _, zeros = _check_conjugates(sset, range(sset.length))
         assert not zeros[0]
         report = _oracle_report(sset, verify_gcs)
-        assert report.shifts.zeros.tolist() == zeros[1:].tolist()
+        assert report.zeros.tolist() == zeros[1:].tolist()
         assert not all(zeros[1:])
 
 
@@ -739,7 +755,7 @@ def test_every_length_takes_the_residue_path():
     assert report.mode == "exact" and len(report.shifts) == 4000
     sample = sorted(rng.sample(range(1, 4001), 40)) + [4000]
     _, zeros = _check_conjugates(sset, sample)
-    assert report.shifts.zeros[np.array(sample) - 1].tolist() == zeros.tolist()
+    assert report.zeros[np.array(sample) - 1].tolist() == zeros.tolist()
     # 2L = 136 = 8 * 17 pads to 135 = 27 * 5, a plan the bound covers
     odd = _random_set(random.Random(5), 6, 2, 68)
     assert correlation._fft_length(68) == 135
@@ -857,7 +873,7 @@ def test_kernels_match_the_oracle_on_planned_shifts(lam):
             assert (g > 1) == (name in ("mscs-stride", "one-shift-past-half")), name
             _, zeros = _check_conjugates(sset, shifts)
             if isinstance(shifts, range):
-                assert correlation._verify(sset, shifts, "GCS", None).shifts.zeros.tolist() \
+                assert correlation._verify(sset, shifts, "GCS", None).zeros.tolist() \
                     == zeros.tolist(), name
 
 
@@ -910,11 +926,11 @@ def test_large_modulus_gcs_passes_numerically():
     assert (len(sset), sset.length) == (2310, 13860)
     report = verify_gcs(sset)
     assert report.mode == "numerical" and report.passed
-    assert max(c.magnitude for c in report.shifts) > 1e-9
+    assert report.magnitudes.max() > 1e-9
     flipped = verify_gcs(_flipped(sset))
     assert len(flipped.failing_shifts) == sset.length - 1
     bound = correlation._embedding_bound(len(sset), sset.length)
-    assert min(c.magnitude for c in flipped.shifts) > 100 * bound
+    assert flipped.magnitudes.min() > 100 * bound
 
 
 def test_float_sums_at_exact_zeros_pass_within_the_bound(monkeypatch):
@@ -933,7 +949,7 @@ def test_float_sums_at_exact_zeros_pass_within_the_bound(monkeypatch):
     monkeypatch.setattr(correlation, "_lift_sums", lambda sset, ks, shifts: floats.copy())
     report = verify_gcs(sset)
     assert report.mode == "exact" and report.passed
-    assert np.array_equal(report.shifts.magnitudes, np.abs(floats[0]))
+    assert np.array_equal(report.magnitudes, np.abs(floats[0]))
     # the same sum moved between B and 1 - B raises
     floats[0, 30240 - 1] = 0.25
     with pytest.raises(RuntimeError, match="at shift 30240 lies between the bound"):
