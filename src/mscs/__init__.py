@@ -29,14 +29,12 @@ from .correlation import (
     verify_type2_zcs,
 )
 from .pmepr import (
-    EnvelopeGrid,
     PmeprReport,
     energy_identity_check,
     envelope,
     iapr_curve,
     modulated_family,
     pmepr,
-    pmepr_report,
     pmepr_set,
 )
 from .reference_sets import mscs_3_27_3, mscs_3_54_2
@@ -74,14 +72,12 @@ __all__ = [
     "verify_gcs",
     "verify_mscs",
     "verify_type2_zcs",
-    "EnvelopeGrid",
     "PmeprReport",
     "energy_identity_check",
     "envelope",
     "iapr_curve",
     "modulated_family",
     "pmepr",
-    "pmepr_report",
     "pmepr_set",
     "mscs_3_27_3",
     "mscs_3_54_2",

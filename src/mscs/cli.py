@@ -64,7 +64,6 @@ from .pmepr import (
     grid_points,
     iapr_curve,
     modulated_family,
-    pmepr_report,
     pmepr_set,
 )
 from .seqcore import PhaseSequence, SequenceSet, check_length, unit_lift
@@ -672,22 +671,13 @@ def cmd_pmepr(args) -> int:
         print(f"document: {args.input}")
         print(f"set: M={doc.set_size} L={doc.length} lambda={doc.modulus}")
         print(f"oversampling: {args.n_os}")
-        # pmepr() of a member is the max of its IAPR curve.  The curves are
-        # held only for the CSV export; otherwise each is freed before the
-        # next member's grid is allocated, so peak memory stays at one curve.
-        curves, per = [], []
-        for s in sset.sequences:
-            curve = iapr_curve(s, args.n_os)
-            per.append(float(np.max(curve)))
-            if csv is not None:
-                curves.append(curve)
-            del curve
-        S = _bound_S(claim)
-        report = None if S is None else pmepr_report(per, S, args.n_os)
-        for i, v in enumerate(per):
+        # the curves are held only for the CSV export
+        curves = None if csv is None else []
+        report = pmepr_set(sset, _bound_S(claim), args.n_os, curves)
+        for i, v in enumerate(report.per_sequence):
             print(f"pmepr[{i}]: {v:.6f}")
-        print(f"set pmepr: {max(per):.6f}")
-        if report is not None:
+        print(f"set pmepr: {report.set_pmepr:.6f}")
+        if report.bound is not None:
             print(f"bound (M*S): {report.bound:g}")
             print(f"bound satisfied: {'yes' if report.bound_satisfied else 'NO'}")
         if csv is not None:
@@ -891,14 +881,19 @@ def cmd_selftest(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process."""
+    """The command line parser, built once per process.
+
+    Every parser takes flags by their full names only (``allow_abbrev``
+    off), so ``_LIST_FLAGS`` holds every spelling of a list flag.
+    """
     parser = argparse.ArgumentParser(
-        prog="mscs",
+        prog="mscs", allow_abbrev=False,
         description="Construct, verify and measure complementary sequence sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="construct a set and write a document")
+    gen = sub.add_parser("generate", allow_abbrev=False,
+                         help="construct a set and write a document")
     gen.add_argument("--params", help="JSON parameter file (flag names as keys)")
     gen.add_argument("--p", type=int, help="prime base")
     gen.add_argument("--m", type=int, help="number of digits")
@@ -914,7 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exactly verify the claim before writing")
     gen.add_argument("--out", required=True, help="output document path")
 
-    ver = sub.add_parser("verify", help="verify the correlation claim of a document")
+    ver = sub.add_parser("verify", allow_abbrev=False,
+                         help="verify the correlation claim of a document")
     ver.add_argument("input", help="set document path")
     ver.add_argument("--claim", choices=[kind.lower() for kind in CLAIMS],
                      help="override the document claim")
@@ -922,13 +918,13 @@ def build_parser() -> argparse.ArgumentParser:
         if key is not None:
             ver.add_argument(f"--{key}", type=int, help=f"{key} of the {kind} claim verified")
 
-    pme = sub.add_parser("pmepr", help="measure PMEPR of a document")
+    pme = sub.add_parser("pmepr", allow_abbrev=False, help="measure PMEPR of a document")
     pme.add_argument("input", help="set document path")
     pme.add_argument("--n-os", type=int, default=DEFAULT_OVERSAMPLING,
                      help=f"oversampling factor (default {DEFAULT_OVERSAMPLING})")
     pme.add_argument("--iapr-out", help="write IAPR curves to this path")
 
-    sub.add_parser("selftest", help="run the bundled checks")
+    sub.add_parser("selftest", allow_abbrev=False, help="run the bundled checks")
 
     return parser
 

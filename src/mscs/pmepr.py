@@ -43,34 +43,6 @@ MAX_GRID = DEFAULT_OVERSAMPLING * MAX_LENGTH
 BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class EnvelopeGrid:
-    """Envelope samples on the uniform grid u_j = j/(N_os*L), j = 0..N_os*L-1."""
-
-    oversampling: int
-    length: int
-    samples: np.ndarray
-
-    def __init__(self, oversampling: int, length: int, samples):
-        oversampling = int(oversampling)
-        length = int(length)
-        n = grid_points(oversampling, length)
-        arr = np.asarray(samples, dtype=complex)
-        if arr.shape != (n,):
-            raise ValueError(f"expected {n} samples, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "oversampling", oversampling)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Normalized time u = df*t of each sample."""
-        n = self.oversampling * self.length
-        return np.arange(n) / n
-
-
 def grid_points(oversampling: int, length: int) -> int:
     """Size N_os*L of the envelope grid; raises unless N_os, L >= 1 and N_os*L <= MAX_GRID."""
     if oversampling < 1:
@@ -93,10 +65,9 @@ def _complex_envelope(c: np.ndarray, oversampling: int) -> np.ndarray:
     return env
 
 
-def envelope(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> EnvelopeGrid:
-    """Complex envelope of a phase sequence on the oversampled grid."""
-    samples = _complex_envelope(to_complex(x), oversampling)
-    return EnvelopeGrid(oversampling, len(x), samples)
+def envelope(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
+    """Complex envelope P_x(u_j) of a phase sequence at u_j = j/(N_os*L), j = 0..N_os*L-1."""
+    return _complex_envelope(to_complex(x), oversampling)
 
 
 def iapr_curve(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
@@ -114,40 +85,52 @@ def pmepr(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> float:
 
 @dataclass(frozen=True)
 class PmeprReport:
-    """Measured PMEPRs of a set against the M*S bound."""
+    """Measured PMEPRs of a set against the M*S bound.
+
+    ``bound_satisfied`` compares the grid maximum ``set_pmepr`` with M*S.
+    The grid maximum is a lower estimate of the continuous peak, so the
+    flag is not a certificate that the set meets the bound.  ``bound`` and
+    ``bound_satisfied`` are None for a claim with no M*S bound.
+    """
 
     per_sequence: tuple[float, ...]
     set_pmepr: float
-    bound: float
-    bound_satisfied: bool
+    bound: float | None
+    bound_satisfied: bool | None
     oversampling: int
 
 
-def pmepr_set(sset: SequenceSet, S: int,
-              oversampling: int = DEFAULT_OVERSAMPLING) -> PmeprReport:
+def pmepr_set(sset: SequenceSet, S: int | None,
+              oversampling: int = DEFAULT_OVERSAMPLING,
+              curves: list | None = None) -> PmeprReport:
     """PMEPR of every member and of the set, checked against the M*S bound.
 
-    ``S`` is the shift parameter of the MSCS claim the caller has verified;
-    every verified (M, L, S) set satisfies the bound, so a violated flag on
-    one points at an implementation bug.
+    ``S`` is the shift parameter of the claim the caller has verified (1
+    for a GCS); every verified (M, L, S) set satisfies the bound, so a
+    violated flag on one points at an implementation bug.  ``S = None``
+    measures a claim with no M*S bound (a type-II ZCS).
+
+    A member's PMEPR is the max of its IAPR curve (:func:`iapr_curve`).
+    When ``curves`` is a list each curve is appended to it in member order;
+    otherwise each is freed before the next member's grid is allocated, so
+    peak memory stays at one curve.
     """
-    per = [pmepr(s, oversampling) for s in sset.sequences]
-    return pmepr_report(per, S, oversampling)
-
-
-def pmepr_report(per_sequence, S: int,
-                 oversampling: int = DEFAULT_OVERSAMPLING) -> PmeprReport:
-    """Check measured member PMEPRs against the M*S bound, M = len(per_sequence)."""
-    if S < 1:
+    if S is not None and S < 1:
         raise ValueError(f"S={S} must be >= 1")
-    per = tuple(per_sequence)
+    per = []
+    for s in sset.sequences:
+        curve = iapr_curve(s, oversampling)
+        per.append(float(np.max(curve)))
+        if curves is not None:
+            curves.append(curve)
+        del curve
     peak = max(per)
-    bound = float(len(per) * S)
+    bound = None if S is None else float(len(per) * S)
     return PmeprReport(
-        per_sequence=per,
+        per_sequence=tuple(per),
         set_pmepr=peak,
         bound=bound,
-        bound_satisfied=peak <= bound + BOUND_SLACK,
+        bound_satisfied=None if bound is None else peak <= bound + BOUND_SLACK,
         oversampling=oversampling,
     )
 

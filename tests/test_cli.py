@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import importlib
 import io
 import json
 import random
@@ -37,6 +38,8 @@ from mscs.pmepr import iapr_curve
 from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
 from mscs.seqcore import PhaseSequence, SequenceSet
 
+# the package attribute mscs.pmepr is the function, so reach the module by name
+_PMEPR_MODULE = importlib.import_module("mscs.pmepr")
 
 _ONE_MEMBER = SetDocument(
     modulus=5, length=64, set_size=1,
@@ -455,6 +458,21 @@ def test_generate_takes_a_negative_leading_list_after_an_equals_sign(tmp_path, c
                      "--out", str(out)]) == 0
         docs.append(out.read_bytes())
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("given", [["--lin", "-1,2,3"], ["--lin=-1,2,3"]],
+                         ids=["space", "equals"])
+def test_generate_takes_flags_by_their_full_names_only(tmp_path, capsys, given):
+    # a prefix is no spelling of a flag, so the list join knows every spelling
+    base = ["generate", "--p", "3", "--m", "3", "--lambda", "6"]
+    out = tmp_path / "z.json"
+    assert main([*base, *given, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(given)}\n" in captured.err
+    assert not out.exists()
+    assert main([*base, "--linear", "-1,2,3", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--linear", "-1,2,3"), ("--h-table", "-1,2,3"),
@@ -1010,7 +1028,7 @@ def test_pmepr_unwritable_iapr_out_fails_before_any_work(tmp_path, capsys, monke
     def refuse(*args):
         raise AssertionError("iapr_curve called before the output was opened")
 
-    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    monkeypatch.setattr(_PMEPR_MODULE, "iapr_curve", refuse)
     path = _example_doc_path(tmp_path)
     assert main(["pmepr", path, "--iapr-out", str(tmp_path / target)]) == 2
     out, err = capsys.readouterr()
@@ -1056,7 +1074,7 @@ def test_pmepr_single_carrier_external(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("iapr_curve called before the claim check")
 
-    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    monkeypatch.setattr(_PMEPR_MODULE, "iapr_curve", refuse)
     path = str(tmp_path / "one.json")
     write_document(_SINGLE_CARRIER, path)
     for command in ("pmepr", "verify"):
@@ -1089,7 +1107,7 @@ def test_pmepr_rejects_oversized_grid(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("iapr_curve called before the grid check")
 
-    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    monkeypatch.setattr(_PMEPR_MODULE, "iapr_curve", refuse)
     path = _example_doc_path(tmp_path)
     assert main(["pmepr", path, "--n-os", str(10**9)]) == 2
     captured = capsys.readouterr()
@@ -1113,7 +1131,7 @@ def test_pmepr_rejects_claim_below_one(tmp_path, capsys, monkeypatch, claim, mes
     def refuse(*args):
         raise AssertionError("iapr_curve called before the claim check")
 
-    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    monkeypatch.setattr(_PMEPR_MODULE, "iapr_curve", refuse)
     path = tmp_path / "set.json"
     write_document(document_from_set(mscs_3_27_3()), str(path))
     payload = json.loads(path.read_text())
@@ -1165,7 +1183,7 @@ def test_pmepr_refuses_a_claim_parameter_not_below_the_length(tmp_path, capsys, 
     def refuse(*args):
         raise AssertionError("iapr_curve called before the claim check")
 
-    monkeypatch.setattr(mscs.cli, "iapr_curve", refuse)
+    monkeypatch.setattr(_PMEPR_MODULE, "iapr_curve", refuse)
     path = _short_document(tmp_path, claim)
     assert main(["pmepr", path]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -1189,6 +1207,25 @@ def test_pmepr_stdout_is_pinned_for_each_claim_kind(tmp_path, capsys, claim, bou
         f"document: {path}\nset: M=6 L=12 lambda=6\noversampling: 64\n"
         "pmepr[0]: 3.244674\npmepr[1]: 3.244674\npmepr[2]: 5.256396\npmepr[3]: 5.256396\n"
         "pmepr[4]: 5.256396\npmepr[5]: 5.256396\nset pmepr: 5.256396\n" + bound)
+
+
+@pytest.mark.parametrize("export", [False, True], ids=["stdout", "iapr-out"])
+def test_pmepr_computes_each_curve_once(tmp_path, capsys, monkeypatch, export):
+    # the printed PMEPRs and the CSV columns come from one curve per member
+    calls = []
+
+    def counted(x, oversampling):
+        calls.append(x)
+        return iapr_curve(x, oversampling)
+
+    monkeypatch.setattr(_PMEPR_MODULE, "iapr_curve", counted)
+    sset = mscs_3_54_2()
+    path = str(tmp_path / "set.json")
+    write_document(document_from_set(sset), path)
+    extra = ["--iapr-out", str(tmp_path / "iapr.csv")] if export else []
+    assert main(["pmepr", path, "--n-os", "4", *extra]) == 0
+    capsys.readouterr()
+    assert calls == list(sset.sequences)
 
 
 def test_pmepr_rejects_zero_length_document(tmp_path, capsys):

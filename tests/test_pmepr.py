@@ -14,7 +14,6 @@ from mscs.constructions import (
 from mscs.pmepr import (
     DEFAULT_OVERSAMPLING,
     MAX_GRID,
-    EnvelopeGrid,
     _family_energy,
     energy_identity_check,
     envelope,
@@ -30,49 +29,37 @@ from mscs.seqcore import MAX_LENGTH, PhaseSequence, SequenceSet, to_complex
 
 def test_envelope_zero_phase_peak():
     s = PhaseSequence(4, [0] * 8)
-    grid = envelope(s, oversampling=4)
-    assert grid.samples.shape == (32,)
+    samples = envelope(s, oversampling=4)
+    assert samples.shape == (32,)
     # all carriers aligned at u=0
-    assert abs(grid.samples[0] - 8) < 1e-9
-    assert abs(grid.positions[0]) < 1e-12
-    assert abs(grid.positions[-1] - 31 / 32) < 1e-12
+    assert abs(samples[0] - 8) < 1e-9
 
 
 def test_envelope_single_carrier():
     s = PhaseSequence(3, [1])
-    grid = envelope(s, oversampling=8)
-    assert np.allclose(np.abs(grid.samples), 1.0, atol=1e-12)
+    samples = envelope(s, oversampling=8)
+    assert np.allclose(np.abs(samples), 1.0, atol=1e-12)
 
 
 def test_envelope_matches_direct_sum():
     rng = random.Random(5)
     s = PhaseSequence(6, [rng.randrange(6) for _ in range(12)])
-    grid = envelope(s, oversampling=4)
+    samples = envelope(s, oversampling=4)
     c = np.exp(2j * np.pi * np.asarray(s.values) / 6)
     k = np.arange(12)
     for j in (0, 1, 7, 33, 47):
-        u = grid.positions[j]
-        direct = np.sum(c * np.exp(2j * np.pi * k * u))
-        assert abs(grid.samples[j] - direct) < 1e-9
-
-
-def test_envelope_grid_validation():
-    with pytest.raises(ValueError):
-        EnvelopeGrid(0, 4, np.zeros(0, dtype=complex))
-    with pytest.raises(ValueError):
-        EnvelopeGrid(2, 4, np.zeros(7, dtype=complex))
-    grid = EnvelopeGrid(2, 4, np.zeros(8, dtype=complex))
-    with pytest.raises(ValueError):
-        grid.samples[0] = 1.0
+        # sample j sits at u = j/(N_os*L)
+        direct = np.sum(c * np.exp(2j * np.pi * k * j / 48))
+        assert abs(samples[j] - direct) < 1e-9
 
 
 def test_iapr_properties():
     rng = random.Random(6)
     s = PhaseSequence(8, [rng.randrange(8) for _ in range(16)])
-    grid = envelope(s, oversampling=16)
+    samples = envelope(s, oversampling=16)
     curve = iapr_curve(s, oversampling=16)
-    assert curve.shape == grid.samples.shape
-    assert np.allclose(curve, np.abs(grid.samples) ** 2 / 16, atol=1e-12)
+    assert curve.shape == samples.shape
+    assert np.allclose(curve, np.abs(samples) ** 2 / 16, atol=1e-12)
     assert (curve >= 0).all()
     # Parseval: the oversampled grid averages instantaneous power to L exactly
     assert abs(curve.mean() - 1.0) < 1e-9
@@ -84,7 +71,7 @@ def test_iapr_curve_is_the_envelope_power_bit_for_bit(oversampling):
     members = [s for sset, _ in (p.values for p in _energy_sets()) for s in sset.sequences]
     members += list(mscs_3_54_2().sequences) + [PhaseSequence(2, [1])]
     for x in members:
-        reference = np.abs(envelope(x, oversampling).samples) ** 2 / len(x)
+        reference = np.abs(envelope(x, oversampling)) ** 2 / len(x)
         assert np.array_equal(iapr_curve(x, oversampling), reference)
 
 
@@ -122,13 +109,22 @@ def test_pmepr_grid_nesting_monotone():
 
 
 def test_pmepr_reference_values():
-    ext = pmepr_set(mscs_3_54_2(), 2)
+    sset = mscs_3_54_2()
+    curves = []
+    ext = pmepr_set(sset, 2, curves=curves)
     assert ext.bound == 6.0
     assert ext.bound_satisfied
     assert abs(ext.set_pmepr - 5.946029) < 1e-5
     assert abs(ext.set_pmepr - 5.9465) < 0.05
     assert len(ext.per_sequence) == 3
     assert max(ext.per_sequence) == ext.set_pmepr
+    # the sink gets each member's curve, bit for bit and in member order,
+    # and a member's PMEPR is its curve's maximum
+    assert len(curves) == len(sset)
+    for x, curve, value in zip(sset.sequences, curves, ext.per_sequence):
+        assert curve.tobytes() == iapr_curve(x).tobytes()
+        assert float(np.max(curve)) == value
+    assert pmepr_set(sset, 2) == ext
 
     base = pmepr_set(mscs_3_27_3(), 3)
     assert base.bound == 9.0
@@ -136,9 +132,14 @@ def test_pmepr_reference_values():
     assert abs(base.set_pmepr - 5.754408) < 1e-5
     assert base.oversampling == DEFAULT_OVERSAMPLING
 
+    # a claim with no M*S bound is measured with none
+    unbounded = pmepr_set(mscs_3_27_3(), None)
+    assert unbounded.bound is None and unbounded.bound_satisfied is None
+    assert unbounded.per_sequence == base.per_sequence
+
 
 def test_pmepr_set_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="S=0 must be >= 1"):
         pmepr_set(mscs_3_27_3(), 0)
     with pytest.raises(ValueError):
         pmepr_set(mscs_3_27_3(), 3, oversampling=0)
