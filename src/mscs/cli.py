@@ -283,6 +283,8 @@ def document_from_json(text: str) -> SetDocument:
     try:
         modulus = _field_int(payload, "lambda")
         length = _field_int(payload, "length")
+        if length < 0:
+            raise ValueError(f"length {length} must be >= 0")
         check_length([(length, 1)])  # generate's cap, before any row is read
         set_size = _field_int(payload, "set_size")
         claim = _check_claim(payload["claim"])
@@ -308,7 +310,7 @@ def document_from_json(text: str) -> SetDocument:
     # types first, then its range.
     bools = "true" in text or "false" in text
     good = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
-    sequences = np.empty((good, max(length, 0)), dtype=np.int64)
+    sequences = np.empty((good, length), dtype=np.int64)
     for row, out in zip(rows, sequences):
         try:
             out[:] = array.array("q", row)

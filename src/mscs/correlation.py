@@ -225,23 +225,13 @@ def accf_float(a: PhaseSequence, b: PhaseSequence, tau: int) -> complex:
 def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
     """Entrywise sum of the members' autocorrelations at one shift.
 
-    Each term x_i - x_{i+tau} is counted by its code x_i + (lambda - x_{i+tau})
-    in [1, 2*lambda - 1], which no reduced int64 phase pair overflows, and
-    the 2*lambda bins are folded mod lambda.  Members are counted one at a
-    time, so the temporaries hold one member's L - |tau| codes.
+    Each member is counted by :func:`accf_exact`, one at a time, so the
+    temporaries hold one member's L - |tau| differences.
     """
-    L = sset.length
-    if abs(tau) >= L:
-        raise ValueError(f"shift {tau} out of range for length {L}")
-    lam = sset.modulus
-    lead, lag = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L),
-                                                                      slice(0, L + tau))
-    bins = np.zeros(2 * lam, dtype=np.int64)
-    for row in sset.phases:
-        codes = lam - row[lag]
-        codes += row[lead]
-        bins += np.bincount(codes, minlength=2 * lam)
-    return CyclotomicSum(lam, bins[:lam] + bins[lam:])
+    counts = np.zeros(sset.modulus, dtype=np.int64)
+    for x in sset:
+        counts += accf_exact(x, x, tau).counts
+    return CyclotomicSum(sset.modulus, counts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -514,18 +504,6 @@ def verify_type2_zcs(sset: SequenceSet, Z: int) -> CorrelationReport:
     return _verify(sset, range(L - Z + 1, L), "ZCS", Z)
 
 
-def _accf_or_zero(x: PhaseSequence, tau: int) -> CyclotomicSum:
-    if abs(tau) >= len(x):
-        return CyclotomicSum.zero(x.modulus)
-    return accf_exact(x, x, tau)
-
-
-def _accf_float_or_zero(x: PhaseSequence, tau: int) -> complex:
-    if abs(tau) >= len(x):
-        return 0j
-    return accf_float(x, x, tau)
-
-
 def _accf_float_error(n: int) -> float:
     """First-order bound on |computed - exact| of an :func:`accf_float` sum of n terms.
 
@@ -548,8 +526,8 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
 
         rho(a (x) b)(tau) = rho(a)(q) rho(b)(r) + rho(a)(q+1) rho(b)(r - L2)
 
-    where the second term is present only when r != 0 and out-of-range
-    shifts contribute zero.  Floor division extends the split to negative
+    where a term with a shift out of range is zero and is left out (the
+    second term whenever r = 0).  Floor division extends the split to negative
     shifts unchanged.  The identity is checked exactly through count
     vector convolution, and in floats within the first-order rounding
     error of both sides; both must hold.  A product of sums of n_a and n_b
@@ -564,14 +542,14 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
     if not (-total < tau < total):
         raise ValueError(f"shift {tau} out of range for composed length {total}")
     q, r = divmod(tau, L2)
-    pairs = [(q, r), (q + 1, r - L2)] if r else [(q, r)]
+    pairs = [(s, t) for s, t in ((q, r), (q + 1, r - L2)) if abs(s) < L1 and abs(t) < L2]
     composed = kronecker_compose(a, b)
 
     lhs_f = accf_float(composed, composed, tau)
-    rhs_f = sum(_accf_float_or_zero(a, s) * _accf_float_or_zero(b, t) for s, t in pairs)
+    rhs_f = sum(accf_float(a, a, s) * accf_float(b, b, t) for s, t in pairs)
     slack = _accf_float_error(total - abs(tau))
     for s, t in pairs:
-        na, nb = max(L1 - abs(s), 0), max(L2 - abs(t), 0)
+        na, nb = L1 - abs(s), L2 - abs(t)
         slack += (na * _accf_float_error(nb) + nb * _accf_float_error(na)
                   + 4 * _UNIT_ROUNDOFF * na * nb)
     float_ok = abs(lhs_f - rhs_f) <= slack
@@ -582,5 +560,5 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
     lhs = accf_exact(composed, composed, tau)
     rhs = CyclotomicSum.zero(a.modulus)
     for s, t in pairs:
-        rhs = rhs + _accf_or_zero(a, s) * _accf_or_zero(b, t)
+        rhs = rhs + accf_exact(a, a, s) * accf_exact(b, b, t)
     return float_ok and is_zero(lhs - rhs)

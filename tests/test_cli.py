@@ -162,6 +162,7 @@ def test_document_parse_errors():
 
     reject(lambda d: d.update(schema=99), "unsupported schema")
     reject(lambda d: d.pop("lambda"), "missing field")
+    reject(lambda d: d.__setitem__("lambda", 1), "^lambda 1 must be >= 2$")
     reject(lambda d: d.update(set_size=5), "set_size")
     reject(lambda d: d["sequences"][0].pop(), "does not match length")
     reject(lambda d: d["sequences"][0].__setitem__(0, 6), r"lie in \[0, lambda\)")
@@ -944,6 +945,20 @@ def test_document_reader_refuses_length_beyond_cap(tmp_path, capsys):
         document_from_json(_hand_written("[0, 4]", length=1_000_000))
 
 
+def test_document_reader_refuses_negative_length(tmp_path, capsys):
+    # refused as soon as the field is read: no row or later field is looked at
+    text = ('{"schema": 1, "lambda": 6, "length": -5, "set_size": 0, '
+            '"claim": {"kind": "GCS"}, "provenance": {}, "sequences": []}')
+    with pytest.raises(ValueError) as caught:
+        document_from_json(text)
+    assert str(caught.value) == "length -5 must be >= 0"
+    path = tmp_path / "negative.json"
+    path.write_text(text)
+    for command in ("verify", "pmepr"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: length -5 must be >= 0\n")
+
+
 def test_pmepr_output(tmp_path, capsys):
     path = str(tmp_path / "ext.json")
     write_document(document_from_set(mscs_3_54_2()), path)
@@ -1080,6 +1095,49 @@ def test_pmepr_single_carrier_external(tmp_path, capsys, monkeypatch):
     for command in ("pmepr", "verify"):
         assert main([command, path]) == 2
         assert capsys.readouterr() == ("", "error: GCS verification needs length >= 2\n")
+
+
+@pytest.mark.parametrize("doc, check", [
+    (_SINGLE_CARRIER, mscs.correlation.verify_gcs),
+    (SetDocument(modulus=3, length=3, set_size=2, claim={"kind": "ZCS", "Z": 3},
+                 provenance={"construction": "external"}, sequences=((0, 1, 2), (0, 0, 0))),
+     lambda sset: mscs.correlation.verify_type2_zcs(sset, 3)),
+], ids=["GCS-L1", "ZCS-Z-at-L"])
+def test_verifier_refusals_match_the_cli(tmp_path, capsys, doc, check):
+    # the CLI refuses these claims before any verifier runs; the verifiers'
+    # own checks, which only library callers reach, raise the same text
+    path = str(tmp_path / "doc.json")
+    write_document(doc, path)
+    assert main(["verify", path]) == 2
+    printed = capsys.readouterr().err
+    with pytest.raises(ValueError) as caught:
+        check(document_to_set(doc))
+    assert printed == f"error: {caught.value}\n"
+
+
+def test_library_refusals():
+    with pytest.raises(ValueError) as caught:
+        mscs.correlation.verify_type2_zcs(mscs_3_27_3(), 0)
+    assert str(caught.value) == "Z=0 must satisfy 1 <= Z < L=27"
+    with pytest.raises(ValueError) as caught:
+        document_from_set(SequenceSet(mscs_3_27_3().sequences))
+    assert str(caught.value) == "set carries no correlation claim"
+
+
+def test_generate_verify_refuses_a_failing_set(tmp_path, capsys, monkeypatch):
+    # the claim table looks its verifier up per call, so the rebinding holds
+    def failing(sset, S):
+        shifts = np.arange(S, sset.length, S)
+        zeros = np.arange(len(shifts)) % 2 == 1
+        return mscs.correlation.CorrelationReport("MSCS", S, "exact", shifts, zeros,
+                                                  np.where(zeros, 0.0, 1.0))
+
+    monkeypatch.setattr(mscs.cli, "verify_mscs", failing)
+    out = tmp_path / "set.json"
+    assert main(["generate", "--p", "3", "--m", "3", "--s", "2", "--lambda", "6",
+                 "--verify", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "verification failed at shifts: 3, 9, 15, 21\n")
+    assert not out.exists()
 
 
 def test_huge_modulus_document_verifies_and_measures(tmp_path, capsys):

@@ -547,6 +547,31 @@ def test_kronecker_identity_float_half_catches_a_perturbation(monkeypatch):
         assert not kronecker_accf_identity_check(a, b, tau)
 
 
+def test_kronecker_identity_float_only_above_the_cap(monkeypatch):
+    # lambda = 1009 is above the cap: the float half alone decides, and the
+    # exact counter is never reached
+    lam = 1009
+    assert lam > EXACT_MODULUS_CAP
+    rng = random.Random(35)
+    a = PhaseSequence(lam, [rng.randrange(lam) for _ in range(4)])
+    b = PhaseSequence(lam, [rng.randrange(lam) for _ in range(5)])
+    total = len(a) * len(b)
+
+    def refuse(*args):
+        raise AssertionError("accf_exact called above the cap")
+
+    monkeypatch.setattr(correlation, "accf_exact", refuse)
+    taus = range(1 - total, total)
+    assert all(kronecker_accf_identity_check(a, b, tau) for tau in taus)
+    inner = correlation.accf_float
+
+    def perturbed(x, y, tau):
+        return inner(x, y, tau) + (1e-6 if len(x) == total else 0)
+
+    monkeypatch.setattr(correlation, "accf_float", perturbed)
+    assert not any(kronecker_accf_identity_check(a, b, tau) for tau in taus)
+
+
 def test_kronecker_identity_validation():
     a = PhaseSequence(4, [0, 1])
     b = PhaseSequence(4, [0, 1, 2])

@@ -139,8 +139,11 @@ def test_pmepr_reference_values():
 
 
 def test_pmepr_set_validation():
-    with pytest.raises(ValueError, match="S=0 must be >= 1"):
-        pmepr_set(mscs_3_27_3(), 0)
+    sset = mscs_3_27_3()
+    for call in (lambda: pmepr_set(sset, 0), lambda: energy_identity_check(sset, 0),
+                 lambda: modulated_family(sset.sequences[0], 0)):
+        with pytest.raises(ValueError, match="^S=0 must be >= 1$"):
+            call()
     with pytest.raises(ValueError):
         pmepr_set(mscs_3_27_3(), 3, oversampling=0)
 
