@@ -14,8 +14,9 @@ failure, 2 usage or parse error, 3 an internal check failed (a conjugate
 sum between the proven bound and 1 minus it, or a verdict the
 ``aacf_set_sum`` cross-check contradicts).
 Documents are written with sorted keys and fixed layout, so identical
-flags (and seed) give identical bytes.  A document's phases are one
-read-only (M, L) int64 matrix (``SetDocument.sequences``), the same
+flags (and seed) give identical bytes.  A document (``SetDocument``) is
+its lambda, claim, provenance and phases; the phases are one read-only
+(M, L) int64 matrix, from whose shape M and L are read, and the same
 object as its set's ``SequenceSet.phases``: the reader fills it row by row
 straight from the parsed JSON lists, and the writer gathers each row's
 text from one byte table of the phase values.
@@ -66,7 +67,7 @@ from .pmepr import (
     modulated_family,
     pmepr_set,
 )
-from .seqcore import PhaseSequence, SequenceSet, check_length, unit_lift
+from .seqcore import PhaseSequence, SequenceSet, check_length, check_phases, unit_lift
 
 SCHEMA_VERSION = 1
 
@@ -100,36 +101,33 @@ CSV_TIE_MARGIN = 2.0**-19
 class SetDocument:
     """Serializable record of a sequence set and its correlation claim.
 
-    ``sequences`` is one read-only (set_size, length) int64 matrix of phases
-    in [0, lambda), row i the phases of member i.  Nested sequences are
-    accepted and copied into such a matrix, with their range checked; a
-    read-only int64 matrix is taken as it is.  Documents are equal when
-    every field and the matrices are.
+    ``sequences`` is one read-only (M, L) int64 matrix of phases in
+    [0, lambda), row i the phases of member i, taken as it is; ``set_size``
+    M and ``length`` L are its shape.  The writer writes ``SCHEMA_VERSION``,
+    the only schema the reader accepts.  Documents are equal when every
+    field and the matrices are.
     """
 
     modulus: int
-    length: int
-    set_size: int
     claim: dict
     provenance: dict
     sequences: np.ndarray
-    schema: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        rows = self.sequences
-        if (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
-                and not rows.flags.writeable):
-            return
-        rows = np.array(rows, dtype=np.int64).reshape(len(rows), self.length)
-        if rows.size and not (rows.min() >= 0 and rows.max() < self.modulus):
-            raise ValueError("sequence entries must lie in [0, lambda)")
-        rows.flags.writeable = False
-        object.__setattr__(self, "sequences", rows)
+        check_phases(self.sequences)
+
+    @property
+    def set_size(self) -> int:
+        return self.sequences.shape[0]
+
+    @property
+    def length(self) -> int:
+        return self.sequences.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetDocument):
             return NotImplemented
-        fields = ("modulus", "length", "set_size", "claim", "provenance", "schema")
+        fields = ("modulus", "claim", "provenance")
         return (all(getattr(self, f) == getattr(other, f) for f in fields)
                 and np.array_equal(self.sequences, other.sequences))
 
@@ -192,14 +190,7 @@ def document_from_set(sset: SequenceSet) -> SetDocument:
     provenance = {"construction": meta.get("construction", "external")}
     if "params" in meta:
         provenance["params"] = meta["params"]
-    return SetDocument(
-        modulus=sset.modulus,
-        length=sset.length,
-        set_size=len(sset),
-        claim=_check_claim(claims[0]),
-        provenance=provenance,
-        sequences=sset.phases,
-    )
+    return SetDocument(sset.modulus, _check_claim(claims[0]), provenance, sset.phases)
 
 
 def document_to_set(doc: SetDocument) -> SequenceSet:
@@ -230,7 +221,7 @@ def _document_chunks(doc: SetDocument):
         "lambda": doc.modulus,
         "length": doc.length,
         "provenance": doc.provenance,
-        "schema": doc.schema,
+        "schema": SCHEMA_VERSION,
     }, indent=2, sort_keys=True)
     # the header keys all sort before "sequences", which sorts before "set_size"
     yield (header[:-2] + ',\n  "sequences": [').encode()
@@ -324,15 +315,7 @@ def document_from_json(text: str) -> SetDocument:
     if good < len(rows):
         raise ValueError(f"sequence of length {len(rows[good])} does not match length {length}")
     sequences.flags.writeable = False
-    return SetDocument(
-        modulus=modulus,
-        length=length,
-        set_size=set_size,
-        claim=claim,
-        provenance=dict(provenance),
-        sequences=sequences,
-        schema=schema,
-    )
+    return SetDocument(modulus, claim, dict(provenance), sequences)
 
 
 def write_document(doc: SetDocument, path: str) -> None:
@@ -346,13 +329,16 @@ def read_document(path: str) -> SetDocument:
 
 
 def _int_list(text: str) -> list[int]:
-    """The integers of a comma or space separated flag value."""
+    """The integers of a comma or space separated flag value; no item may be empty."""
     values = []
-    for tok in text.replace(",", " ").split():
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{tok!r} is not an integer") from None
+    for item in text.split(","):
+        if not item.strip():
+            raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+        for tok in item.split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"{tok!r} is not an integer") from None
     return values
 
 

@@ -375,8 +375,7 @@ class SequenceSet:
         modulus = int(modulus)
         if modulus < 2:
             raise ValueError(f"modulus {modulus} must be >= 2")
-        if phases.dtype != np.int64 or phases.ndim != 2 or phases.flags.writeable:
-            raise ValueError("phases need a read-only two-dimensional int64 matrix")
+        check_phases(phases)
         if not len(phases):
             raise ValueError("a sequence set needs at least one member")
         sset = object.__new__(cls)
@@ -404,6 +403,13 @@ class SequenceSet:
         if not isinstance(other, SequenceSet):
             return NotImplemented
         return self.sequences == other.sequences
+
+
+def check_phases(phases) -> None:
+    """Raises unless ``phases`` is a read-only two-dimensional int64 matrix."""
+    if not (isinstance(phases, np.ndarray) and phases.dtype == np.int64 and phases.ndim == 2
+            and not phases.flags.writeable):
+        raise ValueError("phases need a read-only two-dimensional int64 matrix")
 
 
 def check_length(factors: Iterable[tuple[int, int]]) -> int:

@@ -18,6 +18,7 @@ import mscs.correlation
 import mscs.reference_sets
 from mscs.cli import (
     CSV_CHUNK_VALUES,
+    SCHEMA_VERSION,
     SetDocument,
     document_from_json,
     document_from_set,
@@ -41,19 +42,27 @@ from mscs.seqcore import PhaseSequence, SequenceSet
 # the package attribute mscs.pmepr is the function, so reach the module by name
 _PMEPR_MODULE = importlib.import_module("mscs.pmepr")
 
+
+def _matrix(rows, length=0):
+    """``rows`` as a read-only int64 matrix; (0, length) when there are none."""
+    phases = np.array(rows, dtype=np.int64) if len(rows) else np.empty((0, length), np.int64)
+    phases.flags.writeable = False
+    return phases
+
+
 _ONE_MEMBER = SetDocument(
-    modulus=5, length=64, set_size=1,
+    modulus=5,
     claim={"kind": "MSCS", "S": 32},
     provenance={"construction": "external"},
-    sequences=(tuple((i * i) % 5 for i in range(64)),),
+    sequences=_matrix([[(i * i) % 5 for i in range(64)]]),
 )
 
 
 _SINGLE_CARRIER = SetDocument(
-    modulus=2, length=1, set_size=1,
+    modulus=2,
     claim={"kind": "GCS"},
     provenance={"construction": "external"},
-    sequences=((0,),),
+    sequences=_matrix([[0]]),
 )
 
 
@@ -93,10 +102,10 @@ def _seeded_documents():
 
 @pytest.mark.parametrize("doc", _seeded_documents() + [
     _ONE_MEMBER, _SINGLE_CARRIER,
-    SetDocument(97, 4, 2, {"kind": "GCS"}, {"construction": "external", "note": "lambda > L"},
-                ((96, 0, 13, 50), (1, 1, 96, 10))),
-    SetDocument(2, 0, 0, {"kind": "GCS"}, {}, ()),
-    SetDocument(2, 0, 2, {"kind": "GCS"}, {}, ((), ())),
+    SetDocument(97, {"kind": "GCS"}, {"construction": "external", "note": "lambda > L"},
+                _matrix([[96, 0, 13, 50], [1, 1, 96, 10]])),
+    SetDocument(2, {"kind": "GCS"}, {}, _matrix([])),
+    SetDocument(2, {"kind": "GCS"}, {}, _matrix([[], []])),
 ], ids=["single-prime", "single-prime-lambda-30", "multi-prime-lambda-30", "length-extended",
         "one-member", "single-carrier", "lambda-over-length", "no-members", "empty-members"])
 def test_document_bytes_are_indent_2_json(tmp_path, doc):
@@ -106,7 +115,7 @@ def test_document_bytes_are_indent_2_json(tmp_path, doc):
 def _check_document_bytes(doc, path):
     """The document's text and written bytes are those of the indenting encoder."""
     payload = {
-        "schema": doc.schema,
+        "schema": SCHEMA_VERSION,
         "lambda": doc.modulus,
         "length": doc.length,
         "set_size": doc.set_size,
@@ -139,15 +148,17 @@ def _written_documents(draw):
         pool = draw(st.one_of(st.just(phases),
                               st.lists(phases, min_size=1, max_size=3).map(st.sampled_from)))
         rows.append(draw(st.lists(pool, min_size=L, max_size=L)))
-    return SetDocument(lam, L, M, {"kind": "GCS"}, {"construction": "external"}, rows)
+    return SetDocument(lam, {"kind": "GCS"}, {"construction": "external"}, _matrix(rows, L))
 
 
 @settings(max_examples=200, deadline=None)
 @given(doc=_written_documents())
-@example(doc=SetDocument(11, 3, 2, {"kind": "GCS"}, {}, ((10, 0, 3), (3, 3, 3))))
-@example(doc=SetDocument(2**63 - 1, 2, 1, {"kind": "GCS"}, {}, ((2**63 - 2, 7),)))
+@example(doc=SetDocument(11, {"kind": "GCS"}, {}, _matrix([[10, 0, 3], [3, 3, 3]])))
+@example(doc=SetDocument(2**63 - 1, {"kind": "GCS"}, {}, _matrix([[2**63 - 2, 7]])))
+@example(doc=SetDocument(7, {"kind": "GCS"}, {}, _matrix([], 5)))
 def test_document_bytes_match_the_encoder_for_any_phases(tmp_path_factory, doc):
     _check_document_bytes(doc, tmp_path_factory.getbasetemp() / "drawn.json")
+    assert document_from_json(document_to_json(doc)) == doc
 
 
 def test_document_parse_errors():
@@ -190,13 +201,20 @@ def test_document_phases_are_one_read_only_matrix():
     read = document_to_set(doc)
     assert read.phases is matrix and read.sequences == sset.sequences
     assert all(s.values.base is matrix for s in read.sequences)
-    # nested sequences are copied into a matrix of the same kind, range checked
-    assert _ONE_MEMBER.sequences.shape == (1, 64) and not _ONE_MEMBER.sequences.flags.writeable
-    doc = SetDocument(5, 2, 1, {"kind": "GCS"}, {}, ((1, 4),))
-    assert doc == SetDocument(5, 2, 1, {"kind": "GCS"}, {}, np.array([[1, 4]]))
-    assert doc != SetDocument(5, 2, 1, {"kind": "GCS"}, {}, ((1, 3),))
-    with pytest.raises(ValueError, match=r"lie in \[0, lambda\)"):
-        SetDocument(5, 2, 1, {"kind": "GCS"}, {}, ((1, 5),))
+    # a document is its lambda, claim, provenance and matrix; M and L are the shape
+    assert [f.name for f in dataclasses.fields(SetDocument)] == [
+        "modulus", "claim", "provenance", "sequences"]
+    assert (doc.set_size, doc.length) == doc.sequences.shape == (3, 27)
+    assert (_ONE_MEMBER.set_size, _ONE_MEMBER.length) == _ONE_MEMBER.sequences.shape == (1, 64)
+    # anything but a read-only int64 matrix is refused as from_phases refuses it
+    int32 = np.array([[1, 4]], dtype=np.int32)
+    int32.flags.writeable = False
+    for bad in (((1, 4),), np.array([[1, 4]]), int32, _matrix([[1, 4]])[0]):
+        with pytest.raises(ValueError) as refused:
+            SequenceSet.from_phases(5, bad)
+        assert str(refused.value) == "phases need a read-only two-dimensional int64 matrix"
+        with pytest.raises(ValueError, match=f"^{refused.value}$"):
+            SetDocument(5, {"kind": "GCS"}, {}, bad)
 
 
 @st.composite
@@ -439,15 +457,26 @@ def test_generate_refuses_unknown_params_keys(tmp_path, capsys, params, message)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--pi", "--linear", "--h-table"])
-def test_generate_names_the_flag_and_token_of_a_bad_list(tmp_path, capsys, flag):
+# each flag refuses each value; the not-an-integer cases keep the bare flag as id
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param(flag, value, message, id=flag + tag)
+    for value, message, tag in [
+        ("1,x", "'x' is not an integer", ""),
+        ("1,,2", "empty item in '1,,2'", "-empty-between-commas"),
+        ("1,2,", "empty item in '1,2,'", "-trailing-comma"),
+        ("1, ,2", "empty item in '1, ,2'", "-blank-between-commas"),
+    ]
+    for flag in ("--pi", "--linear", "--h-table")
+])
+def test_generate_names_the_flag_and_token_of_a_bad_list(tmp_path, capsys, flag, value, message):
     out = tmp_path / "q.json"
     argv = ["generate", "--p", "3", "--m", "2", "--s", "2", "--lambda", "6",
-            flag, "1,x", "--out", str(out)]
+            flag, value, "--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: argument {flag}: 'x' is not an integer\n" in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"mscs generate: error: argument {flag}: {message}"]
     assert not out.exists()
 
 
@@ -1002,10 +1031,10 @@ def _reference_iapr_csv(doc, n_os):
 
 # P(t) = 1 - e^(2 pi i t): its curve is about 1e-32 at t = 0 and below 1e-4 near it
 _ZERO_AT_ORIGIN = SetDocument(
-    modulus=2, length=2, set_size=1,
+    modulus=2,
     claim={"kind": "MSCS", "S": 1},
     provenance={"construction": "external"},
-    sequences=((0, 1),),
+    sequences=_matrix([[0, 1]]),
 )
 
 
@@ -1099,8 +1128,9 @@ def test_pmepr_single_carrier_external(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("doc, check", [
     (_SINGLE_CARRIER, mscs.correlation.verify_gcs),
-    (SetDocument(modulus=3, length=3, set_size=2, claim={"kind": "ZCS", "Z": 3},
-                 provenance={"construction": "external"}, sequences=((0, 1, 2), (0, 0, 0))),
+    (SetDocument(modulus=3, claim={"kind": "ZCS", "Z": 3},
+                 provenance={"construction": "external"},
+                 sequences=_matrix([[0, 1, 2], [0, 0, 0]])),
      lambda sset: mscs.correlation.verify_type2_zcs(sset, 3)),
 ], ids=["GCS-L1", "ZCS-Z-at-L"])
 def test_verifier_refusals_match_the_cli(tmp_path, capsys, doc, check):
@@ -1143,9 +1173,9 @@ def test_generate_verify_refuses_a_failing_set(tmp_path, capsys, monkeypatch):
 def test_huge_modulus_document_verifies_and_measures(tmp_path, capsys):
     # a table of all 2^62 roots cannot be allocated; 4 phases need none
     half = 2**61
-    doc = SetDocument(modulus=2 * half, length=4, set_size=2, claim={"kind": "GCS"},
+    doc = SetDocument(modulus=2 * half, claim={"kind": "GCS"},
                       provenance={"construction": "external"},
-                      sequences=((0, 0, 0, half), (0, 0, half, 0)))
+                      sequences=_matrix([[0, 0, 0, half], [0, 0, half, 0]]))
     path = str(tmp_path / "huge.json")
     write_document(doc, path)
     assert main(["verify", path]) == 0
@@ -1211,8 +1241,8 @@ _SHORT_PARAMETERS = pytest.mark.parametrize("claim, message", [
 
 def _short_document(tmp_path, claim):
     """An M = 2, L = 3 document carrying ``claim``."""
-    doc = SetDocument(modulus=3, length=3, set_size=2, claim=claim,
-                      provenance={"construction": "external"}, sequences=((0, 1, 2), (0, 0, 0)))
+    doc = SetDocument(modulus=3, claim=claim, provenance={"construction": "external"},
+                      sequences=_matrix([[0, 1, 2], [0, 0, 0]]))
     path = str(tmp_path / "short.json")
     write_document(doc, path)
     return path
@@ -1287,8 +1317,8 @@ def test_pmepr_computes_each_curve_once(tmp_path, capsys, monkeypatch, export):
 
 
 def test_pmepr_rejects_zero_length_document(tmp_path, capsys):
-    doc = SetDocument(modulus=2, length=0, set_size=1, claim={"kind": "GCS"},
-                      provenance={"construction": "external"}, sequences=((),))
+    doc = SetDocument(modulus=2, claim={"kind": "GCS"},
+                      provenance={"construction": "external"}, sequences=_matrix([[]]))
     path = str(tmp_path / "empty.json")
     write_document(doc, path)
     assert main(["pmepr", path]) == 2
@@ -1327,8 +1357,8 @@ def test_selftest_catches_broken_document_reader(monkeypatch, capsys):
 
     def off_by_one(text):
         doc = real(text)
-        return SetDocument(doc.modulus, doc.length, doc.set_size, doc.claim, doc.provenance,
-                           (doc.sequences + 1) % doc.modulus)
+        return SetDocument(doc.modulus, doc.claim, doc.provenance,
+                           _matrix((doc.sequences + 1) % doc.modulus))
 
     monkeypatch.setattr(mscs.cli, "document_from_json", off_by_one)
     assert main(["selftest"]) == 1
