@@ -102,10 +102,11 @@ class SetDocument:
     """Serializable record of a sequence set and its correlation claim.
 
     ``sequences`` is one read-only (M, L) int64 matrix of phases in
-    [0, lambda), row i the phases of member i, taken as it is; ``set_size``
-    M and ``length`` L are its shape.  The writer writes ``SCHEMA_VERSION``,
-    the only schema the reader accepts.  Documents are equal when every
-    field and the matrices are.
+    [0, lambda), row i the phases of member i, taken as it is once
+    :func:`check_phases` has checked it; ``set_size`` M and ``length`` L
+    are its shape.  The writer writes ``SCHEMA_VERSION``, the only schema
+    the reader accepts.  Documents are equal when every field and the
+    matrices are.
     """
 
     modulus: int
@@ -114,7 +115,7 @@ class SetDocument:
     sequences: np.ndarray
 
     def __post_init__(self):
-        check_phases(self.sequences)
+        check_phases(self.sequences, self.modulus)
 
     @property
     def set_size(self) -> int:

@@ -298,45 +298,78 @@ def _sum_rows(power: np.ndarray) -> np.ndarray:
     return power[0]
 
 
+# complex grid points of one transform call in _lift_sums (see its docstring)
+_CHUNK_POINTS = 2**16
+
+
 def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> np.ndarray:
     """Sum over members of the autocorrelation of w^(k*x) at each shift, one row per k.
 
     Row k = 1 is the float autocorrelation sum of the set.  The transforms
     are sized by the tested lags (:func:`_lag_plan`): each member's lift is
-    cut to its window and laid out as a (g, n) grid of zero-padded
+    cut to its window and laid out as a (g, n) block of zero-padded
     polyphase rows, one FFT per row.  The power spectra are summed over
     members, then over the g rows pairwise (:func:`_sum_rows`), before one
     length-n inverse FFT per embedding, read at lag (tau - drop) / g.  With
     the plan (0, 1, _fft_length(L)) this is one whole-sequence FFT per
     member.  The phases are already reduced, so k = 1 lifts them as they
     are.  An empty shift list takes no transform and gives (len(ks), 0).
+
+    Members are transformed in chunks: as many as fit ``_CHUNK_POINTS``
+    complex grid points, and at least one.  A chunk is cut to its window
+    once per embedding, its lifts are gathered in one operation from the
+    per-k root table (straight into the grid when g = 1), and its blocks
+    are stacked into one 2-d (members*g, n) grid, transformed by one FFT
+    call.  Each row's transform is the one a grid of its own would get, and
+    the power blocks are added one member at a time in member order, so the
+    sums carry the same bits as one transform per member and the (M - 1)u
+    term of :func:`_embedding_bound` stands.  Small sets, whose transforms
+    are a few hundred points, pay one call per chunk instead of one per
+    member, whose fixed cost outweighs such a transform's arithmetic; a set
+    near the length cap has chunks of one member and allocates what one
+    member's transform needs.
     """
     if not len(shifts):
         return np.empty((len(ks), 0), dtype=complex)
-    L, lam = sset.length, sset.modulus
+    M, L, lam = len(sset), sset.length, sset.modulus
     drop, g, n = _lag_plan(L, shifts)
     head = (L - drop) // 2
     cols, rem = divmod(L - drop, g)
     lags = (np.asarray(shifts, dtype=np.intp) - drop) // g
-    grid = np.zeros((g, n), dtype=complex)
+    chunk = max(1, _CHUNK_POINTS // (g * n))
+    grid = np.zeros((min(chunk, M) * g, n), dtype=complex)
     power = np.empty((g, n))
     out = np.empty((len(ks), len(lags)), dtype=complex)
     # where unit_lift would look the roots up, w^(k*x) comes from a per-k table
-    tabled = lam <= L - drop
+    tabled = lam <= M * (L - drop)
     for row, k in enumerate(ks):
         power.fill(0.0)
         roots = _roots_of_unity(lam)[k * np.arange(lam) % lam] if tabled else None
-        for member in sset.phases:
-            x = np.concatenate((member[:head], member[head + drop:])) if drop else member
-            lift = roots[x] if tabled else unit_lift(x if k == 1 else (k * x) % lam, lam)
-            # entry q*g + r of the window goes to row r, column q
-            grid[:, :cols] = lift[:cols * g].reshape(cols, g).T
-            if rem:
-                grid[:rem, cols] = lift[cols * g:]
-            spec = np.fft.fft(grid)
-            power += spec.real**2 + spec.imag**2
-            # freed before the next member's lift and transform are allocated
-            del lift, spec
+        for start in range(0, M, chunk):
+            x = sset.phases[start:start + chunk]
+            if drop:
+                x = np.concatenate((x[:, :head], x[:, head + drop:]), axis=1)
+            members = len(x)
+            rows = grid[:members * g]
+            if tabled and g == 1:
+                # the phases lie in [0, lambda), so clipping never acts
+                np.take(roots, x, out=rows[:, :cols], mode="clip")
+            else:
+                lift = roots[x] if tabled else unit_lift(x if k == 1 else (k * x) % lam, lam)
+                # entry q*g + r of a member's window goes to its block's row r, column q
+                blocks = rows.reshape(members, g, n)
+                blocks[:, :, :cols] = lift[:, :cols * g].reshape(members, cols, g).swapaxes(1, 2)
+                if rem:
+                    blocks[:, :rem, cols] = lift[:, cols * g:]
+                # freed before the transform is allocated
+                del lift
+            spec = np.fft.fft(rows)
+            sq = spec.real**2
+            sq += spec.imag**2
+            del spec
+            for j in range(0, members * g, g):
+                power += sq[j:j + g]
+            del sq
         # ifft(power)[t] = sum_i c_{i+t} conj(c_i); the definition conjugates the lagged copy
         out[row] = np.conj(np.fft.ifft(_sum_rows(power))[lags])
     return out
@@ -366,7 +399,9 @@ def _embedding_bound(M: int, L: int) -> float:
       its root of unity, so ||X_r||_2^2 = n'*L_r and
       ||dX_r||_2 <= (eps + 24u)||X_r||_2.
     * Power spectra |X_r|^2 (3u), summed over M members ((M - 1)u) and then
-      over the g rows pairwise (ceil(log2(g))u, :func:`_sum_rows`); the L_r
+      over the g rows pairwise (ceil(log2(g))u, :func:`_sum_rows`).  The
+      members are transformed in chunks but summed one at a time in member
+      order, so the (M - 1)u term stands for every chunk size; the L_r
       add up to L', so ||dP||_1 <= (2 eps + 51u + (M - 1)u +
       ceil(log2(g))u) * n'*M*L'.
     * Inverse, scaled by 1/n' (2u): an output errs by at most eps*M*L'

@@ -370,12 +370,13 @@ class SequenceSet:
     def from_phases(cls, modulus: int, phases: np.ndarray, metadata=None) -> "SequenceSet":
         """The set whose members are the rows of a read-only (M, L) int64 matrix.
 
-        Nothing is copied or reduced: every entry must lie in [0, modulus).
+        Nothing is copied or reduced: every entry must lie in [0, modulus),
+        which :func:`check_phases` checks.
         """
         modulus = int(modulus)
         if modulus < 2:
             raise ValueError(f"modulus {modulus} must be >= 2")
-        check_phases(phases)
+        check_phases(phases, modulus)
         if not len(phases):
             raise ValueError("a sequence set needs at least one member")
         sset = object.__new__(cls)
@@ -405,11 +406,17 @@ class SequenceSet:
         return self.sequences == other.sequences
 
 
-def check_phases(phases) -> None:
-    """Raises unless ``phases`` is a read-only two-dimensional int64 matrix."""
+def check_phases(phases, modulus: int) -> None:
+    """Raises unless ``phases`` is a read-only two-dimensional int64 matrix in [0, modulus).
+
+    One max pass checks both ends of the range: read as uint64, a negative
+    entry is at least 2^63, above every modulus.
+    """
     if not (isinstance(phases, np.ndarray) and phases.dtype == np.int64 and phases.ndim == 2
             and not phases.flags.writeable):
         raise ValueError("phases need a read-only two-dimensional int64 matrix")
+    if int(phases.view(np.uint64).max(initial=0)) >= modulus:
+        raise ValueError("sequence entries must lie in [0, lambda)")
 
 
 def check_length(factors: Iterable[tuple[int, int]]) -> int:
@@ -536,9 +543,10 @@ def unit_lift(values: np.ndarray, modulus: int) -> np.ndarray:
 
     Looked up in a cached table of the lambda roots, which gives the same
     bits as evaluating each entry; evaluated directly when lambda exceeds
-    the number of values, so a huge modulus allocates no table.
+    the number of values (``values.size``, for an array of any shape), so a
+    huge modulus allocates no table.
     """
-    if modulus > len(values):
+    if modulus > values.size:
         return np.exp(2j * np.pi * values / modulus)
     return _roots_of_unity(modulus)[values]
 

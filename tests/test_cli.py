@@ -215,6 +215,13 @@ def test_document_phases_are_one_read_only_matrix():
         assert str(refused.value) == "phases need a read-only two-dimensional int64 matrix"
         with pytest.raises(ValueError, match=f"^{refused.value}$"):
             SetDocument(5, {"kind": "GCS"}, {}, bad)
+    # entries outside [0, lambda) are refused by both with the reader's text: a -1
+    # would be written and read back as 4, a 7 would index past the root table
+    for row in ([-1, 4, 2, 0, 1, 3], [7, 4, 2, 0, 1, 3], [0, 1, 2, 3, 4, 5]):
+        for make in (lambda m: SequenceSet.from_phases(5, m),
+                     lambda m: SetDocument(5, {"kind": "GCS"}, {}, m)):
+            with pytest.raises(ValueError, match=r"^sequence entries must lie in \[0, lambda\)$"):
+                make(_matrix([[0, 1, 2, 3, 4, 0], row]))
 
 
 @st.composite

@@ -860,8 +860,17 @@ def _whole_sequence_sums(sset, ks, shifts):
     return out
 
 
+def _fft_calls(monkeypatch, sset, ks, shifts):
+    """:func:`_lift_sums` at these shifts, and the shapes of its forward FFT calls."""
+    calls, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(a.shape) or fft(a))
+    sums = correlation._lift_sums(sset, ks, shifts)
+    monkeypatch.setattr(np.fft, "fft", fft)
+    return sums, calls
+
+
 @pytest.mark.parametrize("lam", [2, 6, 30, 1009])
-def test_whole_sequence_plans_keep_the_lifts_bit_for_bit(lam):
+def test_whole_sequence_plans_keep_the_lifts_bit_for_bit(monkeypatch, lam):
     # k = 1 lifts the reduced phases as they are, k > 1 reduces k*x first;
     # on a (0, 1, n) plan both give the bits of the whole-sequence transform
     rng = random.Random(3000 + lam)
@@ -872,6 +881,46 @@ def test_whole_sequence_plans_keep_the_lifts_bit_for_bit(lam):
             assert correlation._lag_plan(L, shifts) == (0, 1, correlation._fft_length(L))
             assert np.array_equal(correlation._lift_sums(sset, ks, shifts),
                                   _whole_sequence_sums(sset, ks, shifts))
+    # 334 members of n = 196 points fit a chunk, so 700 members span two chunk
+    # boundaries, the last chunk short; lambda = 1009 is looked up in a table here
+    sset, shifts = _random_set(rng, lam, 700, 97), range(1, 97)
+    sums, calls = _fft_calls(monkeypatch, sset, ks, shifts)
+    assert calls == [(334, 196), (334, 196), (32, 196)] * len(ks)
+    assert np.array_equal(sums, _whole_sequence_sums(sset, ks, shifts))
+
+
+@pytest.mark.parametrize("lam", [6, 30, 100003])
+def test_chunked_transforms_keep_the_bits_of_one_member_at_a_time(monkeypatch, lam):
+    # 44 members of n = 1458 points fit a chunk, so 100 members of L = 729
+    # take three chunks on the whole-sequence plan; lambda = 100003 lifts
+    # each chunk through exp (no table), numerically with k = 1 alone
+    rng = random.Random(5000 + lam)
+    L, M = 729, 100
+    sset = _random_set(rng, lam, M, L)
+    ks = correlation._conjugate_ks(lam) if lam <= correlation.EXACT_MODULUS_CAP else (1,)
+    plans = {"whole": range(1, L), **_planned_shift_sets(rng, L)}
+    chunked = {name: _fft_calls(monkeypatch, sset, ks, shifts)
+               for name, shifts in plans.items()}
+    assert [rows for rows, _ in chunked["whole"][1]] == [44, 44, 12] * len(ks)
+    monkeypatch.setattr(correlation, "_CHUNK_POINTS", 1)
+    for name, shifts in plans.items():
+        sums, calls = _fft_calls(monkeypatch, sset, ks, shifts)
+        g = correlation._lag_plan(L, shifts)[1]
+        assert len(calls) == len(ks) * M and {rows for rows, _ in calls} == {g}, name
+        assert np.array_equal(sums, chunked[name][0]), name
+
+
+def test_small_sets_take_one_transform_call_per_chunk(monkeypatch):
+    # M = 30, lambda = 30, L = 180: four embeddings of 30 members of n = 360 points
+    sset, ks, shifts = _gcs30(), correlation._conjugate_ks(30), range(1, 180)
+    assert (len(sset), len(ks), correlation._lag_plan(180, shifts)) == (30, 4, (0, 1, 360))
+    sums, calls = _fft_calls(monkeypatch, sset, ks, shifts)
+    assert calls == [(30, 360)] * len(ks)
+    # chunks of 7 members: 5 calls per embedding, not 30
+    monkeypatch.setattr(correlation, "_CHUNK_POINTS", 7 * 360)
+    chunked, calls = _fft_calls(monkeypatch, sset, ks, shifts)
+    assert calls == ([(7, 360)] * 4 + [(2, 360)]) * len(ks)
+    assert np.array_equal(chunked, sums)
 
 
 def _planned_shift_sets(rng, L):

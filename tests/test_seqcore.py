@@ -395,6 +395,18 @@ def test_from_phases_takes_a_read_only_matrix():
         SequenceSet.from_phases(6, matrix[:0])
     with pytest.raises(ValueError, match="must be >= 2"):
         SequenceSet.from_phases(1, matrix)
+    # entries outside [0, modulus) are refused; the ends of the range, an
+    # empty row and a modulus near 2^63 are taken
+    for entry in (-1, 6, 7, -2**63, 2**63 - 1):
+        bad = matrix.copy()
+        bad[1, 1] = entry
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match=r"^sequence entries must lie in \[0, lambda\)$"):
+            SequenceSet.from_phases(6, bad)
+    for modulus, rows in ((6, [[0, 5]]), (6, [[]]), (2**63 - 1, [[0, 2**63 - 2]])):
+        edge = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        edge.flags.writeable = False
+        assert SequenceSet.from_phases(modulus, edge).phases is edge
 
 
 def test_sequence_set_stacks_its_members_once():
