@@ -17,7 +17,6 @@ from .constructions import (
 )
 from .correlation import (
     CorrelationReport,
-    CyclotomicSum,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -62,7 +61,6 @@ __all__ = [
     "random_block",
     "single_prime_mscs",
     "CorrelationReport",
-    "CyclotomicSum",
     "aacf_set_sum",
     "accf_exact",
     "accf_float",

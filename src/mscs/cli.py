@@ -67,7 +67,14 @@ from .pmepr import (
     modulated_family,
     pmepr_set,
 )
-from .seqcore import PhaseSequence, SequenceSet, check_length, check_phases, unit_lift
+from .seqcore import (
+    PhaseSequence,
+    SequenceSet,
+    check_length,
+    check_phases,
+    in_phase_range,
+    unit_lift,
+)
 
 SCHEMA_VERSION = 1
 
@@ -263,10 +270,15 @@ def _field_int(payload: dict, key: str, default: int | None = None) -> int:
 
 
 def document_from_json(text: str) -> SetDocument:
+    # array("q") below refuses every non-integer JSON value but a bool, and a
+    # bool comes only from a true/false literal
+    bools = "true" in text or "false" in text
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"document is not valid JSON: {exc}") from None
+    # the text is as large as the file; from here the parsed rows hold the document
+    del text
     if not isinstance(payload, dict):
         raise ValueError("document root must be an object")
     schema = payload.get("schema")
@@ -294,16 +306,15 @@ def document_from_json(text: str) -> SetDocument:
         raise ValueError("sequences must be a list of lists")
     if len(rows) != set_size:
         raise ValueError(f"document lists {len(rows)} sequences, set_size says {set_size}")
-    # rows before the first of the wrong length fill the matrix; each row is
-    # checked whole before the next, so the first defect is the one reported.
-    # array("q") refuses every non-integer JSON value but a bool, and a bool
-    # comes only from a true/false literal, so without one in the text a row
-    # that converts holds ints only; a row that does not is checked for its
-    # types first, then its range.
-    bools = "true" in text or "false" in text
+    # rows before the first of the wrong length fill the matrix, and each is
+    # released once its matrix row is filled; each row is checked whole
+    # before the next, so the first defect is the one reported.  Without a
+    # true/false literal in the text a row that converts holds ints only; a
+    # row that does not is checked for its types first, then its range.
     good = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
     sequences = np.empty((good, length), dtype=np.int64)
-    for row, out in zip(rows, sequences):
+    for i, out in enumerate(sequences):
+        row, rows[i] = rows[i], None
         try:
             out[:] = array.array("q", row)
             converted = True
@@ -311,7 +322,7 @@ def document_from_json(text: str) -> SetDocument:
             converted = False
         if (bools or not converted) and row and set(map(type, row)) != {int}:
             raise ValueError("sequence entries must be integers")
-        if not converted or row and not (out.min() >= 0 and out.max() < modulus):
+        if not (converted and in_phase_range(out, modulus)):
             raise ValueError("sequence entries must lie in [0, lambda)")
     if good < len(rows):
         raise ValueError(f"sequence of length {len(rows[good])} does not match length {length}")
@@ -788,7 +799,7 @@ def _selftest_checks():
         for sset, claim in ((a, {"kind": "GCS"}), (b, {"kind": "GCS"}),
                             (a, {"kind": "MSCS", "S": 3}), (b, {"kind": "ZCS", "Z": 21})):
             lam, report = sset.modulus, _verify_claim(sset, claim)
-            counts = np.array([aacf_set_sum(sset, t).counts for t in report.shifts.tolist()])
+            counts = np.array([aacf_set_sum(sset, t) for t in report.shifts.tolist()])
             if not np.array_equal(report.zeros, is_zero(counts)):
                 return f"L={sset.length} {_claim_tag(claim)}: verdicts differ from the counts'"
             if claim == {"kind": "GCS"} and len(np.unique(report.zeros)) < 2:

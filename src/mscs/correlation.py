@@ -1,13 +1,13 @@
 """Aperiodic correlation and exact verification of complementarity claims.
 
 Correlations of phase sequences are carried exactly: a correlation value is
-a multiset of lambda-th roots of unity, stored as an integer count per
-exponent (:class:`CyclotomicSum`).  Such a sum is exactly zero iff its
-generating polynomial sum_j counts[j] x^j is divisible by the lambda-th
-cyclotomic polynomial, the minimal polynomial of exp(2*pi*1j/lambda).  The
-test multiplies the counts by the integer matrix of the residues
-x^j mod Phi_lambda (:func:`is_zero`), so it carries no floating point
-tolerance.
+a multiset of lambda-th roots of unity, stored as its count vector: a
+read-only int64 array of length lambda whose entry j counts the terms w^j,
+w = exp(2*pi*1j/lambda).  Such a sum is exactly zero iff its generating
+polynomial sum_j counts[j] x^j is divisible by the lambda-th cyclotomic
+polynomial, the minimal polynomial of w.  The test multiplies the counts
+by the integer matrix of the residues x^j mod Phi_lambda (:func:`is_zero`),
+so it carries no floating point tolerance.
 
 Verification decides every tested shift from FFT autocorrelations.  The
 embedding sums E_k(tau), the members' autocorrelations of w^(k*x)
@@ -48,70 +48,6 @@ from .constructions import kronecker_compose
 from .seqcore import PhaseSequence, SequenceSet, _roots_of_unity, to_complex, unit_lift
 
 EXACT_MODULUS_CAP = 1000
-
-
-@dataclass(frozen=True, eq=False)
-class CyclotomicSum:
-    """An integer combination sum_j counts[j] * w^j of lambda-th roots of unity."""
-
-    modulus: int
-    counts: np.ndarray
-
-    def __init__(self, modulus: int, counts):
-        modulus = int(modulus)
-        if modulus < 1:
-            raise ValueError(f"modulus {modulus} must be >= 1")
-        arr = np.asarray(counts, dtype=np.int64)
-        if arr.shape != (modulus,):
-            raise ValueError(f"counts must have length {modulus}, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "counts", arr)
-
-    @classmethod
-    def zero(cls, modulus: int) -> "CyclotomicSum":
-        return cls(modulus, np.zeros(modulus, dtype=np.int64))
-
-    def _coerce(self, other) -> np.ndarray:
-        if not isinstance(other, CyclotomicSum):
-            raise TypeError("expected a CyclotomicSum")
-        if other.modulus != self.modulus:
-            raise ValueError("modulus mismatch")
-        return other.counts
-
-    def __add__(self, other):
-        return CyclotomicSum(self.modulus, self.counts + self._coerce(other))
-
-    def __sub__(self, other):
-        return CyclotomicSum(self.modulus, self.counts - self._coerce(other))
-
-    def __neg__(self):
-        return CyclotomicSum(self.modulus, -self.counts)
-
-    def __mul__(self, other):
-        """Product of sums: cyclic convolution of counts, exponents mod lambda."""
-        b = self._coerce(other)
-        lam = self.modulus
-        out = np.zeros(lam, dtype=np.int64)
-        for j in np.nonzero(self.counts)[0]:
-            out += self.counts[j] * np.roll(b, j)
-        return CyclotomicSum(lam, out)
-
-    def conjugate(self) -> "CyclotomicSum":
-        """Complex conjugate: exponent j becomes -j mod lambda."""
-        idx = (-np.arange(self.modulus)) % self.modulus
-        return CyclotomicSum(self.modulus, self.counts[idx])
-
-    def value(self) -> complex:
-        """Numeric evaluation in complex doubles."""
-        w = np.exp(2j * np.pi * np.arange(self.modulus) / self.modulus)
-        return complex(np.dot(self.counts, w))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicSum):
-            return NotImplemented
-        return self.modulus == other.modulus and np.array_equal(self.counts, other.counts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,19 +100,18 @@ def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
     return matrix, int(np.abs(matrix).max(initial=0))
 
 
-def is_zero(s: CyclotomicSum | np.ndarray):
-    """Exact test of sum_j counts[j] * w^j == 0.
+def is_zero(counts) -> bool | np.ndarray:
+    """Exact test of sum_j counts[j] * w^j == 0 for count vectors of length lambda.
 
     True iff the counts polynomial is divisible by the lambda-th cyclotomic
     polynomial: w is a root of a rational polynomial exactly when its
     minimal polynomial divides it.  The remainder is counts @ R, R holding
-    x^j mod Phi_lambda, so it stays in integers.  Accepts one
-    :class:`CyclotomicSum` (returns a bool) or an integer array of count
-    vectors along its last axis, whose length is lambda (returns a bool
-    array).  When max|R| * sum|counts| could overflow int64 the product is
-    taken in Python integers.
+    x^j mod Phi_lambda, so it stays in integers.  One count vector gives a
+    bool; count vectors stacked along the last axis give a bool array of
+    the leading shape.  When max|R| * sum|counts| could overflow int64 the
+    product is taken in Python integers.
     """
-    counts = s.counts if isinstance(s, CyclotomicSum) else np.asarray(s, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     matrix, largest = _reduction_matrix(counts.shape[-1])
     size = np.add.reduce(np.abs(counts, dtype=np.float64), axis=-1)
     if largest * np.maximum.reduce(size, axis=None, initial=0.0) < 2.0**62:
@@ -198,11 +133,13 @@ def _check_pair(a: PhaseSequence, b: PhaseSequence, tau: int) -> int:
     return L
 
 
-def accf_exact(a: PhaseSequence, b: PhaseSequence, tau: int) -> CyclotomicSum:
-    """Aperiodic cross-correlation sum_i w^(a_i - b_{i+tau}) as exact counts.
+def accf_exact(a: PhaseSequence, b: PhaseSequence, tau: int) -> np.ndarray:
+    """Aperiodic cross-correlation sum_i w^(a_i - b_{i+tau}) as its count vector.
 
     For tau >= 0 the window is i = 0 .. L-1-tau; for negative tau it is the
-    mirrored sum_i w^(a_{i-tau} - b_i).  Exactly L - |tau| terms are counted.
+    mirrored sum_i w^(a_{i-tau} - b_i).  Exactly L - |tau| terms are
+    counted: entry j of the read-only int64 vector of length lambda counts
+    the differences equal to j mod lambda.
     """
     L = _check_pair(a, b, tau)
     lam = a.modulus
@@ -210,7 +147,9 @@ def accf_exact(a: PhaseSequence, b: PhaseSequence, tau: int) -> CyclotomicSum:
         diffs = (a.values[: L - tau] - b.values[tau:]) % lam
     else:
         diffs = (a.values[-tau:] - b.values[: L + tau]) % lam
-    return CyclotomicSum(lam, np.bincount(diffs, minlength=lam))
+    counts = np.bincount(diffs, minlength=lam).astype(np.int64, copy=False)
+    counts.flags.writeable = False
+    return counts
 
 
 def accf_float(a: PhaseSequence, b: PhaseSequence, tau: int) -> complex:
@@ -222,16 +161,26 @@ def accf_float(a: PhaseSequence, b: PhaseSequence, tau: int) -> complex:
     return complex(np.dot(ca[-tau:], np.conj(cb[: L + tau])))
 
 
-def aacf_set_sum(sset: SequenceSet, tau: int) -> CyclotomicSum:
-    """Entrywise sum of the members' autocorrelations at one shift.
+def aacf_set_sum(sset: SequenceSet, tau: int) -> np.ndarray:
+    """Sum of the members' autocorrelations at one shift, as its count vector.
 
-    Each member is counted by :func:`accf_exact`, one at a time, so the
-    temporaries hold one member's L - |tau| differences.
+    A read-only int64 vector of length lambda, the sum of the members'
+    :func:`accf_exact` vectors, M * (L - |tau|) terms in all.  Members are
+    counted one at a time, so the temporaries hold one member's L - |tau|
+    differences.
     """
     counts = np.zeros(sset.modulus, dtype=np.int64)
     for x in sset:
-        counts += accf_exact(x, x, tau).counts
-    return CyclotomicSum(sset.modulus, counts)
+        counts += accf_exact(x, x, tau)
+    counts.flags.writeable = False
+    return counts
+
+
+def _cyclic_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Count vector of the product of two sums: exponents added mod lambda, in int64."""
+    full = np.convolve(x, y)
+    full[: len(x) - 1] += full[len(x):]
+    return full[: len(x)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,12 +512,13 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
 
     where a term with a shift out of range is zero and is left out (the
     second term whenever r = 0).  Floor division extends the split to negative
-    shifts unchanged.  The identity is checked exactly through count
-    vector convolution, and in floats within the first-order rounding
-    error of both sides; both must hold.  A product of sums of n_a and n_b
-    terms, each within e(n) = :func:`_accf_float_error` of its value of
-    modulus at most n, errs by at most n_a*e(n_b) + n_b*e(n_a) plus 3u*n_a*n_b
-    for the product and u*n_a*n_b for adding it.
+    shifts unchanged.  The identity is checked exactly on count vectors,
+    each product a cyclic convolution (:func:`_cyclic_product`), and in
+    floats within the first-order rounding error of both sides; both must
+    hold.  A product of sums of n_a and n_b terms, each within
+    e(n) = :func:`_accf_float_error` of its value of modulus at most n, errs
+    by at most n_a*e(n_b) + n_b*e(n_a) plus 3u*n_a*n_b for the product and
+    u*n_a*n_b for adding it.
     """
     if a.modulus != b.modulus:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
@@ -592,8 +542,6 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
     if a.modulus > EXACT_MODULUS_CAP:
         return float_ok
 
-    lhs = accf_exact(composed, composed, tau)
-    rhs = CyclotomicSum.zero(a.modulus)
-    for s, t in pairs:
-        rhs = rhs + accf_exact(a, a, s) * accf_exact(b, b, t)
-    return float_ok and is_zero(lhs - rhs)
+    rhs = sum((_cyclic_product(accf_exact(a, a, s), accf_exact(b, b, t)) for s, t in pairs),
+              np.zeros(a.modulus, dtype=np.int64))
+    return float_ok and is_zero(accf_exact(composed, composed, tau) - rhs)

@@ -406,16 +406,21 @@ class SequenceSet:
         return self.sequences == other.sequences
 
 
-def check_phases(phases, modulus: int) -> None:
-    """Raises unless ``phases`` is a read-only two-dimensional int64 matrix in [0, modulus).
+def in_phase_range(values: np.ndarray, modulus: int) -> bool:
+    """True iff every entry of the int64 array ``values`` lies in [0, modulus).
 
     One max pass checks both ends of the range: read as uint64, a negative
-    entry is at least 2^63, above every modulus.
+    entry is at least 2^63, above every modulus.  An empty array is in range.
     """
+    return int(values.view(np.uint64).max(initial=0)) < modulus
+
+
+def check_phases(phases, modulus: int) -> None:
+    """Raises unless ``phases`` is a read-only two-dimensional int64 matrix in [0, modulus)."""
     if not (isinstance(phases, np.ndarray) and phases.dtype == np.int64 and phases.ndim == 2
             and not phases.flags.writeable):
         raise ValueError("phases need a read-only two-dimensional int64 matrix")
-    if int(phases.view(np.uint64).max(initial=0)) >= modulus:
+    if not in_phase_range(phases, modulus):
         raise ValueError("sequence entries must lie in [0, lambda)")
 
 

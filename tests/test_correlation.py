@@ -20,7 +20,6 @@ from mscs.constructions import (
 )
 from mscs.correlation import (
     EXACT_MODULUS_CAP,
-    CyclotomicSum,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -33,6 +32,17 @@ from mscs.correlation import (
 )
 from mscs.reference_sets import mscs_3_27_3, mscs_3_54_2
 from mscs.seqcore import MAX_LENGTH, PhaseSequence, SequenceSet
+
+
+def _value(counts):
+    """The value sum_j counts[j] * w^j of a count vector, in complex doubles."""
+    lam = len(counts)
+    return complex(np.dot(counts, np.exp(2j * np.pi * np.arange(lam) / lam)))
+
+
+def _conjugate(counts):
+    """Count vector of the complex conjugate: exponent j goes to -j mod lambda."""
+    return counts[-np.arange(len(counts)) % len(counts)]
 
 
 def test_cyclotomic_polynomial_known_values():
@@ -61,16 +71,16 @@ def test_cyclotomic_degree_is_totient():
 
 
 def test_is_zero_root_of_unity_sums():
-    counts = np.zeros(6, dtype=int)
+    counts = np.zeros(6, dtype=np.int64)
     counts[[0, 2, 4]] = 1
-    assert is_zero(CyclotomicSum(6, counts))
-    counts = np.zeros(6, dtype=int)
+    assert is_zero(counts) is True
+    counts = np.zeros(6, dtype=np.int64)
     counts[[1, 4]] = 1
-    assert is_zero(CyclotomicSum(6, counts))
-    counts = np.zeros(6, dtype=int)
+    assert is_zero(counts)
+    counts = np.zeros(6, dtype=np.int64)
     counts[3] = 2
-    assert not is_zero(CyclotomicSum(6, counts))
-    assert is_zero(CyclotomicSum.zero(9))
+    assert is_zero(counts) is False
+    assert is_zero(np.zeros(9, dtype=np.int64))
 
 
 @given(
@@ -84,73 +94,85 @@ def test_is_zero_against_mpmath(lam, raw, multiplier):
     # Phi_lam (mod x^lam - 1) moves the counts without changing the value
     import mpmath
 
-    counts = np.zeros(lam, dtype=int)
+    counts = np.zeros(lam, dtype=np.int64)
     for j, c in enumerate(raw[:lam]):
         counts[j] = c
-    phi = np.zeros(lam, dtype=int)
+    phi = np.zeros(lam, dtype=np.int64)
     phi[: len(cyclotomic_polynomial(lam))] = cyclotomic_polynomial(lam)
-    q = np.zeros(lam, dtype=int)
+    q = np.zeros(lam, dtype=np.int64)
     for j, c in enumerate(multiplier[:lam]):
         q[j] = c
-    s = CyclotomicSum(lam, counts) + CyclotomicSum(lam, q) * CyclotomicSum(lam, phi)
-    counts = s.counts
+    counts = counts + correlation._cyclic_product(q, phi)
     with mpmath.workdps(50):
         value = mpmath.fsum(
             int(counts[j]) * mpmath.e ** (2j * mpmath.pi * j / lam) for j in range(lam)
         )
         numerically_zero = abs(value) < mpmath.mpf("1e-30")
-    assert is_zero(s) == numerically_zero
+    assert is_zero(counts) == numerically_zero
 
 
-def test_cyclotomic_sum_algebra():
-    rng = random.Random(8)
-    lam = 12
-    a = CyclotomicSum(lam, [rng.randint(-5, 5) for _ in range(lam)])
-    b = CyclotomicSum(lam, [rng.randint(-5, 5) for _ in range(lam)])
-    assert abs((a + b).value() - (a.value() + b.value())) < 1e-9
-    assert abs((a - b).value() - (a.value() - b.value())) < 1e-9
-    assert abs((-a).value() + a.value()) < 1e-12
-    assert abs((a * b).value() - a.value() * b.value()) < 1e-9
-    assert abs(a.conjugate().value() - np.conj(a.value())) < 1e-12
+def test_count_vector_algebra():
+    # sums, the Kronecker check's cyclic product and conjugation as index
+    # reversal carry the values' arithmetic, against the float values
+    rng = np.random.default_rng(8)
+    for lam in (2, 5, 12, 30):
+        a, b = rng.integers(-5, 6, (2, lam))
+        assert abs(_value(a + b) - (_value(a) + _value(b))) < 1e-9
+        assert abs(_value(a - b) - (_value(a) - _value(b))) < 1e-9
+        assert abs(_value(-a) + _value(a)) < 1e-12
+        product = correlation._cyclic_product(a, b)
+        assert product.dtype == np.int64 and product.shape == (lam,)
+        assert abs(_value(product) - _value(a) * _value(b)) < 1e-9
+        assert abs(_value(_conjugate(a)) - np.conj(_value(a))) < 1e-12
 
 
-def test_cyclotomic_sum_product_of_monomials():
+def test_cyclic_product_of_monomials():
     lam = 5
-    xa = np.zeros(lam, dtype=int)
-    xa[3] = 1
-    xb = np.zeros(lam, dtype=int)
-    xb[4] = 1
-    prod = CyclotomicSum(lam, xa) * CyclotomicSum(lam, xb)
-    expected = np.zeros(lam, dtype=int)
-    expected[(3 + 4) % lam] = 1
-    assert list(prod.counts) == list(expected)
+    for i in range(lam):
+        for j in range(lam):
+            # 2^31 * 2^31 = 2^62 is kept exactly in int64
+            xa = np.zeros(lam, dtype=np.int64)
+            xa[i] = 2**31
+            xb = np.zeros(lam, dtype=np.int64)
+            xb[j] = 2**31
+            expected = np.zeros(lam, dtype=np.int64)
+            expected[(i + j) % lam] = 2**62
+            assert np.array_equal(correlation._cyclic_product(xa, xb), expected)
 
 
-def test_cyclotomic_sum_validation():
-    with pytest.raises(ValueError):
-        CyclotomicSum(0, [])
-    with pytest.raises(ValueError):
-        CyclotomicSum(3, [1, 2])
-    a = CyclotomicSum(3, [1, 0, 0])
-    with pytest.raises(ValueError):
-        a + CyclotomicSum(4, [0, 0, 0, 0])
-    with pytest.raises(TypeError):
-        a + 1
+@pytest.mark.parametrize("lam", [2, 6, 30, 1009])
+def test_count_vectors_are_read_only_int64_of_length_lambda(lam):
+    rng = np.random.default_rng(700 + lam)
+    M, L = 4, 23
+    sset = SequenceSet([PhaseSequence(lam, row) for row in rng.integers(0, lam, (M, L))])
+    a, b = sset.sequences[:2]
+    for tau in range(1 - L, L):
+        for counts, total in ((accf_exact(a, b, tau), L - abs(tau)),
+                              (aacf_set_sum(sset, tau), M * (L - abs(tau)))):
+            assert counts.dtype == np.int64 and counts.shape == (lam,)
+            assert not counts.flags.writeable
+            assert counts.sum() == total
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0] += 1
+    # conjugate symmetry: the shift -tau reverses the exponents of tau mod lambda
+    for tau in range(1, L):
+        assert np.array_equal(accf_exact(a, b, -tau), _conjugate(accf_exact(b, a, tau)))
+        assert np.array_equal(aacf_set_sum(sset, -tau), _conjugate(aacf_set_sum(sset, tau)))
 
 
 def test_accf_exact_zero_shift():
     s = PhaseSequence(4, [0, 1, 3, 2, 2])
     out = accf_exact(s, s, 0)
-    assert out.counts[0] == 5
-    assert not out.counts[1:].any()
+    assert out[0] == 5
+    assert not out[1:].any()
 
 
 def test_accf_exact_small_example():
     # (0,0,0,1) over Z_2 at shift 1: differences (0,0,1), value 2-1 = 1
     s = PhaseSequence(2, [0, 0, 0, 1])
     out = accf_exact(s, s, 1)
-    assert list(out.counts) == [2, 1]
-    assert abs(out.value() - 1) < 1e-12
+    assert list(out) == [2, 1]
+    assert abs(_value(out) - 1) < 1e-12
 
 
 def test_accf_exact_counts_total():
@@ -158,7 +180,7 @@ def test_accf_exact_counts_total():
     a = PhaseSequence(6, [rng.randrange(6) for _ in range(17)])
     b = PhaseSequence(6, [rng.randrange(6) for _ in range(17)])
     for tau in range(-16, 17):
-        assert accf_exact(a, b, tau).counts.sum() == 17 - abs(tau)
+        assert accf_exact(a, b, tau).sum() == 17 - abs(tau)
 
 
 def test_accf_conjugate_symmetry():
@@ -168,7 +190,8 @@ def test_accf_conjugate_symmetry():
     for tau in range(1, 12):
         back = accf_exact(a, b, -tau)
         fwd = accf_exact(b, a, tau)
-        assert back == fwd.conjugate()
+        assert np.array_equal(back, _conjugate(fwd))
+        assert abs(_value(back) - np.conj(_value(fwd))) < 1e-9
 
 
 def test_accf_argument_validation():
@@ -193,7 +216,7 @@ def test_accf_exact_matches_naive_sum(seed):
     b = PhaseSequence(lam, [rng.randrange(lam) for _ in range(L)])
     tau = rng.randint(-L + 1, L - 1)
     want = naive_rho(lift(a), lift(b), tau)
-    assert abs(accf_exact(a, b, tau).value() - want) < 1e-9
+    assert abs(_value(accf_exact(a, b, tau)) - want) < 1e-9
     assert abs(accf_float(a, b, tau) - want) < 1e-9
 
 
@@ -202,7 +225,7 @@ def test_accf_float_agrees_with_exact_long():
     lam = 10
     a = PhaseSequence(lam, [rng.randrange(lam) for _ in range(1000)])
     for tau in (0, 1, 7, 500, -999):
-        assert abs(accf_float(a, a, tau) - accf_exact(a, a, tau).value()) < 1e-9
+        assert abs(accf_float(a, a, tau) - _value(accf_exact(a, a, tau))) < 1e-9
 
 
 def test_accf_float_complementary_pair():
@@ -216,8 +239,8 @@ def test_accf_float_complementary_pair():
 def test_aacf_set_sum_zero_shift():
     sset = mscs_3_27_3()
     out = aacf_set_sum(sset, 0)
-    assert out.counts[0] == 3 * 27
-    assert not out.counts[1:].any()
+    assert out[0] == 3 * 27
+    assert not out[1:].any()
 
 
 def test_aacf_set_sum_examples():
@@ -225,9 +248,9 @@ def test_aacf_set_sum_examples():
     assert is_zero(aacf_set_sum(sset, 3))
     at_one = aacf_set_sum(sset, 1)
     # regression constant, cross-checked against the naive complex sum
-    assert list(at_one.counts) == [62, 0, 8, 0, 8, 0]
-    assert abs(at_one.value() - naive_set_aacf(sset, 1)) < 1e-9
-    assert abs(at_one.value() - 54) < 1e-9
+    assert list(at_one) == [62, 0, 8, 0, 8, 0]
+    assert abs(_value(at_one) - naive_set_aacf(sset, 1)) < 1e-9
+    assert abs(_value(at_one) - 54) < 1e-9
     with pytest.raises(ValueError, match="out of range"):
         aacf_set_sum(sset, 27)
 
@@ -247,7 +270,7 @@ def test_aacf_set_sum_matches_modular_differences(lam):
         else:
             diffs = (stack[:, -tau:] - stack[:, : L + tau]) % lam
         want = np.bincount(diffs.ravel(), minlength=lam)
-        assert np.array_equal(aacf_set_sum(sset, tau).counts, want), tau
+        assert np.array_equal(aacf_set_sum(sset, tau), want), tau
 
 
 @pytest.mark.parametrize("lam", [2, 6, 30, 1009])
@@ -261,7 +284,7 @@ def test_aacf_set_sum_matches_the_stacked_count(lam):
                          else (slice(-tau, L), slice(0, L + tau)))
             bins = np.bincount((stack[:, lead] + (lam - stack[:, lag])).ravel(),
                                minlength=2 * lam)
-            assert np.array_equal(aacf_set_sum(sset, tau).counts,
+            assert np.array_equal(aacf_set_sum(sset, tau),
                                   bins[:lam] + bins[lam:]), (M, L, tau)
 
 
@@ -547,6 +570,36 @@ def test_kronecker_identity_float_half_catches_a_perturbation(monkeypatch):
         assert not kronecker_accf_identity_check(a, b, tau)
 
 
+def test_kronecker_identity_exact_half_catches_a_moved_count(monkeypatch):
+    # one count of the composed sequence's correlation moves to the next
+    # exponent, its total kept: w^j - w^(j+1) != 0, so the exact half alone
+    # refuses it while accf_float, untouched, still agrees
+    rng = random.Random(36)
+    cases = []
+    for _ in range(10):
+        lam = rng.randint(2, 12)
+        a = PhaseSequence(lam, [rng.randrange(lam) for _ in range(rng.randint(2, 4))])
+        b = PhaseSequence(lam, [rng.randrange(lam) for _ in range(rng.randint(2, 4))])
+        cases += [(a, b, tau) for tau in range(1 - len(a) * len(b), len(a) * len(b))]
+    assert all(kronecker_accf_identity_check(a, b, tau) for a, b, tau in cases)
+    inner, composed = correlation.accf_exact, {}
+
+    def moved(x, y, tau):
+        counts = inner(x, y, tau)
+        if len(x) != composed["length"]:
+            return counts
+        counts = counts.copy()
+        j = int(np.flatnonzero(counts)[0])
+        counts[j] -= 1
+        counts[(j + 1) % len(counts)] += 1
+        return counts
+
+    monkeypatch.setattr(correlation, "accf_exact", moved)
+    for a, b, tau in cases:
+        composed["length"] = len(a) * len(b)
+        assert not kronecker_accf_identity_check(a, b, tau)
+
+
 def test_kronecker_identity_float_only_above_the_cap(monkeypatch):
     # lambda = 1009 is above the cap: the float half alone decides, and the
     # exact counter is never reached
@@ -725,7 +778,7 @@ def _check_conjugates(sset, shifts):
     ks = correlation._conjugate_ks(lam)
     assert len(ks) == max(1, (len(cyclotomic_polynomial(lam)) - 1) // 2)
     sums = correlation._lift_sums(sset, ks, shifts)
-    counts = np.array([aacf_set_sum(sset, t).counts for t in shifts]).reshape(len(shifts), lam)
+    counts = np.array([aacf_set_sum(sset, t) for t in shifts]).reshape(len(shifts), lam)
     bound = correlation._embedding_bound(len(sset), sset.length)
     with mpmath.workdps(30):
         roots = np.array([[mpmath.expjpi(mpmath.mpf(2 * (k * j % lam)) / lam)
@@ -833,15 +886,15 @@ def test_residual_within_bound(case):
 
 def test_is_zero_batches_and_overflow_guard():
     sset = mscs_3_27_3()
-    counts = np.array([aacf_set_sum(sset, t).counts for t in range(1, 27)])
+    counts = np.array([aacf_set_sum(sset, t) for t in range(1, 27)])
     flags = is_zero(counts)
     assert flags.dtype == bool and flags.shape == (26,)
     assert list(flags) == [is_zero(aacf_set_sum(sset, t)) for t in range(1, 27)]
     assert is_zero(np.zeros((0, 6), dtype=np.int64)).shape == (0,)
     # 2^61 (1 + w^2 + w^4) = 0 at lambda = 6, past the int64 guard
     big = 2**61
-    assert is_zero(CyclotomicSum(6, [big, 0, big, 0, big, 0]))
-    assert not is_zero(CyclotomicSum(6, [big, 0, big, 0, big - 1, 0]))
+    assert is_zero([big, 0, big, 0, big, 0])
+    assert not is_zero(np.array([big, 0, big, 0, big - 1, 0]))
 
 
 def _whole_sequence_sums(sset, ks, shifts):

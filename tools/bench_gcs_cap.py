@@ -1,13 +1,16 @@
-"""Time exact GCS verification of a seeded set near the length cap, in process.
+"""Time exact GCS verification of a seeded set near the length cap, in process and by the CLI.
 
 Builds the M = 30, lambda = 30, L = 972000 GCS of three blocks (2^5, 3^5,
 5^3; permutations and coefficients drawn from ``random.Random(SEED)``),
 times ``verify_gcs`` on it, then the writing of its set document
-(``write_document(document_from_set(sset))``, to a temporary file), and
-prints one JSON record: build, verify and write wall time, verify CPU
-time, peak RSS, the verdict, the document's byte count and sha256 (equal
-digests mean two revisions wrote the same bytes), the checkout's git
-revision and the git tree hash of its ``src`` directory as it was run,
+(``write_document(document_from_set(sset))``, to a temporary file), then
+``mscs verify`` of that document in a child process, and prints one JSON
+record: build, verify and write wall time, verify CPU time, peak RSS, the
+verdict, the document's byte count and sha256 (equal digests mean two
+revisions wrote the same bytes), the child's wall time, peak RSS, exit
+code and stdout sha256 (the child reads the document by a fixed relative
+name, so equal digests mean equal output), the checkout's git revision
+and the git tree hash of its ``src`` directory as it was run,
 which equals ``git rev-parse REV:src`` of the revision that commits that
 code.  The CPU time leaves out time spent waiting for a processor, so on
 a shared host it is the steadier figure.
@@ -43,6 +46,19 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _run_child(argv: list[str], cwd: str, env: dict) -> tuple[float, float, int, bytes]:
+    """Wall time, peak RSS in MB, exit code and stdout of one child process."""
+    t0 = perf_counter()
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    # wait4 gives this child's own resource usage, not the maximum over all children
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return wall, usage.ru_maxrss / 1024, proc.returncode, out
+
+
 def _git(repo: Path, *args: str, env: dict | None = None) -> str:
     done = subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True,
                           env=env)
@@ -76,6 +92,7 @@ def measure(repo: Path) -> dict:
     report = verify_gcs(sset)
     t2, c2 = perf_counter(), process_time()
     verify_rss = _peak_rss_mb()
+    shape = {"M": len(sset), "L": sset.length, "lambda": sset.modulus}
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "gcs_cap.json"
         t3 = perf_counter()
@@ -86,12 +103,17 @@ def measure(repo: Path) -> dict:
             while chunk := fh.read(1 << 24):
                 digest.update(chunk)
         written = path.stat().st_size
+        # the child's memory comes on top of this process's; the set is not needed again
+        del sset
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        cli_s, cli_rss, cli_exit, cli_out = _run_child(
+            [sys.executable, "-m", "mscs", "verify", path.name], scratch, env)
     return {
         "revision": _git(repo, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git(repo, "status", "--porcelain", "--untracked-files=no")),
         "src_tree": _src_tree(repo),
         "seed": SEED,
-        "set": {"M": len(sset), "L": sset.length, "lambda": sset.modulus},
+        "set": shape,
         "verdict": "pass" if report.passed else "fail",
         "mode": report.mode,
         "shifts_checked": len(report.shifts),
@@ -104,6 +126,10 @@ def measure(repo: Path) -> dict:
         "peak_rss_mb_after_build": round(build_rss, 1),
         "peak_rss_mb": round(verify_rss, 1),
         "peak_rss_mb_after_write": round(_peak_rss_mb(), 1),
+        "cli_verify_s": round(cli_s, 3),
+        "cli_verify_peak_rss_mb": round(cli_rss, 1),
+        "cli_verify_exit_code": cli_exit,
+        "cli_verify_stdout_sha256": hashlib.sha256(cli_out).hexdigest(),
         "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
