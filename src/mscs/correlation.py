@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -249,6 +250,45 @@ def _sum_rows(power: np.ndarray) -> np.ndarray:
 
 # complex grid points of one transform call in _lift_sums (see its docstring)
 _CHUNK_POINTS = 2**16
+# per-embedding transform points M*g*n from which _lift_sums runs worker threads:
+# below about 4.4M points (g = 1) and about 10M (19683 rows of 54) two threads
+# were slower than one on a 2-CPU host, and above 2^24 every measured plan gained
+_PARALLEL_POINTS = 2**24
+# each worker holds its own grid and square buffer, and pocketfft's scratch
+_MAX_WORKERS = 4
+
+
+def _chunk_plan(M: int, g: int, n: int) -> tuple[range, int]:
+    """First members of the chunks of M (g, n) blocks, and the threads that transform them.
+
+    One thread below ``_PARALLEL_POINTS`` transform points M*g*n; from
+    there one per CPU this process may run on, at most one per chunk and
+    ``_MAX_WORKERS``.
+    """
+    starts = range(0, M, max(1, _CHUNK_POINTS // (g * n)))
+    if M * g * n < _PARALLEL_POINTS:
+        return starts, 1
+    return starts, min(len(os.sched_getaffinity(0)), len(starts), _MAX_WORKERS)
+
+
+def _map_in_order(fn, items: Sequence, workers: int) -> Iterator:
+    """Yield fn(slot, item) for each item, in item order, on ``workers`` threads.
+
+    Items go out in groups of ``workers``, item j of a group with slot j,
+    and the next group starts once the caller has taken this group's
+    results.  So a slot's buffers serve one call at a time and a result
+    stays unchanged until the caller asks for the next one.  With one
+    worker every call runs inline.
+    """
+    if workers == 1:
+        for item in items:
+            yield fn(0, item)
+        return
+    # imported here: it loads logging, which a set below the thread threshold never needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        for base in range(0, len(items), workers):
+            yield from pool.map(fn, range(workers), items[base:base + workers])
 
 
 def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> np.ndarray:
@@ -268,15 +308,27 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
     complex grid points, and at least one.  A chunk is cut to its window
     once per embedding, its lifts are gathered in one operation from the
     per-k root table (straight into the grid when g = 1), and its blocks
-    are stacked into one 2-d (members*g, n) grid, transformed by one FFT
-    call.  Each row's transform is the one a grid of its own would get, and
-    the power blocks are added one member at a time in member order, so the
-    sums carry the same bits as one transform per member and the (M - 1)u
-    term of :func:`_embedding_bound` stands.  Small sets, whose transforms
-    are a few hundred points, pay one call per chunk instead of one per
+    are stacked into one 2-d (members*g, n) grid, transformed in place by
+    one FFT call.  Each row's transform is the one a grid of its own would
+    get.  The buffers are allocated once per call: the grid, whose
+    padding columns are zeroed before each fill (the gather overwrites the
+    rest), and a (members*g, n) square buffer.  The transformed grid is
+    squared in place, real and imaginary parts alike, and the two parts
+    are added into the square buffer; each embedding's inverse runs in
+    place in grid row 0.
+
+    The chunks of an embedding are mapped by :func:`_map_in_order`: on
+    worker threads, each with its own grid and square buffer, once the
+    embedding has ``_PARALLEL_POINTS`` transform points M*g*n or more
+    (:func:`_chunk_plan`), inline otherwise.  Either way the results come
+    back in member order and this thread adds the power blocks one member
+    at a time, so the sums carry the same bits as one transform per
+    member, whatever the chunk size or worker count, and the (M - 1)u term
+    of :func:`_embedding_bound` stands.  Small sets, whose transforms are
+    a few hundred points, pay one call per chunk instead of one per
     member, whose fixed cost outweighs such a transform's arithmetic; a set
     near the length cap has chunks of one member and allocates what one
-    member's transform needs.
+    member's transform needs per worker.
     """
     if not len(shifts):
         return np.empty((len(ks), 0), dtype=complex)
@@ -285,42 +337,52 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
     head = (L - drop) // 2
     cols, rem = divmod(L - drop, g)
     lags = (np.asarray(shifts, dtype=np.intp) - drop) // g
-    chunk = max(1, _CHUNK_POINTS // (g * n))
-    grid = np.zeros((min(chunk, M) * g, n), dtype=complex)
+    starts, workers = _chunk_plan(M, g, n)
+    chunk = starts.step
+    grids = [np.empty((min(chunk, M) * g, n), dtype=complex) for _ in range(workers)]
+    squares = [np.empty(grid.shape) for grid in grids]
     power = np.empty((g, n))
     out = np.empty((len(ks), len(lags)), dtype=complex)
     # where unit_lift would look the roots up, w^(k*x) comes from a per-k table
     tabled = lam <= M * (L - drop)
+
+    def transform(slot: int, start: int) -> np.ndarray:
+        """|FFT|^2 of embedding k of the chunk from member ``start``, in slot's buffers."""
+        x = sset.phases[start:start + chunk]
+        if drop:
+            x = np.concatenate((x[:, :head], x[:, head + drop:]), axis=1)
+        members = len(x)
+        rows = grids[slot][:members * g]
+        rows[:, cols:] = 0
+        if tabled and g == 1:
+            # the phases lie in [0, lambda), so clipping never acts
+            np.take(roots, x, out=rows[:, :cols], mode="clip")
+        else:
+            lift = roots[x] if tabled else unit_lift(x if k == 1 else (k * x) % lam, lam)
+            # entry q*g + r of a member's window goes to its block's row r, column q
+            blocks = rows.reshape(members, g, n)
+            blocks[:, :, :cols] = lift[:, :cols * g].reshape(members, cols, g).swapaxes(1, 2)
+            if rem:
+                blocks[:, :rem, cols] = lift[:, cols * g:]
+            # freed before the transform runs
+            del lift
+        np.fft.fft(rows, out=rows)
+        # real**2 + imag**2, each square rounded once, as |X|^2 of the bound
+        parts = rows.view(float)
+        np.square(parts, out=parts)
+        return np.add(rows.real, rows.imag, out=squares[slot][:members * g])
+
     for row, k in enumerate(ks):
         power.fill(0.0)
         roots = _roots_of_unity(lam)[k * np.arange(lam) % lam] if tabled else None
-        for start in range(0, M, chunk):
-            x = sset.phases[start:start + chunk]
-            if drop:
-                x = np.concatenate((x[:, :head], x[:, head + drop:]), axis=1)
-            members = len(x)
-            rows = grid[:members * g]
-            if tabled and g == 1:
-                # the phases lie in [0, lambda), so clipping never acts
-                np.take(roots, x, out=rows[:, :cols], mode="clip")
-            else:
-                lift = roots[x] if tabled else unit_lift(x if k == 1 else (k * x) % lam, lam)
-                # entry q*g + r of a member's window goes to its block's row r, column q
-                blocks = rows.reshape(members, g, n)
-                blocks[:, :, :cols] = lift[:, :cols * g].reshape(members, cols, g).swapaxes(1, 2)
-                if rem:
-                    blocks[:, :rem, cols] = lift[:, cols * g:]
-                # freed before the transform is allocated
-                del lift
-            spec = np.fft.fft(rows)
-            sq = spec.real**2
-            sq += spec.imag**2
-            del spec
-            for j in range(0, members * g, g):
+        for sq in _map_in_order(transform, starts, workers):
+            for j in range(0, len(sq), g):
                 power += sq[j:j + g]
-            del sq
+        inverse = grids[0][0]
+        inverse[:] = _sum_rows(power)
+        np.fft.ifft(inverse, out=inverse)
         # ifft(power)[t] = sum_i c_{i+t} conj(c_i); the definition conjugates the lagged copy
-        out[row] = np.conj(np.fft.ifft(_sum_rows(power))[lags])
+        out[row] = np.conj(inverse[lags])
     return out
 
 

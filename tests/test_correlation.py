@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 import tracemalloc
 
@@ -916,7 +917,7 @@ def _whole_sequence_sums(sset, ks, shifts):
 def _fft_calls(monkeypatch, sset, ks, shifts):
     """:func:`_lift_sums` at these shifts, and the shapes of its forward FFT calls."""
     calls, fft = [], np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(a.shape) or fft(a))
+    monkeypatch.setattr(np.fft, "fft", lambda a, **kw: calls.append(a.shape) or fft(a, **kw))
     sums = correlation._lift_sums(sset, ks, shifts)
     monkeypatch.setattr(np.fft, "fft", fft)
     return sums, calls
@@ -974,6 +975,112 @@ def test_small_sets_take_one_transform_call_per_chunk(monkeypatch):
     chunked, calls = _fft_calls(monkeypatch, sset, ks, shifts)
     assert calls == ([(7, 360)] * 4 + [(2, 360)]) * len(ks)
     assert np.array_equal(chunked, sums)
+
+
+def _out_of_place_sums(sset, ks, shifts):
+    """The embedding sums with a fresh zero (g, n) block per member, transformed out of place."""
+    L, lam = sset.length, sset.modulus
+    drop, g, n = correlation._lag_plan(L, shifts)
+    head = (L - drop) // 2
+    lags = (np.asarray(shifts, dtype=np.intp) - drop) // g
+    out = np.empty((len(ks), len(lags)), dtype=complex)
+    for row, k in enumerate(ks):
+        power = np.zeros((g, n))
+        for s in sset.sequences:
+            x = np.concatenate((s.values[:head], s.values[head + drop:]))
+            window = np.exp(2j * np.pi * ((k * x) % lam) / lam)
+            block = np.zeros((g, n), dtype=complex)
+            for r in range(g):
+                block[r, :len(window[r::g])] = window[r::g]
+            spec = np.fft.fft(block)
+            sq = spec.real**2
+            sq += spec.imag**2
+            power += sq
+        out[row] = np.conj(np.fft.ifft(correlation._sum_rows(power))[lags])
+    return out
+
+
+def _grid_cases(rng, lam):
+    """(name, set, ks, shifts, chunk points) over every planned shift set.
+
+    Five members in chunks of two: three chunks per embedding, the last
+    one short, so every grid is filled again after its transform.
+    """
+    ks = correlation._conjugate_ks(lam) if lam <= correlation.EXACT_MODULUS_CAP else (1,)
+    for L in (40, 97):
+        sset = _random_set(rng, lam, 5, L)
+        for name, shifts in {"whole": range(1, L), **_planned_shift_sets(rng, L)}.items():
+            _, g, n = correlation._lag_plan(L, shifts)
+            yield f"{L}-{name}", sset, ks, shifts, 2 * g * n
+
+
+@pytest.mark.parametrize("lam", [30, 100003])
+def test_in_place_grids_keep_no_stale_entries(monkeypatch, lam):
+    # lambda = 30 takes four embeddings from the root table, lambda = 100003
+    # one through exp; a grid that kept an earlier chunk's spectrum in its
+    # padding, or in the short rows (rem > 0) of a stride plan, would differ
+    strided_with_rem = False
+    for name, sset, ks, shifts, points in _grid_cases(random.Random(6000 + lam), lam):
+        drop, g, _ = correlation._lag_plan(sset.length, shifts)
+        strided_with_rem |= g > 1 and (sset.length - drop) % g > 0
+        expected = _out_of_place_sums(sset, ks, shifts)
+        assert np.array_equal(correlation._lift_sums(sset, ks, shifts), expected), name
+        with monkeypatch.context() as m:
+            m.setattr(correlation, "_CHUNK_POINTS", points)
+            assert np.array_equal(correlation._lift_sums(sset, ks, shifts), expected), name
+    assert strided_with_rem
+
+
+@pytest.mark.parametrize("lam", [30, 100003])
+def test_member_parallel_transforms_keep_the_bits(monkeypatch, lam):
+    workers, map_in_order = [], correlation._map_in_order
+
+    def spy(fn, items, count):
+        workers.append(count)
+        return map_in_order(fn, items, count)
+
+    for name, sset, ks, shifts, points in _grid_cases(random.Random(7000 + lam), lam):
+        monkeypatch.setattr(correlation, "_CHUNK_POINTS", points)
+        serial = correlation._lift_sums(sset, ks, shifts)
+        with monkeypatch.context() as m:
+            m.setattr(correlation, "_PARALLEL_POINTS", 0)
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            m.setattr(correlation, "_map_in_order", spy)
+            assert np.array_equal(correlation._lift_sums(sset, ks, shifts), serial), name
+        assert workers and set(workers) == {2}, name
+        workers.clear()
+
+
+def test_only_sets_past_the_threshold_take_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # sb-b of the sparse-band benchmark: M = 3, L = 3^12 at the multiples of
+    # S = 3^9, 3 * 19683 * 54 = 3.2M transform points
+    g, n = correlation._lag_plan(3**12, range(3**9, 3**12, 3**9))[1:]
+    assert 3 * g * n < correlation._PARALLEL_POINTS
+    assert correlation._chunk_plan(3, g, n) == (range(0, 3), 1)
+    # the M = 30, lambda = 30, L = 972000 GCS near the length cap: 58.3M points
+    g, n = correlation._lag_plan(972000, range(1, 972000))[1:]
+    assert correlation._chunk_plan(30, g, n) == (range(0, 30), 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert correlation._chunk_plan(30, g, n) == (range(0, 30), 1)
+
+
+def test_lift_sums_peak_memory_on_a_stride_plan():
+    # sb-b's plan: one member per chunk, a (19683, 54) complex grid; the
+    # square buffer, the power sum and one member's lift add half a grid each
+    M, L, S = 3, 3**12, 3**9
+    phases = np.random.default_rng(8).integers(0, 6, (M, L))
+    phases.flags.writeable = False
+    sset = SequenceSet.from_phases(6, phases)
+    shifts = range(S, L, S)
+    _, g, n = correlation._lag_plan(L, shifts)
+    tracemalloc.start()
+    try:
+        correlation._lift_sums(sset, (1,), shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * g * n * 16
 
 
 def _planned_shift_sets(rng, L):

@@ -6,8 +6,9 @@ times ``verify_gcs`` on it, then the writing of its set document
 (``write_document(document_from_set(sset))``, to a temporary file), then
 ``mscs verify`` of that document in a child process, and prints one JSON
 record: build, verify and write wall time, verify CPU time, peak RSS, the
-verdict, the document's byte count and sha256 (equal digests mean two
-revisions wrote the same bytes), the child's wall time, peak RSS, exit
+verdict, the worker threads the verification transformed with, the
+document's byte count and sha256 (equal digests mean two revisions wrote
+the same bytes), the child's wall time, peak RSS, exit
 code and stdout sha256 (the child reads the document by a fixed relative
 name, so equal digests mean equal output), the checkout's git revision
 and the git tree hash of its ``src`` directory as it was run,
@@ -15,10 +16,13 @@ which equals ``git rev-parse REV:src`` of the revision that commits that
 code.  The CPU time leaves out time spent waiting for a processor, so on
 a shared host it is the steadier figure.
 
-    python tools/bench_gcs_cap.py [--repo CHECKOUT] [--out FILE --label NAME]
+    python tools/bench_gcs_cap.py [--repo CHECKOUT] [--cpus N] [--out FILE --label NAME]
 
 ``--repo`` imports mscs from CHECKOUT/src (default: the checkout holding
-this script), so an older revision can be timed by the same script.  With
+this script), so an older revision can be timed by the same script.
+``--cpus N`` makes ``os.sched_getaffinity`` report N CPUs while the set is
+verified in process, so the verification takes at most N worker threads;
+the child process sees the CPUs this process may run on.  With
 ``--out`` the record is also stored under ``runs[NAME]`` of the JSON file
 FILE, which is created if it does not exist.
 """
@@ -74,23 +78,39 @@ def _src_tree(repo: Path) -> str:
         return _git(repo, "write-tree", "--prefix=src/", env=env)
 
 
-def measure(repo: Path) -> dict:
+def measure(repo: Path, cpus: int | None = None) -> dict:
     sys.path.insert(0, str(repo / "src"))
     import random
 
     import numpy as np
+    from mscs import correlation
     from mscs.cli import document_from_set, write_document
     from mscs.constructions import multi_prime_mscs, random_block
     from mscs.correlation import verify_gcs
+
+    # the largest worker count a transform map ran with; a revision without one runs one
+    workers = [1]
+    map_in_order = getattr(correlation, "_map_in_order", None)
+    if map_in_order is not None:
+        def spy(fn, items, count):
+            workers.append(count)
+            return map_in_order(fn, items, count)
+        correlation._map_in_order = spy
+    affinity = os.sched_getaffinity
 
     rng = random.Random(SEED)
     t0 = perf_counter()
     sset = multi_prime_mscs([random_block(rng, p, m, 1, MODULUS) for p, m in BLOCKS], MODULUS)
     t1 = perf_counter()
     build_rss = _peak_rss_mb()
-    c1 = process_time()
-    report = verify_gcs(sset)
-    t2, c2 = perf_counter(), process_time()
+    if cpus is not None:
+        os.sched_getaffinity = lambda pid: set(range(cpus))
+    try:
+        c1 = process_time()
+        report = verify_gcs(sset)
+        t2, c2 = perf_counter(), process_time()
+    finally:
+        os.sched_getaffinity = affinity
     verify_rss = _peak_rss_mb()
     shape = {"M": len(sset), "L": sset.length, "lambda": sset.modulus}
     with tempfile.TemporaryDirectory() as scratch:
@@ -120,6 +140,8 @@ def measure(repo: Path) -> dict:
         "build_s": round(t1 - t0, 3),
         "verify_s": round(t2 - t1, 3),
         "verify_cpu_s": round(c2 - c1, 3),
+        "verify_cpus": cpus if cpus is not None else len(affinity(0)),
+        "verify_workers": max(workers),
         "write_s": round(t4 - t3, 3),
         "document_bytes": written,
         "document_sha256": digest.hexdigest(),
@@ -139,10 +161,11 @@ def measure(repo: Path) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--cpus", type=int, help="CPUs the in-process verification may use")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--label", default="run")
     args = ap.parse_args()
-    record = measure(args.repo.resolve())
+    record = measure(args.repo.resolve(), args.cpus)
     print(json.dumps(record, indent=2))
     if args.out is not None:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {
