@@ -268,7 +268,9 @@ def _chunk_plan(M: int, g: int, n: int) -> tuple[range, int]:
     starts = range(0, M, max(1, _CHUNK_POINTS // (g * n)))
     if M * g * n < _PARALLEL_POINTS:
         return starts, 1
-    return starts, min(len(os.sched_getaffinity(0)), len(starts), _MAX_WORKERS)
+    # sched_getaffinity exists on Linux only; elsewhere every CPU counts
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return starts, min(cpus or 1, len(starts), _MAX_WORKERS)
 
 
 def _map_in_order(fn, items: Sequence, workers: int) -> Iterator:

@@ -1063,6 +1063,12 @@ def test_only_sets_past_the_threshold_take_threads(monkeypatch):
     assert correlation._chunk_plan(30, g, n) == (range(0, 30), 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert correlation._chunk_plan(30, g, n) == (range(0, 30), 1)
+    # where the OS has no affinity call, every CPU counts (and none known is one)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert correlation._chunk_plan(30, g, n) == (range(0, 30), 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert correlation._chunk_plan(30, g, n) == (range(0, 30), 1)
 
 
 def test_lift_sums_peak_memory_on_a_stride_plan():
