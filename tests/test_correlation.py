@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1049,6 +1050,26 @@ def test_member_parallel_transforms_keep_the_bits(monkeypatch, lam):
             assert np.array_equal(correlation._lift_sums(sset, ks, shifts), serial), name
         assert workers and set(workers) == {2}, name
         workers.clear()
+
+
+def test_member_map_under_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond: two calls
+    # sharing a slot's buffers, or a result read after its slot was refilled,
+    # would change the sums
+    sset = _random_set(random.Random(8000), 30, 9, 97)
+    ks, shifts = correlation._conjugate_ks(30), range(1, 97)
+    serial = correlation._lift_sums(sset, ks, shifts)
+    monkeypatch.setattr(correlation, "_CHUNK_POINTS", 1)
+    monkeypatch.setattr(correlation, "_PARALLEL_POINTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert correlation._chunk_plan(9, 1, 196) == (range(9), correlation._MAX_WORKERS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert np.array_equal(correlation._lift_sums(sset, ks, shifts), serial)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_only_sets_past_the_threshold_take_threads(monkeypatch):
