@@ -254,8 +254,9 @@ _CHUNK_POINTS = 2**16
 # below about 4.4M points (g = 1) and about 10M (19683 rows of 54) two threads
 # were slower than one on a 2-CPU host, and above 2^24 every measured plan gained
 _PARALLEL_POINTS = 2**24
-# each worker holds its own grid and square buffer, and pocketfft's scratch
-_MAX_WORKERS = 4
+# each worker holds its own grid, square buffer and pocketfft's scratch, at
+# least 78 MB at the length cap; 2 is the most workers any host has timed
+_MAX_WORKERS = 2
 
 
 def _chunk_plan(M: int, g: int, n: int) -> tuple[range, int]:

@@ -1061,8 +1061,9 @@ def test_member_map_under_thread_switching(monkeypatch):
     serial = correlation._lift_sums(sset, ks, shifts)
     monkeypatch.setattr(correlation, "_CHUNK_POINTS", 1)
     monkeypatch.setattr(correlation, "_PARALLEL_POINTS", 0)
+    monkeypatch.setattr(correlation, "_MAX_WORKERS", 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert correlation._chunk_plan(9, 1, 196) == (range(9), correlation._MAX_WORKERS)
+    assert correlation._chunk_plan(9, 1, 196) == (range(9), 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1084,10 +1085,13 @@ def test_only_sets_past_the_threshold_take_threads(monkeypatch):
     assert correlation._chunk_plan(30, g, n) == (range(0, 30), 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert correlation._chunk_plan(30, g, n) == (range(0, 30), 1)
+    # more CPUs take no more than the 2 workers measured at the cap
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert correlation._chunk_plan(30, g, n) == (range(0, 30), 2)
     # where the OS has no affinity call, every CPU counts (and none known is one)
     monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert correlation._chunk_plan(30, g, n) == (range(0, 30), 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert correlation._chunk_plan(30, g, n) == (range(0, 30), 2)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert correlation._chunk_plan(30, g, n) == (range(0, 30), 1)
 
