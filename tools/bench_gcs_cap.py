@@ -50,17 +50,34 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+# Runs argv[2:] and writes its wall time, peak RSS in KB and exit code to fd argv[1].
+# A child's ru_maxrss starts from the peak of the process it was spawned from (the
+# kernel carries the old address space's high-water mark across exec), so the
+# child is spawned from this small process rather than from the measuring one.
+_LAUNCHER = """\
+import os, subprocess, sys
+from time import perf_counter
+t0 = perf_counter()
+proc = subprocess.Popen(sys.argv[2:])
+# wait4 gives this child's own resource usage, not the maximum over all children
+_, status, usage = os.wait4(proc.pid, 0)
+report = f"{perf_counter() - t0} {usage.ru_maxrss} {os.waitstatus_to_exitcode(status)}"
+os.write(int(sys.argv[1]), report.encode())
+"""
+
+
 def _run_child(argv: list[str], cwd: str, env: dict) -> tuple[float, float, int, bytes]:
     """Wall time, peak RSS in MB, exit code and stdout of one child process."""
-    t0 = perf_counter()
-    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    # wait4 gives this child's own resource usage, not the maximum over all children
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return wall, usage.ru_maxrss / 1024, proc.returncode, out
+    read_end, write_end = os.pipe()
+    launcher = subprocess.Popen([sys.executable, "-c", _LAUNCHER, str(write_end), *argv],
+                                cwd=cwd, env=env, stdout=subprocess.PIPE, pass_fds=(write_end,))
+    os.close(write_end)
+    out = launcher.stdout.read()
+    launcher.stdout.close()
+    launcher.wait()
+    with os.fdopen(read_end) as fh:
+        wall, rss_kb, code = fh.read().split()
+    return float(wall), int(rss_kb) / 1024, int(code), out
 
 
 def _git(repo: Path, *args: str, env: dict | None = None) -> str:
