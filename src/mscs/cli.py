@@ -202,11 +202,17 @@ def document_from_set(sset: SequenceSet) -> SetDocument:
 
 
 def document_to_set(doc: SetDocument) -> SequenceSet:
-    """The document's set, whose ``phases`` is ``doc.sequences``."""
+    """The document's set, whose ``phases`` is ``doc.sequences``.
+
+    Its metadata holds the provenance's construction and params, as
+    :func:`document_from_set` reads them, and the claim.
+    """
     meta = {
         "construction": doc.provenance.get("construction", "external"),
         "claims": [dict(doc.claim)],
     }
+    if "params" in doc.provenance:
+        meta["params"] = doc.provenance["params"]
     return SequenceSet.from_phases(doc.modulus, doc.sequences, meta)
 
 
@@ -269,12 +275,22 @@ def _field_int(payload: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key repeated within the object is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def document_from_json(text: str) -> SetDocument:
     # array("q") below refuses every non-integer JSON value but a bool, and a
     # bool comes only from a true/false literal
     bools = "true" in text or "false" in text
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"document is not valid JSON: {exc}") from None
     # the text is as large as the file; from here the parsed rows hold the document
@@ -436,7 +452,7 @@ def cmd_generate(args) -> int:
             raise ValueError(f"--params cannot be combined with {flags}")
         with open(args.params) as fh:
             try:
-                params = json.load(fh)
+                params = json.load(fh, object_pairs_hook=_unique_keys)
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"parameter file is not valid JSON: {exc}") from None
         sset = _build_from_params(params, rng)

@@ -5,9 +5,9 @@ a multiset of lambda-th roots of unity, stored as its count vector: a
 read-only int64 array of length lambda whose entry j counts the terms w^j,
 w = exp(2*pi*1j/lambda).  Such a sum is exactly zero iff its generating
 polynomial sum_j counts[j] x^j is divisible by the lambda-th cyclotomic
-polynomial, the minimal polynomial of w.  The test multiplies the counts
-by the integer matrix of the residues x^j mod Phi_lambda (:func:`is_zero`),
-so it carries no floating point tolerance.
+polynomial, the minimal polynomial of w.  The test divides each count
+vector by Phi_lambda once, in Python integers (:func:`is_zero`), so it
+carries no floating point tolerance.
 
 Verification decides every tested shift from FFT autocorrelations.  The
 embedding sums E_k(tau), the members' autocorrelations of w^(k*x)
@@ -65,7 +65,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly[n] = 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ValueError("polynomial division left a remainder")
     return tuple(poly)
 
 
@@ -74,31 +76,14 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], lis
     dd = len(den) - 1
     rem = list(num) + [0] * max(0, dd - len(num))
     quot = [0] * (len(rem) - dd)
+    terms = [(j, dc) for j, dc in enumerate(den) if dc]
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c:
             quot[i - dd] = c
-            for j, dc in enumerate(den):
+            for j, dc in terms:
                 rem[i - dd + j] -= c * dc
     return quot, rem[:dd]
-
-
-def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact quotient of integer polynomials; den must be monic and divide num."""
-    quot, rem = _poly_divmod(num, den)
-    if any(rem):
-        raise ValueError("polynomial division left a remainder")
-    return quot
-
-
-@functools.lru_cache(maxsize=None)
-def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
-    """Row j holds x^j mod Phi_n (n x phi(n), int64); also the largest |entry|."""
-    phi = cyclotomic_polynomial(n)
-    rows = [_poly_divmod([0] * j + [1], phi)[1] for j in range(n)]
-    matrix = np.array(rows, dtype=np.int64).reshape(n, len(phi) - 1)
-    matrix.flags.writeable = False
-    return matrix, int(np.abs(matrix).max(initial=0))
 
 
 def is_zero(counts) -> bool | np.ndarray:
@@ -106,21 +91,16 @@ def is_zero(counts) -> bool | np.ndarray:
 
     True iff the counts polynomial is divisible by the lambda-th cyclotomic
     polynomial: w is a root of a rational polynomial exactly when its
-    minimal polynomial divides it.  The remainder is counts @ R, R holding
-    x^j mod Phi_lambda, so it stays in integers.  One count vector gives a
-    bool; count vectors stacked along the last axis give a bool array of
-    the leading shape.  When max|R| * sum|counts| could overflow int64 the
-    product is taken in Python integers.
+    minimal polynomial divides it.  Each vector is divided by Phi_lambda
+    once, in Python integers, so the remainder cannot overflow.  One
+    count vector gives a bool; count vectors stacked along the last axis
+    give a bool array of the leading shape.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    matrix, largest = _reduction_matrix(counts.shape[-1])
-    size = np.add.reduce(np.abs(counts, dtype=np.float64), axis=-1)
-    if largest * np.maximum.reduce(size, axis=None, initial=0.0) < 2.0**62:
-        rem = counts @ matrix
-    else:
-        rem = counts.astype(object) @ matrix.astype(object) != 0
-    zero = np.logical_not(np.logical_or.reduce(rem, axis=-1))
-    return bool(zero) if counts.ndim == 1 else zero
+    lam = counts.shape[-1]
+    phi = cyclotomic_polynomial(lam)
+    zero = [not any(_poly_divmod(row, phi)[1]) for row in counts.reshape(-1, lam).tolist()]
+    return zero[0] if counts.ndim == 1 else np.array(zero, dtype=bool).reshape(counts.shape[:-1])
 
 
 def _check_pair(a: PhaseSequence, b: PhaseSequence, tau: int) -> int:
@@ -191,20 +171,15 @@ def _fft_length(L: int) -> int:
     Every such length is planned by pocketfft as radix passes of at most 7
     points, which is what :func:`_embedding_bound` assumes.
     """
-    target = max(2 * L - 1, 1)
-    best = 1 << (target - 1).bit_length()
-    p7 = 1
-    while p7 < best:
-        p57 = p7
-        while p57 < best:
-            p357 = p57
-            while p357 < best:
-                # smallest p357 * 2^a >= target
-                best = min(best, p357 << (-(-target // p357) - 1).bit_length())
-                p357 *= 3
-            p57 *= 5
-        p7 *= 7
-    return best
+    n = max(2 * L - 1, 1)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _lag_plan(L: int, shifts: Sequence[int]) -> tuple[int, int, int]:

@@ -100,6 +100,18 @@ def _seeded_documents():
     return [document_from_set(sset) for sset in (single, single_30, multi_30, extended)]
 
 
+def test_document_to_set_keeps_the_provenance():
+    # a document generate writes comes back from its set with its params
+    docs = _seeded_documents()
+    assert [doc.provenance["construction"] for doc in docs] == [
+        "single_prime", "single_prime", "multi_prime", "length_extended"]
+    for doc in docs:
+        assert sorted(doc.provenance) == ["construction", "params"]
+        again = document_from_set(document_to_set(doc))
+        assert again == doc
+        assert document_to_json(again) == document_to_json(doc)
+
+
 @pytest.mark.parametrize("doc", _seeded_documents() + [
     _ONE_MEMBER, _SINGLE_CARRIER,
     SetDocument(97, {"kind": "GCS"}, {"construction": "external", "note": "lambda > L"},
@@ -547,6 +559,45 @@ def test_deeply_nested_json_is_invalid_json(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+_REPEATED_KEYS = [
+    ("verify", '"lambda": 6,', '"lambda": 6,\n  "lambda": 7,', "lambda"),
+    ("pmepr", '"lambda": 6,', '"lambda": 6,\n  "lambda": 7,', "lambda"),
+    ("verify", '"S": 3,', '"S": 3,\n    "S": 9,', "S"),
+    ("pmepr", '"m": 3,', '"m": 3,\n          "m": 2,', "m"),
+]
+
+
+@pytest.mark.parametrize("command, old, new, key", _REPEATED_KEYS,
+                         ids=["verify-root", "pmepr-root", "verify-claim", "pmepr-params"])
+def test_document_with_a_repeated_key_exits_2(tmp_path, capsys, command, old, new, key):
+    # json keeps the last of a repeated key; the reader refuses the document instead
+    text = document_to_json(document_from_set(mscs_3_27_3()))
+    assert text.count(old) == 1
+    path = tmp_path / "set.json"
+    path.write_text(text.replace(old, new))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: JSON object repeats key {key!r}\n"
+    with pytest.raises(ValueError, match="repeats key"):
+        document_from_json(text.replace(old, new))
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"lambda": 6, "p": 3, "m": 2, "m": 3}', "m"),
+    ('{"lambda": 6, "lambda": 6, "p": 3, "m": 2}', "lambda"),
+    ('{"lambda": 6, "blocks": [{"p": 3, "m": 2, "p": 2}]}', "p"),
+], ids=["flat", "same-value", "block"])
+def test_generate_params_with_a_repeated_key_exits_2(tmp_path, capsys, text, key):
+    path, out = tmp_path / "params.json", tmp_path / "set.json"
+    path.write_text(text)
+    assert main(["generate", "--params", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: JSON object repeats key {key!r}\n"
     assert not out.exists()
 
 

@@ -760,7 +760,7 @@ def test_fft_length_is_the_next_7_smooth():
         assert _is_7_smooth(n) and n >= 2 * L - 1
         assert not any(_is_7_smooth(m) for m in range(2 * L - 1, n))
     # every benchmark length keeps n = 2L
-    for L in (27, 729, 900, 1458, 1800, 19683, 177147, 531441):
+    for L in (27, 729, 900, 1458, 1800, 19683, 177147, 531441, 972000, MAX_LENGTH):
         assert correlation._fft_length(L) == 2 * L
 
 
@@ -897,6 +897,32 @@ def test_is_zero_batches_and_overflow_guard():
     big = 2**61
     assert is_zero([big, 0, big, 0, big, 0])
     assert not is_zero(np.array([big, 0, big, 0, big - 1, 0]))
+
+
+@pytest.mark.parametrize("lam", [210, 840, 990, 1000])
+def test_is_zero_at_large_moduli(lam):
+    # multiples of Phi_lambda (mod x^lambda - 1) are zero; adding one root
+    # of unity to them makes them nonzero
+    rng = np.random.default_rng(lam)
+    phi = np.zeros(lam, dtype=np.int64)
+    phi[: len(cyclotomic_polynomial(lam))] = cyclotomic_polynomial(lam)
+    multiples = np.array([correlation._cyclic_product(rng.integers(-3, 4, lam), phi)
+                          for _ in range(6)])
+    units = np.eye(lam, dtype=np.int64)[rng.integers(0, lam, 6)]
+    assert all(is_zero(v) is True for v in multiples)
+    assert all(is_zero(v) is False for v in multiples + units)
+    flags = is_zero(np.stack([multiples[:3], (multiples + units)[:3]]))
+    assert flags.dtype == bool and flags.shape == (2, 3)
+    assert flags.tolist() == [[True] * 3, [False] * 3]
+    if lam == 990:
+        # entries near 2^61: a multiple of Phi_990 scaled up, and 2^61 * (sum of all roots)
+        big = 2**61 // int(np.abs(phi).max())
+        scaled = big * correlation._cyclic_product(np.eye(lam, dtype=np.int64)[7], phi)
+        assert np.abs(scaled).max() > 2**60
+        ones = np.full(lam, 2**61, dtype=np.int64)
+        assert is_zero(scaled) and is_zero(ones)
+        assert not is_zero(scaled + units[0]) and not is_zero(ones - units[0])
+        assert is_zero(np.stack([scaled, ones, ones - units[0]])).tolist() == [True, True, False]
 
 
 def _whole_sequence_sums(sset, ks, shifts):
