@@ -32,6 +32,7 @@ from .pmepr import (
     energy_identity_check,
     envelope,
     iapr_curve,
+    iapr_error_bound,
     modulated_family,
     pmepr,
     pmepr_set,
@@ -74,6 +75,7 @@ __all__ = [
     "energy_identity_check",
     "envelope",
     "iapr_curve",
+    "iapr_error_bound",
     "modulated_family",
     "pmepr",
     "pmepr_set",

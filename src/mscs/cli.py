@@ -285,12 +285,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _refuse_constant(name: str):
+    """Refuses NaN, Infinity and -Infinity, which json.loads takes but JSON does not."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# what json.loads / json.load take for a set document or a parameter file
+_STRICT_JSON = {"object_pairs_hook": _unique_keys, "parse_constant": _refuse_constant}
+
+
 def document_from_json(text: str) -> SetDocument:
     # array("q") below refuses every non-integer JSON value but a bool, and a
     # bool comes only from a true/false literal
     bools = "true" in text or "false" in text
     try:
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
+        payload = json.loads(text, **_STRICT_JSON)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"document is not valid JSON: {exc}") from None
     # the text is as large as the file; from here the parsed rows hold the document
@@ -452,7 +461,7 @@ def cmd_generate(args) -> int:
             raise ValueError(f"--params cannot be combined with {flags}")
         with open(args.params) as fh:
             try:
-                params = json.load(fh, object_pairs_hook=_unique_keys)
+                params = json.load(fh, **_STRICT_JSON)
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"parameter file is not valid JSON: {exc}") from None
         sset = _build_from_params(params, rng)

@@ -38,6 +38,7 @@ near-cap set holds no Python object per shift.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -46,7 +47,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constructions import kronecker_compose
-from .seqcore import PhaseSequence, SequenceSet, _roots_of_unity, to_complex, unit_lift
+from .seqcore import (PhaseSequence, SequenceSet, _prime_factors, _roots_of_unity, to_complex,
+                      unit_lift)
 
 EXACT_MODULUS_CAP = 1000
 
@@ -55,19 +57,33 @@ EXACT_MODULUS_CAP = 1000
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending, monic.
 
-    Computed by exact division of x^n - 1 by the product of all lower
-    cyclotomic polynomials at divisors of n.
+    Computed as the Moebius product Phi_n = prod_{d | n} (x^d - 1)^mu(n/d):
+    mu(n/d) is nonzero only for d = n/e, e a product of distinct primes of
+    n, and is (-1)^(number of those primes).  The binomials with mu = 1 are
+    multiplied in, then those with mu = -1 divided out exactly, each in
+    one linear pass.
     """
     if n < 1:
         raise ValueError(f"cyclotomic index {n} must be >= 1")
-    poly = [0] * (n + 1)
-    poly[0] = -1
-    poly[n] = 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise ValueError("polynomial division left a remainder")
+    primes = sorted(set(_prime_factors(n)))
+    poly, divisors = [1], []
+    for count in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, count):
+            d = n // math.prod(chosen)
+            if count % 2:
+                divisors.append(d)
+                continue
+            # times x^d - 1: entry i of the shifted copy less entry i + d of it
+            poly = [0] * d + poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+    for d in divisors:
+        # synthetic division by x^d - 1: the quotient ends in poly[d:]
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i - d] += poly[i]
+        if any(poly[:d]):
+            raise ValueError("polynomial division left a remainder")
+        poly = poly[d:]
     return tuple(poly)
 
 

@@ -7,7 +7,10 @@ The envelope of a length-L phase sequence x over modulus lambda is
 with u the time variable normalized by the subcarrier spacing.  The carrier
 frequency enters only as a unimodular factor and is dropped.  |P_x| has
 period 1 in u, so the supremum over a symbol is approximated by a uniform
-grid u_j = j/(N_os*L), computed as one zero-padded inverse DFT.
+grid u_j = j/(N_os*L).  The grid points of one residue r of j mod N_os form
+one inverse DFT of L points, so the grid is one batch of N_os such
+transforms (:func:`_residue_rows`), each value within
+:func:`iapr_error_bound` of the exact IAPR.
 
 PMEPR of a set is the max over members.  For an (M, L, S)-MSCS it is at
 most M*S; the bound rests on an exact energy identity for the family of S
@@ -31,12 +34,13 @@ sequence at the length cap; :func:`grid_points` checks before allocating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _lift_sums
-from .seqcore import MAX_LENGTH, PhaseSequence, SequenceSet, to_complex
+from .correlation import _UNIT_ROUNDOFF, _lift_sums
+from .seqcore import MAX_LENGTH, PhaseSequence, SequenceSet, _prime_factors, to_complex
 
 DEFAULT_OVERSAMPLING = 64
 MAX_GRID = DEFAULT_OVERSAMPLING * MAX_LENGTH
@@ -55,13 +59,91 @@ def grid_points(oversampling: int, length: int) -> int:
     return n
 
 
-def _complex_envelope(c: np.ndarray, oversampling: int) -> np.ndarray:
-    """Envelope samples of an arbitrary complex carrier vector."""
+def _residue_rows(c: np.ndarray, oversampling: int) -> np.ndarray:
+    """The envelope of carriers c on the grid, as an (N_os, L) array of residue rows.
+
+    With n = N_os*L and w = exp(2*pi*1j/n), grid point j = q*N_os + r is
+
+        P(u_j) = sum_i c_i w^(i*j) = L * ifft_L(c_i * w^(r*i))[q],
+
+    as w^(i*q*N_os) = exp(2*pi*1j*i*q/L).  Row r of the array is filled with
+    c * t^r, t_i = w^i, and inverse transformed in place along axis 1, so
+    P(u_j) is L times entry (r, q).  The rows are built by doubling: rows
+    [k, 2k) are rows [0, k) times t^k, and t^k is squared between steps,
+    so the twiddles cost one exp of L points and about 2*log2(N_os) passes.
+
+    Rounding, to first order in u = 2^-53, with |c_i| = 1 up to 24u, the
+    budget :func:`mscs.correlation._embedding_bound` gives every carrier:
+
+    * Twiddles.  t = exp(1j*theta) with theta = i*(2*pi/n) in 3u relative,
+      |theta| < 2*pi/N_os, so t is within 6*pi*u + 2u < 21u of w^i.  A
+      complex square or product errs by at most sqrt(5)*u relatively, so
+      e_k, the error of t^k, obeys e_2k + sqrt(5)u <= 2(e_k + sqrt(5)u),
+      hence e_k <= 24u*k.  Row r multiplies c by t^k for each bit k of r,
+      in b <= ceil(log2 N_os) products, so it errs by at most
+      24u + 24u*r + 3u*b <= u*(24*N_os + 3*ceil(log2 N_os)) per entry.
+    * Transform.  In the per-pass model of ``_embedding_bound`` a pass of
+      prime radix r errs by at most (r + 6)u against the l1 norm of its
+      inputs (pocketfft's radix-4 and radix-8 passes, 10u and 14u, stand
+      for two and three radix-2 ones), so
+      ifft_L errs by at most eps_L = u * sum(r + 6) over L's prime factors
+      times the l1 norm, L(1 + O(u)) here.  A length of at least 50 with a
+      prime factor above sqrt(L) may instead be planned by Bluestein's
+      algorithm, a circular convolution with a chirp filter of 2L - 1 unit
+      entries through two smooth transforms of n2 < 4L points
+      (8u*log2(n2) each in the same model); bounding each stage against
+      the l1 norm gives eps_L = (2L - 1)(24*log2(4L) + 6)u.  The 1/L
+      scaling, its rounding and the product with L add 3u relatively.
+    * So |computed P - P| <= L*eta at every grid point, with
+      eta = u*(24*N_os + 3*ceil(log2 N_os) + 3) + eps_L, and |P| <= L.
+      The IAPR |P|^2/L takes abs, square and the division by L (3u), so
+      it errs by at most 2*eta*|P| + L*eta^2 + 3u*IAPR, at most
+      L*(2*eta + eta^2 + 3u) (:func:`iapr_error_bound`).
+
+    The zero-padded n-point transform's bound is the same with the twiddle
+    term replaced by the extra passes of N_os, which is never larger.
+    ``grid_points`` is checked before any allocation.
+    """
     n = grid_points(oversampling, len(c))
-    # n * ifft of c zero-padded to n evaluates sum_i c_i exp(2*pi*1j*i*j/n)
-    # at every grid point; ifft pads, and the scaling is done in place
-    env = np.fft.ifft(c, n)
-    env *= n
+    rows = np.empty((oversampling, len(c)), dtype=complex)
+    rows[0] = c
+    if oversampling > 1:
+        twiddle = np.exp(np.arange(len(c)) * (2j * np.pi / n))
+        k = 1
+        while k < oversampling:
+            block = rows[k:2 * k]
+            np.multiply(rows[:len(block)], twiddle, out=block)
+            k *= 2
+            if k < oversampling:
+                np.square(twiddle, out=twiddle)
+    np.fft.ifft(rows, axis=1, out=rows)
+    return rows
+
+
+def iapr_error_bound(length: int, oversampling: int) -> float:
+    """A-priori bound on |computed - exact| of every IAPR value on the grid.
+
+    L*(2*eta + eta^2 + 3u) as derived in :func:`_residue_rows`, for the
+    computed curve of any length-L phase sequence (every IAPR is at most L).
+    Raises for the grids :func:`grid_points` refuses.
+    """
+    grid_points(oversampling, length)
+    L, u = length, _UNIT_ROUNDOFF
+    factors = _prime_factors(L)
+    if L >= 50 and factors[-1] ** 2 > L:
+        eps = (2 * L - 1) * (24 * math.log2(4 * L) + 6) * u
+    else:
+        eps = sum(r + 6 for r in factors) * u
+    eta = u * (24 * oversampling + 3 * math.ceil(math.log2(oversampling)) + 3) + eps
+    return L * (2 * eta + eta * eta + 3 * u)
+
+
+def _complex_envelope(c: np.ndarray, oversampling: int) -> np.ndarray:
+    """Envelope samples of an arbitrary complex carrier vector, in grid order."""
+    rows = _residue_rows(c, oversampling)
+    env = np.empty(rows.size, dtype=complex)
+    # grid point j = q*N_os + r is entry (q, r) of the (L, N_os) view
+    np.multiply(rows.T, len(c), out=env.reshape(len(c), oversampling))
     return env
 
 
@@ -71,10 +153,18 @@ def envelope(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.n
 
 
 def iapr_curve(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
-    """Instantaneous-to-average power ratio |P_x(u_j)|^2 / L at every grid point."""
-    power = np.abs(_complex_envelope(to_complex(x), oversampling))
+    """Instantaneous-to-average power ratio |P_x(u_j)|^2 / L at every grid point.
+
+    The same bits as ``np.abs(envelope(x)) ** 2 / L``, without the complex
+    grid-order copy.
+    """
+    L = x.values.size
+    rows = _residue_rows(to_complex(x), oversampling)
+    rows *= L
+    power = np.empty(rows.size)
+    np.abs(rows.T, out=power.reshape(L, oversampling))
     np.square(power, out=power)
-    power /= x.values.size
+    power /= L
     return power
 
 

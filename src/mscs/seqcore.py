@@ -66,6 +66,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1 in ascending order, each as often as it divides n."""
+    factors, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.append(d)
+            n //= d
+        d += 1
+    return factors + [n] * (n > 1)
+
+
 @dataclass(frozen=True)
 class MixedDomain:
     """Product of prime blocks Z_{p1}^{m1} x ... x Z_{pk}^{mk}.

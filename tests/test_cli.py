@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -398,7 +399,9 @@ def _document_mutants(draw):
         malformed = doc["claim"] != {"kind": "GCS"}
     else:
         doc["provenance"] = draw(st.dictionaries(st.text(max_size=3), _NOT_OBJECT, max_size=2))
-        malformed = False
+        # json.dumps writes NaN and +-Infinity, which are not JSON numbers
+        malformed = any(isinstance(v, float) and not math.isfinite(v)
+                        for v in doc["provenance"].values())
     return doc, malformed
 
 
@@ -406,6 +409,7 @@ def _document_mutants(draw):
 @given(mutant=_document_mutants())
 @example(mutant=({**_FUZZ_BASE, "schema": True}, True))
 @example(mutant=({**_FUZZ_BASE, "schema": 1.0}, True))
+@example(mutant=({**_FUZZ_BASE, "provenance": {"note": math.nan}}, True))
 def test_verify_fuzzed_document(tmp_path_factory, mutant):
     payload, malformed = mutant
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
@@ -450,6 +454,22 @@ def test_generate_rejects_malformed_params(tmp_path, capsys, params):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constants_are_refused(tmp_path, capsys, constant):
+    doc = tmp_path / "set.json"
+    payload = {**_FUZZ_BASE, "provenance": {"note": 0}}
+    doc.write_text(json.dumps(payload).replace('"note": 0', f'"note": {constant}'))
+    params = tmp_path / "params.json"
+    params.write_text(f'{{"lambda": 6, "p": 3, "m": 2, "constant": {constant}}}')
+    out = tmp_path / "out.json"
+    for argv in (["verify", str(doc)], ["generate", "--params", str(params), "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {constant} is not a JSON number\n"
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -22,6 +23,7 @@ from mscs.constructions import (
 )
 from mscs.correlation import (
     EXACT_MODULUS_CAP,
+    _poly_divmod,
     aacf_set_sum,
     accf_exact,
     accf_float,
@@ -53,6 +55,22 @@ def test_cyclotomic_polynomial_known_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+@functools.cache
+def _recursive_cyclotomic(n):
+    """Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, divided exactly."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _poly_divmod(poly, _recursive_cyclotomic(d))
+            assert not any(rem)
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_the_recursive_definition():
+    for n in [*range(1, 301), 840, 990]:
+        assert cyclotomic_polynomial(n) == _recursive_cyclotomic(n), n
 
 
 def test_cyclotomic_polynomial_against_sympy():

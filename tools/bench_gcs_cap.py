@@ -1,16 +1,17 @@
-"""Time exact GCS verification of a seeded set near the length cap, in process and by the CLI.
+"""Time exact GCS verification and PMEPR of a seeded set near the length cap, in process and by the CLI.
 
 Builds the M = 30, lambda = 30, L = 972000 GCS of three blocks (2^5, 3^5,
 5^3; permutations and coefficients drawn from ``random.Random(SEED)``),
 times ``verify_gcs`` on it, then the writing of its set document
 (``write_document(document_from_set(sset))``, to a temporary file), then
-``mscs verify`` of that document in a child process, and prints one JSON
-record: build, verify and write wall time, verify CPU time, peak RSS, the
-verdict, the worker threads the verification transformed with, the
-document's byte count and sha256 (equal digests mean two revisions wrote
-the same bytes), the child's wall time, peak RSS, exit
-code and stdout sha256 (the child reads the document by a fixed relative
-name, so equal digests mean equal output), the checkout's git revision
+``mscs verify`` and ``mscs pmepr`` (default oversampling) of that document,
+each in a child process, and prints one JSON record: build, verify and
+write wall time, verify CPU time, peak RSS, the verdict, the worker threads
+the verification transformed with, the document's byte count and sha256
+(equal digests mean two revisions wrote the same bytes), each child's wall
+time, peak RSS, exit code and stdout sha256 (the children read the
+document by a fixed relative name, so equal digests mean equal output),
+the checkout's git revision
 and the git tree hash of its ``src`` directory as it was run,
 which equals ``git rev-parse REV:src`` of the revision that commits that
 code.  The CPU time leaves out time spent waiting for a processor, so on
@@ -145,6 +146,8 @@ def measure(repo: Path, cpus: int | None = None) -> dict:
         env = {**os.environ, "PYTHONPATH": str(repo / "src")}
         cli_s, cli_rss, cli_exit, cli_out = _run_child(
             [sys.executable, "-m", "mscs", "verify", path.name], scratch, env)
+        pmepr_s, pmepr_rss, pmepr_exit, pmepr_out = _run_child(
+            [sys.executable, "-m", "mscs", "pmepr", path.name], scratch, env)
     return {
         "revision": _git(repo, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git(repo, "status", "--porcelain", "--untracked-files=no")),
@@ -169,6 +172,10 @@ def measure(repo: Path, cpus: int | None = None) -> dict:
         "cli_verify_peak_rss_mb": round(cli_rss, 1),
         "cli_verify_exit_code": cli_exit,
         "cli_verify_stdout_sha256": hashlib.sha256(cli_out).hexdigest(),
+        "cli_pmepr_s": round(pmepr_s, 3),
+        "cli_pmepr_peak_rss_mb": round(pmepr_rss, 1),
+        "cli_pmepr_exit_code": pmepr_exit,
+        "cli_pmepr_stdout_sha256": hashlib.sha256(pmepr_out).hexdigest(),
         "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
