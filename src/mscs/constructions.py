@@ -1,8 +1,7 @@
 """Direct constructions of MSCS, GCS and type-II ZCS families.
 
 Every set built here is one object: a degree-2 function over prime-base
-digit blocks Z_{p_a}^{m_a}, optionally extended by one extra prime as the
-most significant length factor, whose member gamma = (gamma_1, ..., gamma_k)
+digit blocks Z_{p_a}^{m_a}, whose member gamma = (gamma_1, ..., gamma_k)
 adds the tag sum_a (lambda/p_a) * gamma_a * v_{a,pi_a(s_a)}.  The three
 public constructions differ only in the blocks they accept and the claims
 they attach:
@@ -13,15 +12,17 @@ they attach:
 * ``multi_prime_mscs``: k distinct primes at once, giving a
   (prod p_a, prod p_a^{m_a}, prod p_a^{s_a-1})-MSCS.  With every s_a = 1
   the set is a GCS.
-* ``length_extended_mscs``: an all-s=1 multi-prime set with one extra
-  distinct prime appended as the most significant length factor, giving a
-  (prod p_a, p_ext * prod p_a^{m_a}, p_ext)-MSCS.
+* ``length_extended_mscs``: an all-s=1 multi-prime set with a block
+  without a tag, Z_{p_ext}^1, as the most significant length factor: its
+  digit w adds g1*w + g0.  The set is a (prod p_a, p_ext * prod p_a^{m_a},
+  p_ext)-MSCS.
 
-All three go through one builder, ``_build``.  It materializes the base
-function once and each block's tag (lambda/p_a) * v_{a,pi_a(s_a)} once;
-member gamma is then (base + sum_a gamma_a * tag_a) mod lambda.  The member
-index enumerates gamma with block 1 fastest, mirroring the flat index
-convention of :mod:`mscs.seqcore`.
+All three go through one builder, ``_build``, which checks every block by
+the same rules.  It materializes the base function once and each tag
+(lambda/p_a) * v_{a,pi_a(s_a)} once; member gamma is then
+(base + sum_a gamma_a * tag_a) mod lambda.  The member index enumerates
+gamma with block 1 fastest, mirroring the flat index convention of
+:mod:`mscs.seqcore`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .seqcore import (
     PhaseSequence,
     SequenceSet,
     TabulatedComponent,
-    _is_prime,
     check_length,
     check_modulus,
     materialize,
@@ -71,12 +71,8 @@ class PrimeBlock:
 
 
 def _block_record(block: PrimeBlock, modulus: int) -> dict:
-    """Validate one block against the modulus; return its normalized parameters."""
+    """Check one block's s, modulus, pi, linear and h_table rules; return its record."""
     p, m, s = block.p, block.m, block.s
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if not (1 <= s <= m):
         raise ValueError(f"s must satisfy 1 <= s <= m, got s={s} m={m}")
     if modulus % p != 0:
@@ -111,33 +107,37 @@ def _block_record(block: PrimeBlock, modulus: int) -> dict:
 
 
 def _build(
+    construction: str,
     blocks: Sequence[PrimeBlock],
     modulus: int,
-    extension: tuple[int, int, int] | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Phase matrix and parameter record of the family over ``blocks``.
+    extension: PrimeBlock | None = None,
+) -> SequenceSet:
+    """The ``construction`` family over ``blocks``, with its provenance and claims.
 
-    ``extension`` is (prime, g1, g0): one more digit w, most significant,
-    that adds g1*w + g0 to the base function.  Block a contributes
+    ``extension`` is a block without a tag: one more block, most
+    significant, that adds its function to every member and leaves the
+    member count at prod p_a over ``blocks``.  Block a contributes
     (lambda/p_a) * sum v_{pi(i)} v_{pi(i+1)} along its permuted variables
     (empty when s = m), its linear part, its constant and its head table.
-    The base function and each block's tag (lambda/p_a) * v_{a,pi_a(s_a)}
+    The base function and each tagged block's tag (lambda/p_a) * v_{a,pi_a(s_a)}
     are materialized once; member gamma (gamma_1 fastest) is
     (base + sum_a gamma_a * tag_a) mod lambda, row gamma of one read-only
     (M, L) matrix.  The modulus is checked first (``check_modulus``): below
     2^31, no int64 product or sum here or in ``materialize`` overflows.
+    Distinct primes, the length cap and the domain's prime and exponent
+    rules follow, all before any block record is built.
     """
     check_modulus(modulus)  # before any work: int64 must not overflow
     if not blocks:
         raise ValueError("need at least one prime block")
-    primes = [b.p for b in blocks]
+    every = [*blocks, extension] if extension is not None else list(blocks)
+    primes = [b.p for b in every]
     if len(set(primes)) != len(primes):
         raise ValueError(f"primes must be pairwise distinct, got {primes}")
-    factors = [(b.p, b.m) for b in blocks]
-    if extension is not None:
-        factors.append((extension[0], 1))
-    check_length(factors)  # before the records' per-digit lists
-    records = [_block_record(b, modulus) for b in blocks]
+    factors = [(b.p, b.m) for b in every]
+    check_length(factors)  # before the domain's primality checks and the records
+    domain = MixedDomain(factors)
+    records = [_block_record(b, modulus) for b in every]
 
     terms, tabulated, tag_terms = [], [], []
     constant = 0
@@ -151,39 +151,40 @@ def _build(
             tabulated.append(TabulatedComponent(variables, rec["h_table"]))
         constant += rec["constant"]
         tag_terms.append((q, (((a, pi[0]), 1),)))
-    params = {"lambda": modulus, "blocks": records}
+    params = {"lambda": modulus, "blocks": records[:len(blocks)]}
     if extension is not None:
-        ext_prime, g1, g0 = extension
-        ext = {"p": ext_prime, "linear": int(g1) % modulus, "constant": int(g0) % modulus}
-        params["extension"] = ext
-        terms.append((ext["linear"], (((len(blocks) + 1, 1), 1),)))
-        constant += ext["constant"]
+        ext = records[-1]
+        params["extension"] = dict(p=ext["p"], linear=ext["linear"][0], constant=ext["constant"])
 
-    domain = MixedDomain(factors)
     base = materialize(MultivariableFunction(domain, modulus, terms, constant, tabulated))
-    tags = [materialize(MultivariableFunction(domain, modulus, [t])).values for t in tag_terms]
+    tags = [materialize(MultivariableFunction(domain, modulus, [t])).values
+            for t in tag_terms[:len(blocks)]]  # the extension has no tag
     # Rows [g*n, (g+1)*n) of the first p_a * n, n = prod_{b<a} p_b, are the
     # members with gamma_a = g: the g-1 rows plus tag_a.  Both terms are
     # reduced, so one conditional subtraction reduces the sum.
-    phases = np.empty((math.prod(primes), base.values.size), dtype=np.int64)
+    phases = np.empty((math.prod(b.p for b in blocks), base.values.size), dtype=np.int64)
     phases[0] = base.values
     n = 1
-    for p, tag in zip(primes, tags):
-        for g in range(1, p):
+    for b, tag in zip(blocks, tags):
+        for g in range(1, b.p):
             rows = phases[g * n:(g + 1) * n]
             np.add(phases[(g - 1) * n:g * n], tag, out=rows)
             rows -= modulus * (rows >= modulus)
-        n *= p
+        n *= b.p
     phases.flags.writeable = False
-    return phases, params
+    return SequenceSet.from_phases(modulus, phases, {
+        "construction": construction, "params": params, "claims": _claims(blocks, extension)})
 
 
-def _claims(blocks: Sequence[PrimeBlock]) -> list[dict]:
-    """The claims of the set built from ``blocks``, in this order.
+def _claims(blocks: Sequence[PrimeBlock], extension: PrimeBlock | None = None) -> list[dict]:
+    """The claims of the set built from ``blocks`` and ``extension``, in this order.
 
-    The MSCS of S = prod p_a^(s_a - 1), the GCS when S = 1 and, for one
-    block, the type-II ZCS of width p^m - S.
+    With an extension (over an all-s=1 base), only the MSCS of S = p_ext.
+    Otherwise the MSCS of S = prod p_a^(s_a - 1), the GCS when S = 1 and,
+    for one block, the type-II ZCS of width p^m - S.
     """
+    if extension is not None:
+        return [{"kind": "MSCS", "S": extension.p}]
     S = math.prod(b.p ** (b.s - 1) for b in blocks)
     claims = [{"kind": "MSCS", "S": S}]
     if S == 1:
@@ -200,10 +201,7 @@ def single_prime_mscs(block: PrimeBlock, modulus: int) -> SequenceSet:
     (lambda/p) * v_{pi(s)} * gamma.  The returned metadata also claims the
     type-II ZCS property of width p^m - p^(s-1).
     """
-    phases, params = _build([block], modulus)
-    return SequenceSet.from_phases(
-        modulus, phases,
-        {"construction": "single_prime", "params": params, "claims": _claims([block])})
+    return _build("single_prime", [block], modulus)
 
 
 def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
@@ -213,11 +211,7 @@ def multi_prime_mscs(blocks: Sequence[PrimeBlock], modulus: int) -> SequenceSet:
     vector gamma = (gamma_1, ..., gamma_k) with gamma_1 fastest.  With one
     block this reduces to :func:`single_prime_mscs`: the same set and claims.
     """
-    blocks = tuple(blocks)
-    phases, params = _build(blocks, modulus)
-    return SequenceSet.from_phases(
-        modulus, phases,
-        {"construction": "multi_prime", "params": params, "claims": _claims(blocks)})
+    return _build("multi_prime", tuple(blocks), modulus)
 
 
 def length_extended_mscs(
@@ -229,27 +223,18 @@ def length_extended_mscs(
 ) -> SequenceSet:
     """Append one extra prime as a length factor to an all-s=1 set.
 
-    The base blocks must all have s_a = 1 (a GCS base); the extension prime
-    must be distinct from every base prime and divide the modulus.  The
-    extension contributes a single variable g1*v + g0 occupying the most
-    significant index block, and the result is a
-    (prod p_a, p_ext * prod p_a^{m_a}, p_ext)-MSCS with the same member
-    count as the base set.
+    The base blocks must all have s_a = 1 (a GCS base).  The extension is
+    the block PrimeBlock(ext_prime, 1, linear=(g1,), constant=g0) without a
+    tag, checked like every base block.  Its variable w, the most
+    significant, adds g1*w + g0; the result is a (prod p_a, p_ext *
+    prod p_a^{m_a}, p_ext)-MSCS with the same member count as the base set.
     """
     blocks = tuple(blocks)
     for b in blocks:
         if b.s != 1:
             raise ValueError(f"length extension requires s=1 in every base block, got s={b.s}")
-    if not _is_prime(ext_prime):
-        raise ValueError(f"extension prime must be prime, got {ext_prime}")
-    if ext_prime in [b.p for b in blocks]:
-        raise ValueError(f"extension prime {ext_prime} duplicates a base prime")
-    if modulus % ext_prime != 0:
-        raise ValueError(f"extension prime {ext_prime} must divide the modulus {modulus}")
-    phases, params = _build(blocks, modulus, (ext_prime, ext_linear, ext_constant))
-    claims = [{"kind": "MSCS", "S": ext_prime}]
-    return SequenceSet.from_phases(
-        modulus, phases, {"construction": "length_extended", "params": params, "claims": claims})
+    extension = PrimeBlock(ext_prime, 1, linear=(ext_linear,), constant=ext_constant)
+    return _build("length_extended", blocks, modulus, extension)
 
 
 def random_block(rng: random.Random, p: int, m: int, s: int, modulus: int) -> PrimeBlock:
@@ -262,6 +247,8 @@ def random_block(rng: random.Random, p: int, m: int, s: int, modulus: int) -> Pr
     """
     if not (1 <= s <= m):  # checked before drawing p^(s-1) table entries
         raise ValueError(f"s must satisfy 1 <= s <= m, got s={s} m={m}")
+    check_modulus(modulus)  # an empty range would fail the first draw
+    check_length([(p, m)])  # a p^(s-1) head table is drawn below
     pi = list(range(s, m + 1))
     rng.shuffle(pi)
     h_table = None

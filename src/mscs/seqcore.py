@@ -51,23 +51,8 @@ MAX_MODULUS = 2**31
 VarId = tuple[int, int]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
-    """Prime factors of n >= 1 in ascending order, each as often as it divides n."""
+    """Prime factors of n in ascending order, each as often as it divides n; none below 2."""
     factors, d = [], 2
     while d * d <= n:
         while n % d == 0:
@@ -82,7 +67,8 @@ class MixedDomain:
     """Product of prime blocks Z_{p1}^{m1} x ... x Z_{pk}^{mk}.
 
     ``blocks`` lists (prime, exponent) pairs in significance order, block 1
-    first (least significant).
+    first (least significant).  This is where every prime base and every
+    exponent m >= 1 is checked.
     """
 
     blocks: tuple[tuple[int, int], ...]
@@ -92,10 +78,10 @@ class MixedDomain:
         if not blocks:
             raise ValueError("domain needs at least one prime block")
         for p, m in blocks:
-            if not _is_prime(p):
-                raise ValueError(f"block base {p} is not prime")
+            if _prime_factors(p) != [p]:
+                raise ValueError(f"p must be prime, got {p}")
             if m < 1:
-                raise ValueError(f"block exponent {m} must be >= 1")
+                raise ValueError(f"m must be >= 1, got {m}")
         object.__setattr__(self, "blocks", blocks)
 
     def length(self) -> int:

@@ -793,6 +793,15 @@ def test_generate_flags_check_length_before_drawing(tmp_path, capsys, monkeypatc
     assert err == "error: sequence length 2097152 exceeds capacity limit 1000000\n"
 
 
+@pytest.mark.parametrize("lam", ["0", "-6"])
+def test_generate_seeded_checks_modulus_before_drawing(tmp_path, capsys, lam):
+    out = tmp_path / "x.json"
+    assert main(["generate", "--p", "3", "--m", "2", "--lambda", lam, "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: modulus {lam} must be >= 2\n"
+    assert not out.exists()
+
+
 def _move_sums(monkeypatch, move):
     """Apply ``move`` to the embedding sums that verification computes."""
     inner = mscs.correlation._lift_sums

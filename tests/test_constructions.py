@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mscs.constructions
+import mscs.seqcore
 from conftest import lift, naive_rho, naive_set_aacf
 from mscs.constructions import (
     PrimeBlock,
@@ -124,13 +125,20 @@ def _refuse_records(*args):
     raise AssertionError("block record built before the length check")
 
 
+def _refuse_factoring(*args):
+    raise AssertionError("prime checked before the length check")
+
+
 @pytest.mark.parametrize("build, length", [
     (lambda: single_prime_mscs(PrimeBlock(p=3, m=200000), 6), r"3\^200000"),
     (lambda: multi_prime_mscs([PrimeBlock(p=2, m=10), PrimeBlock(p=3, m=7)], 6), "2239488"),
     (lambda: length_extended_mscs([PrimeBlock(p=3, m=12)], ext_prime=2, modulus=6), "1062882"),
-], ids=["huge-m", "two-primes", "extension"])
+    # trial division of the Mersenne prime 2^61 - 1 would take ~10^9 steps
+    (lambda: length_extended_mscs([PrimeBlock(3, 1)], 2**61 - 1, 6), "6917529027641081853"),
+], ids=["huge-m", "two-primes", "extension", "huge-extension-prime"])
 def test_builder_checks_length_before_records(monkeypatch, build, length):
     monkeypatch.setattr(mscs.constructions, "_block_record", _refuse_records)
+    monkeypatch.setattr(mscs.seqcore, "_prime_factors", _refuse_factoring)
     with pytest.raises(ValueError, match=f"^sequence length {length} exceeds capacity limit 1000000$"):
         build()
 
@@ -164,6 +172,11 @@ def test_random_block_checks_s_before_drawing():
         random_block(random.Random(1), 2, 1, 40, 2)
     with pytest.raises(ValueError, match="1 <= s <= m"):
         random_block(random.Random(1), 3, 2, 0, 3)
+    # no rng: a draw would fail on None, so these refuse before drawing
+    with pytest.raises(ValueError, match="^sequence length 1000000000000 exceeds capacity limit"):
+        random_block(None, 10**4, 3, 3, 6)
+    with pytest.raises(ValueError, match="^modulus 0 must be >= 2$"):
+        random_block(None, 3, 2, 1, 0)
 
 
 def test_multi_prime_is_kronecker_chain():
@@ -289,7 +302,7 @@ def test_extension_validation():
         length_extended_mscs([PrimeBlock(p=3, m=2, s=2)], ext_prime=2, modulus=6)
     with pytest.raises(ValueError, match="prime"):
         length_extended_mscs(base, ext_prime=4, modulus=12)
-    with pytest.raises(ValueError, match="duplicates"):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         length_extended_mscs(base, ext_prime=3, modulus=6)
     with pytest.raises(ValueError, match="divide"):
         length_extended_mscs(base, ext_prime=5, modulus=6)
