@@ -14,12 +14,13 @@ failure, 2 usage or parse error, 3 an internal check failed (a conjugate
 sum between the proven bound and 1 minus it, or a verdict the
 ``aacf_set_sum`` cross-check contradicts).
 Documents are written with sorted keys and fixed layout, so identical
-flags (and seed) give identical bytes.  A document (``SetDocument``) is
-its lambda, claim, provenance and phases; the phases are one read-only
-(M, L) int64 matrix, from whose shape M and L are read, and the same
-object as its set's ``SequenceSet.phases``: the reader fills it row by row
-straight from the parsed JSON lists, and the writer gathers each row's
-text from one byte table of the phase values.
+flags (and seed) give identical bytes; ``--seed`` draws every parameter
+not given, the extension's too.  A document (``SetDocument``) is its
+lambda, claim, provenance and phases, and checks each of them; the reader
+checks only the JSON types and the caps.  The phases are one read-only
+(M, L) int64 matrix, the same object as its set's ``SequenceSet.phases``:
+the reader fills it row by row straight from the parsed JSON lists, and
+the writer gathers each row's text from one byte table of the phase values.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from .seqcore import (
     SequenceSet,
     check_length,
     check_phases,
-    in_phase_range,
     unit_lift,
 )
 
@@ -108,12 +108,12 @@ CSV_TIE_MARGIN = 2.0**-19
 class SetDocument:
     """Serializable record of a sequence set and its correlation claim.
 
-    ``sequences`` is one read-only (M, L) int64 matrix of phases in
-    [0, lambda), row i the phases of member i, taken as it is once
-    :func:`check_phases` has checked it; ``set_size`` M and ``length`` L
-    are its shape.  The writer writes ``SCHEMA_VERSION``, the only schema
-    the reader accepts.  Documents are equal when every field and the
-    matrices are.
+    Every document rule is checked here, in order: ``modulus`` (lambda) is
+    an int in [2, 2^63 - 1], ``claim`` is well formed and ``provenance`` a
+    dict (a copy of each is kept), and ``sequences`` is a read-only (M, L)
+    int64 matrix of phases in [0, lambda), row i member i's phases.  The
+    writer writes ``SCHEMA_VERSION``, the only schema the reader accepts.
+    Documents are equal when every field and the matrices are.
     """
 
     modulus: int
@@ -122,6 +122,16 @@ class SetDocument:
     sequences: np.ndarray
 
     def __post_init__(self):
+        if type(self.modulus) is not int:
+            raise ValueError(f"lambda must be an integer, got {self.modulus!r}")
+        if self.modulus < 2:
+            raise ValueError(f"lambda {self.modulus} must be >= 2")
+        if self.modulus > INT64_MAX:
+            raise ValueError(f"lambda {self.modulus} exceeds 2^63 - 1")
+        object.__setattr__(self, "claim", _check_claim(self.claim))
+        if not isinstance(self.provenance, dict):
+            raise ValueError("provenance must be an object")
+        object.__setattr__(self, "provenance", dict(self.provenance))
         check_phases(self.sequences, self.modulus)
 
     @property
@@ -198,7 +208,7 @@ def document_from_set(sset: SequenceSet) -> SetDocument:
     provenance = {"construction": meta.get("construction", "external")}
     if "params" in meta:
         provenance["params"] = meta["params"]
-    return SetDocument(sset.modulus, _check_claim(claims[0]), provenance, sset.phases)
+    return SetDocument(sset.modulus, claims[0], provenance, sset.phases)
 
 
 def document_to_set(doc: SetDocument) -> SequenceSet:
@@ -290,18 +300,20 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-# what json.loads / json.load take for a set document or a parameter file
-_STRICT_JSON = {"object_pairs_hook": _unique_keys, "parse_constant": _refuse_constant}
+def _strict_json(text: str, what: str):
+    """The JSON ``text`` of a ``what``: a set document or a parameter file."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_refuse_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
 
 
 def document_from_json(text: str) -> SetDocument:
+    """The document in ``text``: JSON types and caps here, every other rule in SetDocument."""
     # array("q") below refuses every non-integer JSON value but a bool, and a
     # bool comes only from a true/false literal
     bools = "true" in text or "false" in text
-    try:
-        payload = json.loads(text, **_STRICT_JSON)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"document is not valid JSON: {exc}") from None
+    payload = _strict_json(text, "document")
     # the text is as large as the file; from here the parsed rows hold the document
     del text
     if not isinstance(payload, dict):
@@ -316,26 +328,18 @@ def document_from_json(text: str) -> SetDocument:
             raise ValueError(f"length {length} must be >= 0")
         check_length([(length, 1)])  # generate's cap, before any row is read
         set_size = _field_int(payload, "set_size")
-        claim = _check_claim(payload["claim"])
-        provenance = payload["provenance"]
-        rows = payload["sequences"]
+        claim, provenance, rows = payload["claim"], payload["provenance"], payload["sequences"]
     except KeyError as exc:
         raise ValueError(f"document is missing field {exc.args[0]!r}") from None
-    if not isinstance(provenance, dict):
-        raise ValueError("provenance must be an object")
-    if modulus < 2:
-        raise ValueError(f"lambda {modulus} must be >= 2")
-    if modulus > INT64_MAX:
-        raise ValueError(f"lambda {modulus} exceeds 2^63 - 1")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("sequences must be a list of lists")
     if len(rows) != set_size:
         raise ValueError(f"document lists {len(rows)} sequences, set_size says {set_size}")
     # rows before the first of the wrong length fill the matrix, and each is
-    # released once its matrix row is filled; each row is checked whole
-    # before the next, so the first defect is the one reported.  Without a
-    # true/false literal in the text a row that converts holds ints only; a
-    # row that does not is checked for its types first, then its range.
+    # released once its matrix row is filled, so the first row that does
+    # not convert is the one reported.  Without a true/false literal in the
+    # text a row that converts holds ints only; a row of ints that does not
+    # convert overflows int64, so it is out of range whatever lambda is.
     good = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
     sequences = np.empty((good, length), dtype=np.int64)
     for i, out in enumerate(sequences):
@@ -347,12 +351,12 @@ def document_from_json(text: str) -> SetDocument:
             converted = False
         if (bools or not converted) and row and set(map(type, row)) != {int}:
             raise ValueError("sequence entries must be integers")
-        if not (converted and in_phase_range(out, modulus)):
+        if not converted:
             raise ValueError("sequence entries must lie in [0, lambda)")
     if good < len(rows):
         raise ValueError(f"sequence of length {len(rows[good])} does not match length {length}")
     sequences.flags.writeable = False
-    return SetDocument(modulus, claim, dict(provenance), sequences)
+    return SetDocument(modulus, claim, provenance, sequences)
 
 
 def write_document(doc: SetDocument, path: str) -> None:
@@ -428,24 +432,24 @@ def _build_from_params(params: dict, rng: random.Random | None) -> SequenceSet:
     factors = [_block_shape(rec) for rec in recs]
     extended = "extension" in params
     if extended:
+        # the digit w adding g1*w + g0 is the block Z_p^1 with linear (g1,), drafted last
         ext = params["extension"]
         if not isinstance(ext, dict):
             raise ValueError(f"extension must be an object, got {ext!r}")
         _check_keys(ext, ("p", "linear", "constant"), "extension")
         if "p" not in ext:
             raise ValueError("extension needs p")
-        factors.append((_field_int(ext, "p"), 1))
+        ext = {**ext, "m": 1}
+        factors.append(_block_shape(ext))
+        if "linear" in ext:
+            ext["linear"] = [_field_int(ext, "linear")]
+        recs = [*recs, ext]
     # before any draw: a seeded head table alone takes p^(s-1) draws
     check_length(factors)
     blocks = [_block_from_dict(rec, modulus, rng) for rec in recs]
     if extended:
-        return length_extended_mscs(
-            blocks,
-            ext_prime=_field_int(ext, "p"),
-            modulus=modulus,
-            ext_linear=_field_int(ext, "linear", 0),
-            ext_constant=_field_int(ext, "constant", 0),
-        )
+        ext = blocks.pop()
+        return length_extended_mscs(blocks, ext.p, modulus, (ext.linear or (0,))[0], ext.constant)
     if len(blocks) == 1:
         return single_prime_mscs(blocks[0], modulus)
     return multi_prime_mscs(blocks, modulus)
@@ -460,10 +464,7 @@ def cmd_generate(args) -> int:
             flags = ", ".join("--" + key.replace("_", "-") for key in block)
             raise ValueError(f"--params cannot be combined with {flags}")
         with open(args.params) as fh:
-            try:
-                params = json.load(fh, **_STRICT_JSON)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"parameter file is not valid JSON: {exc}") from None
+            params = _strict_json(fh.read(), "parameter file")
         sset = _build_from_params(params, rng)
     else:
         if not {"p", "m", "lambda"} <= block.keys():

@@ -60,8 +60,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     Computed as the Moebius product Phi_n = prod_{d | n} (x^d - 1)^mu(n/d):
     mu(n/d) is nonzero only for d = n/e, e a product of distinct primes of
     n, and is (-1)^(number of those primes).  The binomials with mu = 1 are
-    multiplied in, then those with mu = -1 divided out exactly, each in
-    one linear pass.
+    multiplied in, each in one linear pass, then those with mu = -1
+    divided out exactly by :func:`_poly_divmod`.
     """
     if n < 1:
         raise ValueError(f"cyclotomic index {n} must be >= 1")
@@ -78,12 +78,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             for i in range(len(poly) - d):
                 poly[i] -= poly[i + d]
     for d in divisors:
-        # synthetic division by x^d - 1: the quotient ends in poly[d:]
-        for i in range(len(poly) - 1, d - 1, -1):
-            poly[i - d] += poly[i]
-        if any(poly[:d]):
+        poly, rem = _poly_divmod(poly, [-1] + [0] * (d - 1) + [1])
+        if any(rem):
             raise ValueError("polynomial division left a remainder")
-        poly = poly[d:]
     return tuple(poly)
 
 

@@ -100,8 +100,6 @@ def _residue_rows(c: np.ndarray, oversampling: int) -> np.ndarray:
       it errs by at most 2*eta*|P| + L*eta^2 + 3u*IAPR, at most
       L*(2*eta + eta^2 + 3u) (:func:`iapr_error_bound`).
 
-    The zero-padded n-point transform's bound is the same with the twiddle
-    term replaced by the extra passes of N_os, which is never larger.
     ``grid_points`` is checked before any allocation.
     """
     n = grid_points(oversampling, len(c))

@@ -407,9 +407,10 @@ def in_phase_range(values: np.ndarray, modulus: int) -> bool:
     """True iff every entry of the int64 array ``values`` lies in [0, modulus).
 
     One max pass checks both ends of the range: read as uint64, a negative
-    entry is at least 2^63, above every modulus.  An empty array is in range.
+    entry is at least 2^63, and every entry in range is below both the
+    modulus and 2^63.  An empty array is in range.
     """
-    return int(values.view(np.uint64).max(initial=0)) < modulus
+    return int(values.view(np.uint64).max(initial=0)) < min(modulus, 2**63)
 
 
 def check_phases(phases, modulus: int) -> None:

@@ -198,6 +198,28 @@ def test_document_parse_errors():
     assert payload["lambda"] == 6
 
 
+@pytest.mark.parametrize("modulus, claim, provenance", [
+    (5, {"kind": "BOGUS"}, {}),
+    (5, {"kind": "MSCS", "S": 0}, {}),
+    (5, {"kind": "MSCS", "S": True}, {}),
+    (5, {"kind": "GCS", "S": 2}, {}),
+    (5, {"kind": "GCS"}, ["x"]),
+    (True, {"kind": "GCS"}, {}),
+    (5.0, {"kind": "GCS"}, {}),
+], ids=["kind", "S-zero", "S-bool", "GCS-with-S", "provenance-list", "lambda-bool",
+        "lambda-float"])
+def test_set_document_refuses_what_the_reader_refuses(modulus, claim, provenance):
+    # a document that could be built could be written, and the reader would refuse it
+    matrix = _matrix([[0, 1, 4], [3, 2, 0]])
+    text = document_to_json(SetDocument(5, {"kind": "GCS"}, {}, matrix))
+    payload = {**json.loads(text), "lambda": modulus, "claim": claim, "provenance": provenance}
+    with pytest.raises(ValueError) as read:
+        document_from_json(json.dumps(payload))
+    with pytest.raises(ValueError) as built:
+        SetDocument(modulus, claim, provenance, matrix)
+    assert str(built.value) == str(read.value)
+
+
 def test_document_phases_are_one_read_only_matrix():
     sset = mscs_3_27_3()
     built = sset.phases
@@ -854,6 +876,29 @@ def test_generate_params_file(tmp_path, capsys):
     assert code == 0
     assert "M=3 L=54 lambda=6 claim=MSCS S=2" in capsys.readouterr().out
     assert read_document(str(out)) == document_from_set(mscs_3_54_2())
+
+
+def test_generate_seeded_extension_is_drawn(tmp_path):
+    # the extension is one more block record, drafted after the base blocks
+    def generate(params, name, *seed):
+        path, out = tmp_path / f"{name}.params.json", tmp_path / f"{name}.json"
+        path.write_text(json.dumps(params))
+        assert main(["generate", "--params", str(path), *seed, "--out", str(out)]) == 0
+        return out.read_bytes(), json.loads(out.read_text())["provenance"]["params"]
+
+    base = {"lambda": 6, "blocks": [{"p": 3, "m": 2}]}
+    extended = {**base, "extension": {"p": 2}}
+    first, drawn = generate(extended, "a", "--seed", "3")
+    again, _ = generate(extended, "b", "--seed", "3")
+    assert first == again
+    assert drawn["extension"] == {"p": 2, "linear": 2, "constant": 4}
+    assert drawn["blocks"] == generate(base, "base", "--seed", "3")[1]["blocks"]
+    given = {**base, "extension": {"p": 2, "linear": 5, "constant": 1}}
+    _, kept = generate(given, "given", "--seed", "3")
+    assert kept["extension"] == {"p": 2, "linear": 5, "constant": 1}
+    assert kept["blocks"] == drawn["blocks"]
+    _, unseeded = generate(extended, "unseeded")
+    assert unseeded["extension"] == {"p": 2, "linear": 0, "constant": 0}
 
 
 @pytest.mark.parametrize("flag, value", [

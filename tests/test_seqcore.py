@@ -16,6 +16,7 @@ from mscs.seqcore import (
     TabulatedComponent,
     check_length,
     check_modulus,
+    check_phases,
     decode_index,
     encode_index,
     evaluate,
@@ -407,6 +408,18 @@ def test_from_phases_takes_a_read_only_matrix():
         edge = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
         edge.flags.writeable = False
         assert SequenceSet.from_phases(modulus, edge).phases is edge
+
+
+@pytest.mark.parametrize("modulus", [2**64, 2**63 + 5])
+@pytest.mark.parametrize("entry", [-1, -2**63])
+def test_negative_entries_are_refused_above_2_63(modulus, entry):
+    # read as uint64 a negative entry is at least 2^63, which such a modulus exceeds
+    matrix = np.array([[entry, 0, 3], [2, 5, 1]], dtype=np.int64)
+    matrix.flags.writeable = False
+    for check in (lambda: SequenceSet.from_phases(modulus, matrix),
+                  lambda: check_phases(matrix, modulus)):
+        with pytest.raises(ValueError, match=r"^sequence entries must lie in \[0, lambda\)$"):
+            check()
 
 
 def test_sequence_set_stacks_its_members_once():
