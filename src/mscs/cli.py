@@ -6,7 +6,8 @@ Subcommands:
   it as a JSON set document.
 * ``verify``    exactly re-verify the correlation claim of a document.
 * ``pmepr``     per-sequence and set PMEPR, bound check, optional IAPR
-  curve export as comma separated values.
+  curve export as comma separated values (at most ``MAX_GRID`` values,
+  as every curve is held until the file is written).
 * ``selftest``  run the bundled end-to-end checks at reduced scale.
 
 Exit codes: 0 success / claim verified, 1 verification or selftest
@@ -16,8 +17,9 @@ sum between the proven bound and 1 minus it, or a verdict the
 Documents are written with sorted keys and fixed layout, so identical
 flags (and seed) give identical bytes; ``--seed`` draws every parameter
 not given, the extension's too.  A document (``SetDocument``) is its
-lambda, claim, provenance and phases, and checks each of them; the reader
-checks only the JSON types and the caps.  The phases are one read-only
+lambda, claim, provenance and phases, and checks each of them and the
+length cap; the reader checks only the JSON types, the UTF-8 encoding and,
+before any row is converted, the length cap.  The phases are one read-only
 (M, L) int64 matrix, the same object as its set's ``SequenceSet.phases``:
 the reader fills it row by row straight from the parsed JSON lists, and
 the writer gathers each row's text from one byte table of the phase values.
@@ -60,6 +62,7 @@ from .correlation import (
 )
 from .pmepr import (
     DEFAULT_OVERSAMPLING,
+    MAX_GRID,
     _complex_envelope,
     _family_energy,
     energy_identity_check,
@@ -111,9 +114,10 @@ class SetDocument:
     Every document rule is checked here, in order: ``modulus`` (lambda) is
     an int in [2, 2^63 - 1], ``claim`` is well formed and ``provenance`` a
     dict (a copy of each is kept), and ``sequences`` is a read-only (M, L)
-    int64 matrix of phases in [0, lambda), row i member i's phases.  The
-    writer writes ``SCHEMA_VERSION``, the only schema the reader accepts.
-    Documents are equal when every field and the matrices are.
+    int64 matrix of phases in [0, lambda), row i member i's phases, with L
+    at most ``MAX_LENGTH``.  The writer writes ``SCHEMA_VERSION``, the only
+    schema the reader accepts.  Documents are equal when every field and
+    the matrices are.
     """
 
     modulus: int
@@ -133,6 +137,7 @@ class SetDocument:
             raise ValueError("provenance must be an object")
         object.__setattr__(self, "provenance", dict(self.provenance))
         check_phases(self.sequences, self.modulus)
+        check_length([(self.length, 1)])
 
     @property
     def set_size(self) -> int:
@@ -364,9 +369,18 @@ def write_document(doc: SetDocument, path: str) -> None:
         fh.writelines(_document_chunks(doc))
 
 
+def _read_utf8(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"document is not valid UTF-8: {exc}") from None
+
+
 def read_document(path: str) -> SetDocument:
-    with open(path) as fh:
-        return document_from_json(fh.read())
+    # the text is passed on unnamed, so the parser can release it once parsed
+    return document_from_json(_read_utf8(path))
 
 
 def _int_list(text: str) -> list[int]:
@@ -689,8 +703,12 @@ def _write_iapr_csv(fh, doc: SetDocument, n_os: int, curves: list[np.ndarray]) -
 
 def cmd_pmepr(args) -> int:
     doc = read_document(args.input)
-    grid_points(args.n_os, doc.length)  # first, so a length-0 document reports its length
+    n = grid_points(args.n_os, doc.length)  # first, so a length-0 document reports its length
     claim = _check_claim(doc.claim, doc.length)
+    values = doc.set_size * n
+    # the export holds every member's curve at once
+    if args.iapr_out is not None and values > MAX_GRID:
+        raise ValueError(f"IAPR export of {values} values exceeds capacity limit {MAX_GRID}")
     sset = document_to_set(doc)
     # opened before any output or envelope, so a path that cannot be written fails first
     with open(args.iapr_out, "wb") if args.iapr_out is not None else nullcontext() as csv:

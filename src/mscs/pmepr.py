@@ -10,7 +10,10 @@ period 1 in u, so the supremum over a symbol is approximated by a uniform
 grid u_j = j/(N_os*L).  The grid points of one residue r of j mod N_os form
 one inverse DFT of L points, so the grid is one batch of N_os such
 transforms (:func:`_residue_rows`), each value within
-:func:`iapr_error_bound` of the exact IAPR.
+:func:`iapr_error_bound` of the exact IAPR.  The rows differ by powers of
+one twiddle per grid (:func:`_twiddle`), computed once for all the members
+of a set and released when :func:`pmepr_set` returns; it is written as the
+cos and sin of its angle, which give the bits of the complex exp.
 
 PMEPR of a set is the max over members.  For an (M, L, S)-MSCS it is at
 most M*S; the bound rests on an exact energy identity for the family of S
@@ -34,13 +37,15 @@ sequence at the length cap; :func:`grid_points` checks before allocating.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlation import _UNIT_ROUNDOFF, _lift_sums
-from .seqcore import MAX_LENGTH, PhaseSequence, SequenceSet, _prime_factors, to_complex
+from .seqcore import (MAX_LENGTH, PhaseSequence, SequenceSet, _prime_factors, to_complex,
+                      unit_lift)
 
 DEFAULT_OVERSAMPLING = 64
 MAX_GRID = DEFAULT_OVERSAMPLING * MAX_LENGTH
@@ -59,24 +64,48 @@ def grid_points(oversampling: int, length: int) -> int:
     return n
 
 
-def _residue_rows(c: np.ndarray, oversampling: int) -> np.ndarray:
-    """The envelope of carriers c on the grid, as an (N_os, L) array of residue rows.
+@functools.lru_cache(maxsize=1)
+def _twiddle(length: int, oversampling: int) -> np.ndarray:
+    """The read-only twiddle t_i = exp(2*pi*1j*i/n), i < L, of the grid n = N_os*L.
 
-    With n = N_os*L and w = exp(2*pi*1j/n), grid point j = q*N_os + r is
+    Written as cos and sin of theta_i = i*(2*pi/n) into one complex array:
+    the bits of ``np.exp(np.arange(L) * (2j*np.pi/n))``, whose argument is
+    0 + 1j*theta_i, without its complex arithmetic.  Every member on the
+    grid shares it, and :func:`pmepr_set` clears the cache when it returns;
+    after a direct :func:`iapr_curve` or :func:`envelope` call the last
+    grid's twiddle stays cached until a call on another grid replaces it.
+    """
+    theta = np.arange(length) * (2 * np.pi / (oversampling * length))
+    t = np.empty(length, dtype=complex)
+    np.cos(theta, out=t.real)
+    np.sin(theta, out=t.imag)
+    t.flags.writeable = False
+    return t
+
+
+def _residue_rows(x, oversampling: int) -> np.ndarray:
+    """The envelope of x on the grid, as an (N_os, L) array of residue rows.
+
+    ``x`` is a phase sequence, whose lift c is gathered straight into row 0,
+    or an arbitrary complex carrier vector c, copied there.  With
+    n = N_os*L and w = exp(2*pi*1j/n), grid point j = q*N_os + r is
 
         P(u_j) = sum_i c_i w^(i*j) = L * ifft_L(c_i * w^(r*i))[q],
 
     as w^(i*q*N_os) = exp(2*pi*1j*i*q/L).  Row r of the array is filled with
     c * t^r, t_i = w^i, and inverse transformed in place along axis 1, so
     P(u_j) is L times entry (r, q).  The rows are built by doubling: rows
-    [k, 2k) are rows [0, k) times t^k, and t^k is squared between steps,
-    so the twiddles cost one exp of L points and about 2*log2(N_os) passes.
+    [k, 2k) are rows [0, k) times t^k, and t^k is squared between steps
+    in a scratch array that is dropped before the transform.  t is the one
+    twiddle of the grid (:func:`_twiddle`), so a member's twiddles cost
+    about 2*log2(N_os) passes and no exp.
 
     Rounding, to first order in u = 2^-53, with |c_i| = 1 up to 24u, the
     budget :func:`mscs.correlation._embedding_bound` gives every carrier:
 
     * Twiddles.  t = exp(1j*theta) with theta = i*(2*pi/n) in 3u relative,
-      |theta| < 2*pi/N_os, so t is within 6*pi*u + 2u < 21u of w^i.  A
+      |theta| < 2*pi/N_os, so t is within 6*pi*u + 2u < 21u of w^i; cos and
+      sin of theta give exp's bits, so this holds for them unchanged.  A
       complex square or product errs by at most sqrt(5)*u relatively, so
       e_k, the error of t^k, obeys e_2k + sqrt(5)u <= 2(e_k + sqrt(5)u),
       hence e_k <= 24u*k.  Row r multiplies c by t^k for each bit k of r,
@@ -102,18 +131,24 @@ def _residue_rows(c: np.ndarray, oversampling: int) -> np.ndarray:
 
     ``grid_points`` is checked before any allocation.
     """
-    n = grid_points(oversampling, len(c))
-    rows = np.empty((oversampling, len(c)), dtype=complex)
-    rows[0] = c
+    L = len(x)
+    grid_points(oversampling, L)
+    rows = np.empty((oversampling, L), dtype=complex)
+    if isinstance(x, PhaseSequence):
+        unit_lift(x.values, x.modulus, out=rows[0])
+    else:
+        rows[0] = x
     if oversampling > 1:
-        twiddle = np.exp(np.arange(len(c)) * (2j * np.pi / n))
+        t = _twiddle(L, oversampling)
         k = 1
         while k < oversampling:
             block = rows[k:2 * k]
-            np.multiply(rows[:len(block)], twiddle, out=block)
+            np.multiply(rows[:len(block)], t, out=block)
             k *= 2
             if k < oversampling:
-                np.square(twiddle, out=twiddle)
+                # the first square copies, as the shared twiddle is read-only
+                t = np.square(t, out=None if k == 2 else t)
+        del t
     np.fft.ifft(rows, axis=1, out=rows)
     return rows
 
@@ -136,18 +171,19 @@ def iapr_error_bound(length: int, oversampling: int) -> float:
     return L * (2 * eta + eta * eta + 3 * u)
 
 
-def _complex_envelope(c: np.ndarray, oversampling: int) -> np.ndarray:
-    """Envelope samples of an arbitrary complex carrier vector, in grid order."""
-    rows = _residue_rows(c, oversampling)
+def _complex_envelope(x, oversampling: int) -> np.ndarray:
+    """Envelope samples of a phase sequence or a complex carrier vector, in grid order."""
+    L = len(x)
+    rows = _residue_rows(x, oversampling)
     env = np.empty(rows.size, dtype=complex)
     # grid point j = q*N_os + r is entry (q, r) of the (L, N_os) view
-    np.multiply(rows.T, len(c), out=env.reshape(len(c), oversampling))
+    np.multiply(rows.T, L, out=env.reshape(L, oversampling))
     return env
 
 
 def envelope(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
     """Complex envelope P_x(u_j) of a phase sequence at u_j = j/(N_os*L), j = 0..N_os*L-1."""
-    return _complex_envelope(to_complex(x), oversampling)
+    return _complex_envelope(x, oversampling)
 
 
 def iapr_curve(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
@@ -156,8 +192,8 @@ def iapr_curve(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np
     The same bits as ``np.abs(envelope(x)) ** 2 / L``, without the complex
     grid-order copy.
     """
-    L = x.values.size
-    rows = _residue_rows(to_complex(x), oversampling)
+    L = len(x)
+    rows = _residue_rows(x, oversampling)
     rows *= L
     power = np.empty(rows.size)
     np.abs(rows.T, out=power.reshape(L, oversampling))
@@ -201,17 +237,21 @@ def pmepr_set(sset: SequenceSet, S: int | None,
     A member's PMEPR is the max of its IAPR curve (:func:`iapr_curve`).
     When ``curves`` is a list each curve is appended to it in member order;
     otherwise each is freed before the next member's grid is allocated, so
-    peak memory stays at one curve.
+    peak memory stays at one curve.  The members share the grid's twiddle,
+    which is released when this returns or raises.
     """
     if S is not None and S < 1:
         raise ValueError(f"S={S} must be >= 1")
     per = []
-    for s in sset.sequences:
-        curve = iapr_curve(s, oversampling)
-        per.append(float(np.max(curve)))
-        if curves is not None:
-            curves.append(curve)
-        del curve
+    try:
+        for s in sset.sequences:
+            curve = iapr_curve(s, oversampling)
+            per.append(float(np.max(curve)))
+            if curves is not None:
+                curves.append(curve)
+            del curve
+    finally:
+        _twiddle.cache_clear()
     peak = max(per)
     bound = None if S is None else float(len(per) * S)
     return PmeprReport(

@@ -541,8 +541,8 @@ def _roots_of_unity(modulus: int) -> np.ndarray:
     return roots
 
 
-def unit_lift(values: np.ndarray, modulus: int) -> np.ndarray:
-    """exp(2*pi*1j*x/lambda) of each phase x in 0..lambda-1.
+def unit_lift(values: np.ndarray, modulus: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2*pi*1j*x/lambda) of each phase x in 0..lambda-1, written to ``out`` if given.
 
     Looked up in a cached table of the lambda roots, which gives the same
     bits as evaluating each entry; evaluated directly when lambda exceeds
@@ -550,8 +550,10 @@ def unit_lift(values: np.ndarray, modulus: int) -> np.ndarray:
     huge modulus allocates no table.
     """
     if modulus > values.size:
-        return np.exp(2j * np.pi * values / modulus)
-    return _roots_of_unity(modulus)[values]
+        return np.exp(2j * np.pi * values / modulus, out=out)
+    # every phase is in range, so clipping moves none; unlike the default
+    # mode, "clip" gathers into ``out`` without a temporary copy
+    return np.take(_roots_of_unity(modulus), values, out=out, mode="clip")
 
 
 def to_complex(s: PhaseSequence) -> np.ndarray:

@@ -1570,3 +1570,78 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
+
+
+def test_pmepr_refuses_an_iapr_export_over_the_grid_cap(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("iapr_curve called before the export cap was checked")
+
+    monkeypatch.setattr(_PMEPR_MODULE, "iapr_curve", refuse)
+    path = tmp_path / "set.json"
+    csv = tmp_path / "iapr.csv"
+    # 2 members of 1000 points at N_os = 64000: each grid is at the cap, the export twice it
+    write_document(SetDocument(5, {"kind": "GCS"}, {}, _matrix([[0] * 1000, [1] * 1000])),
+                   str(path))
+    assert main(["pmepr", str(path), "--n-os", "64000", "--iapr-out", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: IAPR export of 128000000 values exceeds "
+                            "capacity limit 64000000\n")
+    assert not csv.exists()
+
+
+def test_pmepr_iapr_export_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    path = _example_doc_path(tmp_path)
+    csv = tmp_path / "iapr.csv"
+    values = 3 * 4 * 27
+    monkeypatch.setattr(mscs.cli, "MAX_GRID", values)
+    assert main(["pmepr", path, "--n-os", "4", "--iapr-out", str(csv)]) == 0
+    assert csv.read_bytes().count(b"\n") == 2 + 4 * 27
+    csv.unlink()
+    capsys.readouterr()
+    monkeypatch.setattr(mscs.cli, "MAX_GRID", values - 1)
+    assert main(["pmepr", path, "--n-os", "4", "--iapr-out", str(csv)]) == 2
+    assert capsys.readouterr().err == (f"error: IAPR export of {values} values exceeds "
+                                       f"capacity limit {values - 1}\n")
+    assert not csv.exists()
+    # without the export only the grid is capped
+    assert main(["pmepr", path, "--n-os", "4"]) == 0
+
+
+def test_set_document_applies_the_length_cap(tmp_path):
+    path = tmp_path / "long.json"
+    over = np.zeros((1, 1000001), dtype=np.int64)
+    over.flags.writeable = False
+    message = "sequence length 1000001 exceeds capacity limit 1000000"
+    with pytest.raises(ValueError) as built:
+        write_document(SetDocument(2, {"kind": "GCS"}, {}, over), str(path))
+    assert str(built.value) == message
+    assert not path.exists()
+    # the reader refuses the same length before it converts a row
+    text = json.dumps({"schema": SCHEMA_VERSION, "lambda": 2, "length": 1000001, "set_size": 1,
+                       "claim": {"kind": "GCS"}, "provenance": {}, "sequences": [["x"]]})
+    with pytest.raises(ValueError) as read:
+        document_from_json(text)
+    assert str(read.value) == message
+    at_cap = np.zeros((1, 1000000), dtype=np.int64)
+    at_cap.flags.writeable = False
+    assert SetDocument(2, {"kind": "GCS"}, {}, at_cap).length == 1000000
+
+
+def test_read_document_decodes_utf8_strictly(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    data = document_to_json(document_from_set(mscs_3_27_3())).encode()
+    assert b'"external"' not in data
+    name = b'"construction": "'
+    assert name in data
+    # a UTF-8 letter in the provenance reads as itself
+    path.write_bytes(data.replace(name, name + "é".encode(), 1))
+    assert read_document(str(path)).provenance["construction"].startswith("é")
+    # a byte that is not UTF-8 is a parse error: exit 2, one line, no traceback
+    path.write_bytes(data.replace(name, name + b"\xff", 1))
+    for command in ("verify", "pmepr"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: document is not valid UTF-8: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -313,3 +313,100 @@ def test_pmepr_bound_binary_pair():
     report = pmepr_set(sset, 1)
     assert report.bound == 2.0
     assert report.set_pmepr <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("L, oversampling", [(1, 1), (7, 3), (27, 64), (19683, 64), (531441, 4)])
+def test_twiddle_is_the_complex_exp_bit_for_bit(L, oversampling):
+    # cos and sin of the argument's imaginary part, so the rounding bound of
+    # _residue_rows holds for the shared twiddle unchanged
+    module = importlib.import_module("mscs.pmepr")
+    try:
+        t = module._twiddle(L, oversampling)
+        reference = np.exp(np.arange(L) * (2j * np.pi / (oversampling * L)))
+        assert t.dtype == reference.dtype and not t.flags.writeable
+        assert np.array_equal(t.view(np.uint64), reference.view(np.uint64))
+    finally:
+        module._twiddle.cache_clear()
+
+
+def _rows_with_own_twiddle(c, oversampling):
+    """Residue rows with the twiddle evaluated by exp and squared in place, per call."""
+    n = oversampling * len(c)
+    rows = np.empty((oversampling, len(c)), dtype=complex)
+    rows[0] = c
+    if oversampling > 1:
+        twiddle = np.exp(np.arange(len(c)) * (2j * np.pi / n))
+        k = 1
+        while k < oversampling:
+            block = rows[k:2 * k]
+            np.multiply(rows[:len(block)], twiddle, out=block)
+            k *= 2
+            if k < oversampling:
+                np.square(twiddle, out=twiddle)
+    np.fft.ifft(rows, axis=1, out=rows)
+    return rows
+
+
+def _curve_with_own_twiddle(x, oversampling):
+    L = len(x)
+    rows = _rows_with_own_twiddle(to_complex(x), oversampling)
+    rows *= L
+    power = np.empty(rows.size)
+    np.abs(rows.T, out=power.reshape(L, oversampling))
+    np.square(power, out=power)
+    power /= L
+    return power
+
+
+def _envelope_with_own_twiddle(c, oversampling):
+    rows = _rows_with_own_twiddle(c, oversampling)
+    env = np.empty(rows.size, dtype=complex)
+    np.multiply(rows.T, len(c), out=env.reshape(len(c), oversampling))
+    return env
+
+
+@pytest.mark.parametrize("oversampling", [1, 2, 3, 4, 5, 8, 64])
+def test_shared_twiddle_keeps_the_bits_of_a_per_member_twiddle(oversampling):
+    rng = np.random.default_rng(31)
+    members = list(mscs_3_27_3().sequences) + list(mscs_3_54_2().sequences)
+    members += [PhaseSequence(2, [1]), PhaseSequence(30, rng.integers(0, 30, 53)),
+                # a modulus above the length lifts by exp, not by the table
+                PhaseSequence(10**6, rng.integers(0, 10**6, 100))]
+    module = importlib.import_module("mscs.pmepr")
+    for x in members:
+        reference = _curve_with_own_twiddle(x, oversampling)
+        assert np.array_equal(iapr_curve(x, oversampling), reference)
+        reference = _envelope_with_own_twiddle(to_complex(x), oversampling)
+        assert np.array_equal(envelope(x, oversampling), reference)
+    for c in modulated_family(mscs_3_27_3().sequences[0], 3):
+        assert np.array_equal(module._complex_envelope(c, oversampling),
+                              _envelope_with_own_twiddle(c, oversampling))
+    sset = single_prime_mscs(PrimeBlock(p=3, m=3, s=2), 6)
+    report = pmepr_set(sset, 3, oversampling)
+    assert report.per_sequence == tuple(float(np.max(_curve_with_own_twiddle(x, oversampling)))
+                                        for x in sset.sequences)
+    module._twiddle.cache_clear()
+
+
+def test_pmepr_set_shares_one_twiddle_and_releases_it(monkeypatch):
+    module = importlib.import_module("mscs.pmepr")
+    real = module.iapr_curve
+    seen = []
+
+    def spy(x, oversampling):
+        curve = real(x, oversampling)
+        seen.append(module._twiddle.cache_info())
+        if len(seen) == 4:
+            raise MemoryError("no room for the next curve")
+        return curve
+
+    monkeypatch.setattr(module, "iapr_curve", spy)
+    sset = mscs_3_27_3()
+    pmepr_set(sset, 3, oversampling=8)
+    # the first member computes the twiddle, the others reuse it
+    assert [(info.misses, info.hits, info.currsize) for info in seen] == [(1, 0, 1), (1, 1, 1),
+                                                                          (1, 2, 1)]
+    assert module._twiddle.cache_info().currsize == 0
+    with pytest.raises(MemoryError):
+        pmepr_set(SequenceSet(list(sset.sequences) * 2), 3, oversampling=8)
+    assert module._twiddle.cache_info().currsize == 0
