@@ -56,6 +56,7 @@ from .correlation import (
     aacf_set_sum,
     is_zero,
     kronecker_accf_identity_check,
+    tested_shifts,
     verify_gcs,
     verify_mscs,
     verify_type2_zcs,
@@ -63,9 +64,9 @@ from .correlation import (
 from .pmepr import (
     DEFAULT_OVERSAMPLING,
     MAX_GRID,
-    _complex_envelope,
     _family_energy,
     energy_identity_check,
+    envelope,
     grid_points,
     iapr_curve,
     modulated_family,
@@ -155,13 +156,13 @@ class SetDocument:
                 and np.array_equal(self.sequences, other.sequences))
 
 
-def _check_claim(claim: dict, length: int | None = None) -> dict:
+def _check_claim(claim: dict) -> dict:
     """A copy of the claim, refused unless well formed.
 
-    With the set's ``length`` L, the claim's parameter P must also satisfy
-    1 <= P < L, the rule its verifier applies, with P = 1 for a GCS as in
-    :func:`_bound_S`; ``verify`` and ``pmepr`` both check the claim they use
-    this way.
+    Only the format is checked here: a kind of ``CLAIMS``, its keys, and an
+    int parameter P >= 1.  Whether P fits the set's length is the rule of
+    :func:`mscs.correlation.tested_shifts`, which the verifiers apply and
+    ``pmepr`` calls.
     """
     if not isinstance(claim, dict):
         raise ValueError("claim must be an object")
@@ -179,9 +180,6 @@ def _check_claim(claim: dict, length: int | None = None) -> dict:
             raise ValueError(f"claim {key} must be an integer, got {claim[key]!r}")
         if claim[key] < 1:
             raise ValueError(f"claim {key}={claim[key]} must be >= 1")
-    if length is not None and (1 if key is None else claim[key]) >= length:
-        raise ValueError("GCS verification needs length >= 2" if key is None
-                         else f"{key}={claim[key]} must satisfy 1 <= {key} < L={length}")
     return dict(claim)
 
 
@@ -305,10 +303,19 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number with a fraction or exponent; one that overflows a double is refused."""
+    value = float(text)
+    if value in (float("inf"), float("-inf")):
+        raise ValueError(f"{text} is outside the range of a double")
+    return value
+
+
 def _strict_json(text: str, what: str):
     """The JSON ``text`` of a ``what``: a set document or a parameter file."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_refuse_constant)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_float=_finite_float,
+                          parse_constant=_refuse_constant)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from None
 
@@ -516,7 +523,7 @@ def _claim_from_args(doc: SetDocument, args) -> dict:
             claim[key] = value
         elif kind == owner and key not in claim:
             raise ValueError(f"{kind} claim needs --{key}")
-    return _check_claim(claim, doc.length)
+    return _check_claim(claim)
 
 
 def cmd_verify(args) -> int:
@@ -704,7 +711,8 @@ def _write_iapr_csv(fh, doc: SetDocument, n_os: int, curves: list[np.ndarray]) -
 def cmd_pmepr(args) -> int:
     doc = read_document(args.input)
     n = grid_points(args.n_os, doc.length)  # first, so a length-0 document reports its length
-    claim = _check_claim(doc.claim, doc.length)
+    kind = doc.claim["kind"]
+    tested_shifts(kind, doc.claim.get(CLAIMS[kind][0]), doc.length)  # verify's length rule
     values = doc.set_size * n
     # the export holds every member's curve at once
     if args.iapr_out is not None and values > MAX_GRID:
@@ -717,7 +725,7 @@ def cmd_pmepr(args) -> int:
         print(f"oversampling: {args.n_os}")
         # the curves are held only for the CSV export
         curves = None if csv is None else []
-        report = pmepr_set(sset, _bound_S(claim), args.n_os, curves)
+        report = pmepr_set(sset, _bound_S(doc.claim), args.n_os, curves)
         for i, v in enumerate(report.per_sequence):
             print(f"pmepr[{i}]: {v:.6f}")
         print(f"set pmepr: {report.set_pmepr:.6f}")
@@ -821,7 +829,7 @@ def _selftest_checks():
         # witness from envelopes: the companions' |P|^2 summed, which repeats
         # every 216 / 3 grid samples, against the correlation engine's total
         for members in (sset, flipped):
-            envelopes = sum(np.abs(_complex_envelope(c, 8)) ** 2
+            envelopes = sum(np.abs(envelope(c, 8)) ** 2
                             for s in members.sequences for c in modulated_family(s, 3))
             gap = np.max(np.abs(np.tile(_family_energy(members, 3, 8), 3) - envelopes))
             if gap > 1e-12 * len(sset) * sset.length * 3:

@@ -9,7 +9,8 @@ polynomial, the minimal polynomial of w.  The test divides each count
 vector by Phi_lambda once, in Python integers (:func:`is_zero`), so it
 carries no floating point tolerance.
 
-Verification decides every tested shift from FFT autocorrelations.  The
+:func:`tested_shifts` is the one rule that turns a claim into its shifts.
+Verification decides each of them from FFT autocorrelations.  The
 embedding sums E_k(tau), the members' autocorrelations of w^(k*x)
 summed (:func:`_lift_sums`), are the Galois conjugates of the
 correlation value; the units k <= lambda/2 give one per conjugate pair,
@@ -513,32 +514,40 @@ def _verify(sset: SequenceSet, shifts: range, claim: str,
                              tested, zeros, magnitudes)
 
 
+def tested_shifts(claim: str, parameter: int | None, L: int) -> range:
+    """The shifts 0 < tau < L at which a claim's set autocorrelation must vanish.
+
+    All of them for a GCS (``parameter`` None), the multiples of S for an
+    MSCS, the tail band L - Z < tau < L for a type-II ZCS; negative shifts
+    follow by conjugate symmetry.  Raises unless L >= 2 for a GCS, and
+    unless 1 <= P < L for the parameter P of the others.
+    """
+    if claim == "GCS":
+        if L < 2:
+            raise ValueError("GCS verification needs length >= 2")
+        return range(1, L)
+    key = {"MSCS": "S", "ZCS": "Z"}[claim]
+    if not (1 <= parameter < L):
+        raise ValueError(f"{key}={parameter} must satisfy 1 <= {key} < L={L}")
+    return range(parameter, L, parameter) if key == "S" else range(L - parameter + 1, L)
+
+
 def verify_mscs(sset: SequenceSet, S: int) -> CorrelationReport:
     """Check sum of member AACFs vanishes at every nonzero multiple of S.
 
-    Negative shifts follow from conjugate symmetry, so only 0 < tau < L is
-    tested.  Failures are report content; nothing raises on a bad set.
+    Failures are report content; nothing raises on a bad set.
     """
-    L = sset.length
-    if not (1 <= S < L):
-        raise ValueError(f"S={S} must satisfy 1 <= S < L={L}")
-    return _verify(sset, range(S, L, S), "MSCS", S)
+    return _verify(sset, tested_shifts("MSCS", S, sset.length), "MSCS", S)
 
 
 def verify_gcs(sset: SequenceSet) -> CorrelationReport:
     """Check sum of member AACFs vanishes at every nonzero shift."""
-    L = sset.length
-    if L < 2:
-        raise ValueError("GCS verification needs length >= 2")
-    return _verify(sset, range(1, L), "GCS", None)
+    return _verify(sset, tested_shifts("GCS", None, sset.length), "GCS", None)
 
 
 def verify_type2_zcs(sset: SequenceSet, Z: int) -> CorrelationReport:
     """Check sum of member AACFs vanishes in the tail band L-Z < tau < L."""
-    L = sset.length
-    if not (1 <= Z < L):
-        raise ValueError(f"Z={Z} must satisfy 1 <= Z < L={L}")
-    return _verify(sset, range(L - Z + 1, L), "ZCS", Z)
+    return _verify(sset, tested_shifts("ZCS", Z, sset.length), "ZCS", Z)
 
 
 def _accf_float_error(n: int) -> float:
@@ -573,15 +582,13 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
     by at most n_a*e(n_b) + n_b*e(n_a) plus 3u*n_a*n_b for the product and
     u*n_a*n_b for adding it.
     """
-    if a.modulus != b.modulus:
-        raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
+    composed = kronecker_compose(a, b)
     L1, L2 = len(a), len(b)
     total = L1 * L2
     if not (-total < tau < total):
         raise ValueError(f"shift {tau} out of range for composed length {total}")
     q, r = divmod(tau, L2)
     pairs = [(s, t) for s, t in ((q, r), (q + 1, r - L2)) if abs(s) < L1 and abs(t) < L2]
-    composed = kronecker_compose(a, b)
 
     lhs_f = accf_float(composed, composed, tau)
     rhs_f = sum(accf_float(a, a, s) * accf_float(b, b, t) for s, t in pairs)

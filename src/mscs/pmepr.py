@@ -171,19 +171,17 @@ def iapr_error_bound(length: int, oversampling: int) -> float:
     return L * (2 * eta + eta * eta + 3 * u)
 
 
-def _complex_envelope(x, oversampling: int) -> np.ndarray:
-    """Envelope samples of a phase sequence or a complex carrier vector, in grid order."""
+def envelope(x, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
+    """Complex envelope P(u_j) at u_j = j/(N_os*L), j = 0..N_os*L-1, in grid order.
+
+    ``x`` is a phase sequence or a complex carrier such as a :func:`modulated_family` member.
+    """
     L = len(x)
     rows = _residue_rows(x, oversampling)
     env = np.empty(rows.size, dtype=complex)
     # grid point j = q*N_os + r is entry (q, r) of the (L, N_os) view
     np.multiply(rows.T, L, out=env.reshape(L, oversampling))
     return env
-
-
-def envelope(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:
-    """Complex envelope P_x(u_j) of a phase sequence at u_j = j/(N_os*L), j = 0..N_os*L-1."""
-    return _complex_envelope(x, oversampling)
 
 
 def iapr_curve(x: PhaseSequence, oversampling: int = DEFAULT_OVERSAMPLING) -> np.ndarray:

@@ -91,9 +91,6 @@ class MixedDomain:
             n *= p**m
         return n
 
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def variables(self) -> tuple[VarId, ...]:
         """All digit variables (block, position) in flat significance order."""
         out = []
@@ -105,15 +102,6 @@ class MixedDomain:
         """Alphabet size of one digit variable."""
         self._check_var(var)
         return self.blocks[var[0] - 1][0]
-
-    def stride(self, var: VarId) -> int:
-        """Weight of one digit variable in the flat index."""
-        self._check_var(var)
-        a, b = var
-        w = 1
-        for p, m in self.blocks[: a - 1]:
-            w *= p**m
-        return w * self.blocks[a - 1][0] ** (b - 1)
 
     def _check_var(self, var: VarId) -> None:
         a, b = var
@@ -268,18 +256,6 @@ class MultivariableFunction:
         object.__setattr__(self, "terms", tuple(norm_terms))
         object.__setattr__(self, "constant", int(constant) % modulus)
         object.__setattr__(self, "tabulated", tuple(norm_tab))
-
-    def __add__(self, other: "MultivariableFunction") -> "MultivariableFunction":
-        """Pointwise mod-lambda sum, formed by merging term lists."""
-        if self.domain != other.domain or self.modulus != other.modulus:
-            raise ValueError("can only add functions on the same domain and modulus")
-        return MultivariableFunction(
-            self.domain,
-            self.modulus,
-            self.terms + other.terms,
-            self.constant + other.constant,
-            self.tabulated + other.tabulated,
-        )
 
 
 def evaluate(f: MultivariableFunction, idx: MixedRadixIndex) -> int:

@@ -479,8 +479,11 @@ def test_generate_rejects_malformed_params(tmp_path, capsys, params):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_non_finite_json_constants_are_refused(tmp_path, capsys, constant):
+    # json.loads reads a number literal beyond the doubles as an infinite float
+    overflow = constant[-1].isdigit()
+    reason = "is outside the range of a double" if overflow else "is not a JSON number"
     doc = tmp_path / "set.json"
     payload = {**_FUZZ_BASE, "provenance": {"note": 0}}
     doc.write_text(json.dumps(payload).replace('"note": 0', f'"note": {constant}'))
@@ -491,7 +494,7 @@ def test_non_finite_json_constants_are_refused(tmp_path, capsys, constant):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {constant} is not a JSON number\n"
+        assert captured.err == f"error: {constant} {reason}\n"
     assert not out.exists()
 
 

@@ -55,6 +55,8 @@ def test_cyclotomic_polynomial_known_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    with pytest.raises(ValueError, match="cyclotomic index 0 must be >= 1"):
+        cyclotomic_polynomial(0)
 
 
 @functools.cache

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 
 import numpy as np
@@ -100,6 +101,30 @@ def test_iapr_curve_matches_the_zero_padded_transform_within_the_rounding_bound(
         j, i = np.arange(n)[:, None], np.arange(L)
         direct = np.abs(np.exp(2j * np.pi * (j * i % n) / n) @ c) ** 2 / L
         assert np.max(np.abs(curve - direct)) <= bound + 3 * L * (L + 24) * 2.0**-53
+
+
+@pytest.mark.parametrize("L, oversampling", [(53, 64), (106, 16), (1009, 2)])
+def test_iapr_curve_within_the_bluestein_bound(L, oversampling):
+    # L >= 50 with a prime factor above sqrt(L) may be planned by Bluestein's
+    # algorithm, and the bound then carries its eps_L, far above the sum over
+    # L's prime factors that the smooth plans get
+    u = 2.0**-53
+    bound = iapr_error_bound(L, oversampling)
+    assert bound >= 2 * L * (2 * L - 1) * (24 * math.log2(4 * L) + 6) * u
+    lam, n = 30, L * oversampling
+    x = PhaseSequence(lam, np.random.default_rng(L).integers(0, lam, L))
+    curve = iapr_curve(x, oversampling)
+    # the exact envelope in long doubles: the angle of term i at grid point j
+    # is 2*pi*(x_i/lambda + i*j/n), reduced to an integer numerator of lambda*n
+    i = np.arange(L)
+    turn = 2 * np.arccos(np.longdouble(-1)) / (lam * n)
+    error = 0.0
+    for start in range(0, n, 256):
+        j = np.arange(start, min(start + 256, n))[:, None]
+        theta = ((x.values * n + lam * (i * j % n)) % (lam * n)) * turn
+        exact = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / L
+        error = max(error, float(np.max(np.abs(curve[j[:, 0]] - exact))))
+    assert error <= bound
 
 
 def test_pmepr_constant_sequence():
@@ -271,7 +296,7 @@ def test_energy_identity_needs_no_envelope(monkeypatch):
     # the package attribute mscs.pmepr is the function, so reach the module by name;
     # every envelope grid is computed by _residue_rows
     module = importlib.import_module("mscs.pmepr")
-    for name in ("_complex_envelope", "_residue_rows"):
+    for name in ("envelope", "_residue_rows"):
         monkeypatch.setattr(module, name, refuse)
     assert energy_identity_check(mscs_3_27_3(), 3, oversampling=8) < 1e-9
     assert energy_identity_check(mscs_3_54_2(), 2, oversampling=5) < 1e-9
@@ -379,7 +404,7 @@ def test_shared_twiddle_keeps_the_bits_of_a_per_member_twiddle(oversampling):
         reference = _envelope_with_own_twiddle(to_complex(x), oversampling)
         assert np.array_equal(envelope(x, oversampling), reference)
     for c in modulated_family(mscs_3_27_3().sequences[0], 3):
-        assert np.array_equal(module._complex_envelope(c, oversampling),
+        assert np.array_equal(envelope(c, oversampling),
                               _envelope_with_own_twiddle(c, oversampling))
     sset = single_prime_mscs(PrimeBlock(p=3, m=3, s=2), 6)
     report = pmepr_set(sset, 3, oversampling)
