@@ -19,7 +19,6 @@ from .correlation import (
     CorrelationReport,
     aacf_set_sum,
     accf_exact,
-    accf_float,
     cyclotomic_polynomial,
     is_zero,
     kronecker_accf_identity_check,
@@ -64,7 +63,6 @@ __all__ = [
     "CorrelationReport",
     "aacf_set_sum",
     "accf_exact",
-    "accf_float",
     "cyclotomic_polynomial",
     "is_zero",
     "kronecker_accf_identity_check",

@@ -114,11 +114,11 @@ class SetDocument:
 
     Every document rule is checked here, in order: ``modulus`` (lambda) is
     an int in [2, 2^63 - 1], ``claim`` is well formed and ``provenance`` a
-    dict (a copy of each is kept), and ``sequences`` is a read-only (M, L)
-    int64 matrix of phases in [0, lambda), row i member i's phases, with L
-    at most ``MAX_LENGTH``.  The writer writes ``SCHEMA_VERSION``, the only
-    schema the reader accepts.  Documents are equal when every field and
-    the matrices are.
+    dict that strict JSON can carry (a copy of each is kept), and
+    ``sequences`` is a read-only (M, L) int64 matrix of phases in
+    [0, lambda), row i member i's phases, with L at most ``MAX_LENGTH``.
+    The writer writes ``SCHEMA_VERSION``, the only schema the reader
+    accepts.  Documents are equal when every field and the matrices are.
     """
 
     modulus: int
@@ -136,6 +136,11 @@ class SetDocument:
         object.__setattr__(self, "claim", _check_claim(self.claim))
         if not isinstance(self.provenance, dict):
             raise ValueError("provenance must be an object")
+        try:
+            # the writer's key order; strict JSON has no NaN or Infinity
+            json.dumps(self.provenance, allow_nan=False, sort_keys=True)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"provenance is not JSON: {exc}") from None
         object.__setattr__(self, "provenance", dict(self.provenance))
         check_phases(self.sequences, self.modulus)
         check_length([(self.length, 1)])

@@ -48,8 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constructions import kronecker_compose
-from .seqcore import (PhaseSequence, SequenceSet, _prime_factors, _roots_of_unity, to_complex,
-                      unit_lift)
+from .seqcore import PhaseSequence, SequenceSet, _prime_factors, _roots_of_unity, unit_lift
 
 EXACT_MODULUS_CAP = 1000
 
@@ -145,15 +144,6 @@ def accf_exact(a: PhaseSequence, b: PhaseSequence, tau: int) -> np.ndarray:
     counts = np.bincount(diffs, minlength=lam).astype(np.int64, copy=False)
     counts.flags.writeable = False
     return counts
-
-
-def accf_float(a: PhaseSequence, b: PhaseSequence, tau: int) -> complex:
-    """Aperiodic cross-correlation evaluated directly in complex doubles."""
-    L = _check_pair(a, b, tau)
-    ca, cb = to_complex(a), to_complex(b)
-    if tau >= 0:
-        return complex(np.dot(ca[: L - tau], np.conj(cb[tau:])))
-    return complex(np.dot(ca[-tau:], np.conj(cb[: L + tau])))
 
 
 def aacf_set_sum(sset: SequenceSet, tau: int) -> np.ndarray:
@@ -550,20 +540,6 @@ def verify_type2_zcs(sset: SequenceSet, Z: int) -> CorrelationReport:
     return _verify(sset, tested_shifts("ZCS", Z, sset.length), "ZCS", Z)
 
 
-def _accf_float_error(n: int) -> float:
-    """First-order bound on |computed - exact| of an :func:`accf_float` sum of n terms.
-
-    Each factor is a unit root within 24u of its exact value (u = 2^-53),
-    so a term is within 48u of its exact product before it is formed, and
-    the complex product rounds by at most sqrt(2)*gamma_2 < 3u (Higham,
-    Accuracy and Stability of Numerical Algorithms, Lemma 3.5).  A complex
-    addition rounds by at most u times its result, so n terms summed in any
-    order err by at most (n - 1)u times the sum of their moduli, at most n.
-    Together n*(n + 50)*u.
-    """
-    return _UNIT_ROUNDOFF * n * (n + 50)
-
-
 def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) -> bool:
     """Check the correlation split of a Kronecker product against direct computation.
 
@@ -574,13 +550,21 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
 
     where a term with a shift out of range is zero and is left out (the
     second term whenever r = 0).  Floor division extends the split to negative
-    shifts unchanged.  The identity is checked exactly on count vectors,
-    each product a cyclic convolution (:func:`_cyclic_product`), and in
-    floats within the first-order rounding error of both sides; both must
-    hold.  A product of sums of n_a and n_b terms, each within
-    e(n) = :func:`_accf_float_error` of its value of modulus at most n, errs
-    by at most n_a*e(n_b) + n_b*e(n_a) plus 3u*n_a*n_b for the product and
-    u*n_a*n_b for adding it.
+    shifts unchanged.  The mode is :func:`_verify`'s: up to
+    ``EXACT_MODULUS_CAP`` the identity is checked exactly on count vectors,
+    each product a cyclic convolution (:func:`_cyclic_product`).  Above it
+    every correlation is the float autocorrelation of one sequence at one
+    shift |t| from :func:`_lift_sums` (rho(-t) is the conjugate of
+    rho(t)), and the two sides must agree within a slack.
+
+    Write E(L) = ``_embedding_bound(1, L)`` and u = 2^-53.  The left side
+    is within E(L1*L2) of its value.  A term's factors A and B, of moduli
+    at most n_a = L1 - |s| and n_b = L2 - |t|, are within e_a = E(L1) and
+    e_b = E(L2) of theirs, so the product of the computed factors is within
+    e_a*n_b + n_a*e_b + e_a*e_b of AB.  Rounding that complex product adds
+    at most 3u times its modulus, itself at most (n_a + e_a)(n_b + e_b)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.5),
+    and adding the terms at most u times the sum of those moduli.
     """
     composed = kronecker_compose(a, b)
     L1, L2 = len(a), len(b)
@@ -590,18 +574,21 @@ def kronecker_accf_identity_check(a: PhaseSequence, b: PhaseSequence, tau: int) 
     q, r = divmod(tau, L2)
     pairs = [(s, t) for s, t in ((q, r), (q + 1, r - L2)) if abs(s) < L1 and abs(t) < L2]
 
-    lhs_f = accf_float(composed, composed, tau)
-    rhs_f = sum(accf_float(a, a, s) * accf_float(b, b, t) for s, t in pairs)
-    slack = _accf_float_error(total - abs(tau))
+    if a.modulus <= EXACT_MODULUS_CAP:
+        rhs = sum((_cyclic_product(accf_exact(a, a, s), accf_exact(b, b, t)) for s, t in pairs),
+                  np.zeros(a.modulus, dtype=np.int64))
+        return is_zero(accf_exact(composed, composed, tau) - rhs)
+
+    def rho(x: PhaseSequence, t: int) -> complex:
+        value = _lift_sums(SequenceSet([x]), (1,), [abs(t)])[0, 0]
+        return value if t >= 0 else value.conjugate()
+
+    lhs = rho(composed, tau)
+    rhs = sum(rho(a, s) * rho(b, t) for s, t in pairs)
+    e_a, e_b = _embedding_bound(1, L1), _embedding_bound(1, L2)
+    slack = _embedding_bound(1, total)
     for s, t in pairs:
         na, nb = L1 - abs(s), L2 - abs(t)
-        slack += (na * _accf_float_error(nb) + nb * _accf_float_error(na)
-                  + 4 * _UNIT_ROUNDOFF * na * nb)
-    float_ok = abs(lhs_f - rhs_f) <= slack
-
-    if a.modulus > EXACT_MODULUS_CAP:
-        return float_ok
-
-    rhs = sum((_cyclic_product(accf_exact(a, a, s), accf_exact(b, b, t)) for s, t in pairs),
-              np.zeros(a.modulus, dtype=np.int64))
-    return float_ok and is_zero(accf_exact(composed, composed, tau) - rhs)
+        slack += (e_a * nb + na * e_b + e_a * e_b
+                  + 4 * _UNIT_ROUNDOFF * (na + e_a) * (nb + e_b))
+    return bool(abs(lhs - rhs) <= slack)

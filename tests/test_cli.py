@@ -1269,8 +1269,8 @@ def test_pmepr_single_carrier_external(tmp_path, capsys, monkeypatch):
      lambda sset: mscs.correlation.verify_type2_zcs(sset, 3)),
 ], ids=["GCS-L1", "ZCS-Z-at-L"])
 def test_verifier_refusals_match_the_cli(tmp_path, capsys, doc, check):
-    # the CLI refuses these claims before any verifier runs; the verifiers'
-    # own checks, which only library callers reach, raise the same text
+    # the CLI prints the verifier's own refusal, before any transform: a
+    # library caller of the verifier gets the same text
     path = str(tmp_path / "doc.json")
     write_document(doc, path)
     assert main(["verify", path]) == 2
@@ -1609,6 +1609,24 @@ def test_pmepr_iapr_export_cap_is_inclusive(tmp_path, capsys, monkeypatch):
     assert not csv.exists()
     # without the export only the grid is capped
     assert main(["pmepr", path, "--n-os", "4"]) == 0
+
+
+@pytest.mark.parametrize("provenance, reason", [
+    ({"note": float("inf")}, "Out of range float values are not JSON compliant"),
+    ({"obj": object()}, "Object of type object is not JSON serializable"),
+], ids=["infinity", "object"])
+def test_set_document_refuses_a_provenance_strict_json_cannot_carry(tmp_path, provenance,
+                                                                    reason):
+    # refused when built, so the writer never opens the file it would have
+    # left unreadable (Infinity) or truncated (a TypeError mid-write)
+    path = tmp_path / "set.json"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError) as built:
+        write_document(SetDocument(6, {"kind": "GCS"}, provenance, _matrix([[0, 1], [2, 3]])),
+                       str(path))
+    assert str(built.value).startswith(f"provenance is not JSON: {reason}")
+    assert "\n" not in str(built.value)
+    assert path.read_bytes() == b"kept"
 
 
 def test_set_document_applies_the_length_cap(tmp_path):

@@ -26,7 +26,6 @@ from mscs.correlation import (
     _poly_divmod,
     aacf_set_sum,
     accf_exact,
-    accf_float,
     cyclotomic_polynomial,
     is_zero,
     kronecker_accf_identity_check,
@@ -239,23 +238,6 @@ def test_accf_exact_matches_naive_sum(seed):
     tau = rng.randint(-L + 1, L - 1)
     want = naive_rho(lift(a), lift(b), tau)
     assert abs(_value(accf_exact(a, b, tau)) - want) < 1e-9
-    assert abs(accf_float(a, b, tau) - want) < 1e-9
-
-
-def test_accf_float_agrees_with_exact_long():
-    rng = random.Random(23)
-    lam = 10
-    a = PhaseSequence(lam, [rng.randrange(lam) for _ in range(1000)])
-    for tau in (0, 1, 7, 500, -999):
-        assert abs(accf_float(a, a, tau) - _value(accf_exact(a, a, tau))) < 1e-9
-
-
-def test_accf_float_complementary_pair():
-    a = PhaseSequence(2, [0, 0, 0, 1])
-    b = PhaseSequence(2, [0, 0, 1, 0])
-    for tau in (1, 2, 3):
-        total = accf_float(a, a, tau) + accf_float(b, b, tau)
-        assert abs(total) < 1e-12
 
 
 def test_aacf_set_sum_zero_shift():
@@ -539,7 +521,7 @@ def test_kronecker_identity_trivial_shift():
     b = PhaseSequence(6, [rng.randrange(6) for _ in range(5)])
     assert kronecker_accf_identity_check(a, b, 0)
     composed = kronecker_compose(a, b)
-    assert abs(accf_float(composed, composed, 0) - 20) < 1e-9
+    assert accf_exact(composed, composed, 0).tolist() == [20, 0, 0, 0, 0, 0]
 
 
 def test_kronecker_identity_multiples_of_inner_length():
@@ -562,40 +544,26 @@ def test_kronecker_identity_exhaustive_small():
 
 
 def test_kronecker_identity_holds_at_large_sizes():
-    # composed length 10^6: the float sides differ by about 1e-9, above the
-    # fixed 1e-9 tolerance this check once used, far inside their error bound
+    # composed length 10^6, below the cap: the exact check alone decides
     rng = random.Random(1)
     a = PhaseSequence(6, [rng.randrange(6) for _ in range(1000)])
     b = PhaseSequence(6, [rng.randrange(6) for _ in range(1000)])
     assert kronecker_accf_identity_check(a, b, 2)
 
 
-def test_kronecker_identity_float_half_catches_a_perturbation(monkeypatch):
-    # factors of 2..4 entries: the composed sequence, of at most 16, is longer
-    # than either, and only its correlation is moved by 1e-6
-    rng = random.Random(34)
-    cases = []
-    for _ in range(10):
-        lam = rng.randint(2, 12)
-        a = PhaseSequence(lam, [rng.randrange(lam) for _ in range(rng.randint(2, 4))])
-        b = PhaseSequence(lam, [rng.randrange(lam) for _ in range(rng.randint(2, 4))])
-        cases += [(a, b, tau) for tau in range(1 - len(a) * len(b), len(a) * len(b))]
-    assert all(kronecker_accf_identity_check(a, b, tau) for a, b, tau in cases)
-    inner, composed = correlation.accf_float, {}
-
-    def perturbed(x, y, tau):
-        return inner(x, y, tau) + (1e-6 if len(x) == composed["length"] else 0)
-
-    monkeypatch.setattr(correlation, "accf_float", perturbed)
-    for a, b, tau in cases:
-        composed["length"] = len(a) * len(b)
-        assert not kronecker_accf_identity_check(a, b, tau)
+def test_kronecker_identity_float_holds_at_large_sizes():
+    # composed length 10^6 above the cap: the float sides differ by about
+    # 1.6e-11, inside their slack of about 1.3e-7
+    rng = random.Random(1)
+    a = PhaseSequence(1009, [rng.randrange(1009) for _ in range(1000)])
+    b = PhaseSequence(1009, [rng.randrange(1009) for _ in range(1000)])
+    assert kronecker_accf_identity_check(a, b, 2)
 
 
 def test_kronecker_identity_exact_half_catches_a_moved_count(monkeypatch):
     # one count of the composed sequence's correlation moves to the next
-    # exponent, its total kept: w^j - w^(j+1) != 0, so the exact half alone
-    # refuses it while accf_float, untouched, still agrees
+    # exponent, its total kept: w^j - w^(j+1) != 0, which the exact check,
+    # the only one below the cap, refuses
     rng = random.Random(36)
     cases = []
     for _ in range(10):
@@ -623,8 +591,8 @@ def test_kronecker_identity_exact_half_catches_a_moved_count(monkeypatch):
 
 
 def test_kronecker_identity_float_only_above_the_cap(monkeypatch):
-    # lambda = 1009 is above the cap: the float half alone decides, and the
-    # exact counter is never reached
+    # lambda = 1009 is above the cap: the float autocorrelations of _lift_sums
+    # decide, and the exact counter is never reached
     lam = 1009
     assert lam > EXACT_MODULUS_CAP
     rng = random.Random(35)
@@ -638,12 +606,12 @@ def test_kronecker_identity_float_only_above_the_cap(monkeypatch):
     monkeypatch.setattr(correlation, "accf_exact", refuse)
     taus = range(1 - total, total)
     assert all(kronecker_accf_identity_check(a, b, tau) for tau in taus)
-    inner = correlation.accf_float
+    inner = correlation._lift_sums
 
-    def perturbed(x, y, tau):
-        return inner(x, y, tau) + (1e-6 if len(x) == total else 0)
+    def perturbed(sset, ks, shifts):
+        return inner(sset, ks, shifts) + (1e-6 if sset.length == total else 0)
 
-    monkeypatch.setattr(correlation, "accf_float", perturbed)
+    monkeypatch.setattr(correlation, "_lift_sums", perturbed)
     assert not any(kronecker_accf_identity_check(a, b, tau) for tau in taus)
 
 
@@ -791,14 +759,18 @@ def _check_conjugates(sset, shifts):
     sum_j counts_j w^(kj), with the counts from :func:`aacf_set_sum`,
     evaluated in mpmath at 30 digits; the rule max_k |E'_k| <= B must give
     the :func:`is_zero` verdict of those counts.  There are phi(lambda)/2
-    embeddings (one for lambda = 2).  Returns the largest |E'_k - sigma_k|,
-    and the verdicts.
+    embeddings (one for lambda = 2); above the cap k = 1 alone, as
+    :func:`_verify` takes.  Returns the largest |E'_k - sigma_k|, and the
+    verdicts.
     """
     import mpmath
 
     lam = sset.modulus
-    ks = correlation._conjugate_ks(lam)
-    assert len(ks) == max(1, (len(cyclotomic_polynomial(lam)) - 1) // 2)
+    if lam <= EXACT_MODULUS_CAP:
+        ks = correlation._conjugate_ks(lam)
+        assert len(ks) == max(1, (len(cyclotomic_polynomial(lam)) - 1) // 2)
+    else:
+        ks = (1,)
     sums = correlation._lift_sums(sset, ks, shifts)
     counts = np.array([aacf_set_sum(sset, t) for t in shifts]).reshape(len(shifts), lam)
     bound = correlation._embedding_bound(len(sset), sset.length)
@@ -883,27 +855,51 @@ def _gcs30():
                              PrimeBlock(p=5, m=1)], 30)
 
 
-@pytest.mark.parametrize("case", ["3-27-3", "3-54-2", "gcs30", "gcs30-mscs", "gcs30-zcs",
-                                  "3-54-2-mscs", "random30-past-half"])
+def _one_member(lam):
+    return _random_set(random.Random(lam), lam, 1, 100)
+
+
+_RESIDUAL_CASES = {
+    # case: (set, shifts, zero shifts among them)
+    "3-27-3": lambda: (mscs_3_27_3(), range(27), 24),
+    "3-54-2": lambda: (mscs_3_54_2(), range(54), 52),
+    "gcs30": lambda: (_gcs30(), range(180), 179),
+    "gcs30-mscs": lambda: (_gcs30(), range(36, 180, 36), 4),
+    "gcs30-zcs": lambda: (_gcs30(), range(180 - 40, 180), 40),
+    "3-54-2-mscs": lambda: (mscs_3_54_2(), range(2, 54, 2), 26),
+    "random30-past-half": lambda: (_random_set(random.Random(30), 30, 4, 1000), [700, 910], 0),
+    "golay-2-4": lambda: (SequenceSet([PhaseSequence(2, [0, 0, 0, 1]),
+                                       PhaseSequence(2, [0, 0, 1, 0])]), range(4), 3),
+    "random10-long": lambda: (_random_set(random.Random(23), 10, 1, 1000),
+                              [0, 1, 7, 500, 999], 0),
+    # one member at one shift, as the Kronecker check asks: shift 0, a
+    # window (drop 40, g = 30) and a stride (g = 12); above the cap k = 1 only
+    "one6-shift0": lambda: (_one_member(6), [0], 0),
+    "one6-window": lambda: (_one_member(6), [70], 0),
+    "one6-stride": lambda: (_one_member(6), [12], 0),
+    "one30-shift0": lambda: (_one_member(30), [0], 0),
+    "one30-window": lambda: (_one_member(30), [70], 0),
+    "one30-stride": lambda: (_one_member(30), [12], 0),
+    "one1009-shift0": lambda: (_one_member(1009), [0], 0),
+    "one1009-window": lambda: (_one_member(1009), [70], 0),
+    "one1009-stride": lambda: (_one_member(1009), [12], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_RESIDUAL_CASES))
 def test_residual_within_bound(case):
     # every shift, then strided and windowed plans under the same bound
-    sset, shifts = {
-        "3-27-3": lambda: (mscs_3_27_3(), range(27)),
-        "3-54-2": lambda: (mscs_3_54_2(), range(54)),
-        "gcs30": lambda: (_gcs30(), range(180)),
-        "gcs30-mscs": lambda: (_gcs30(), range(36, 180, 36)),
-        "gcs30-zcs": lambda: (_gcs30(), range(180 - 40, 180)),
-        "3-54-2-mscs": lambda: (mscs_3_54_2(), range(2, 54, 2)),
-        "random30-past-half": lambda: (_random_set(random.Random(30), 30, 4, 1000), [700, 910]),
-    }[case]()
-    planned = case not in ("3-27-3", "3-54-2", "gcs30")
+    sset, shifts, zero_count = _RESIDUAL_CASES[case]()
+    planned = case not in ("3-27-3", "3-54-2", "gcs30", "golay-2-4", "random10-long",
+                           "one6-shift0", "one30-shift0", "one1009-shift0")
     assert (correlation._lag_plan(sset.length, shifts)[:2] != (0, 1)) == planned
     error, zeros = _check_conjugates(sset, shifts)
-    assert 0 < error <= correlation._embedding_bound(len(sset), sset.length) < 1e-6
+    assert error <= correlation._embedding_bound(len(sset), sset.length) < 1e-6
+    # some rounding shows, except perhaps at a lone shift 0, whose value L
+    # can come out exact
+    assert error > 0 or list(shifts) == [0]
     # sets with both zero and nonzero shifts, with zeros only and with nonzeros only
-    assert int(zeros.sum()) == {"3-27-3": 24, "3-54-2": 52, "gcs30": 179, "gcs30-mscs": 4,
-                                "gcs30-zcs": 40, "3-54-2-mscs": 26,
-                                "random30-past-half": 0}[case]
+    assert int(zeros.sum()) == zero_count
 
 
 def test_is_zero_batches_and_overflow_guard():
