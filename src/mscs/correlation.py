@@ -273,6 +273,49 @@ def _map_in_order(fn, items: Sequence, workers: int) -> Iterator:
             yield from pool.map(fn, range(workers), items[base:base + workers])
 
 
+# a grid of at most _ROW_CALL_ROWS rows of more than _BATCH_ROW_POINTS points
+# each takes one FFT call per row (see _transform_rows)
+_BATCH_ROW_POINTS = 2**18
+_ROW_CALL_ROWS = 4
+
+
+def _transform_rows(fft, grid: np.ndarray) -> np.ndarray:
+    """Transform a 2-d complex grid in place along its last axis by ``fft``; return it.
+
+    ``fft`` is ``np.fft.fft`` or ``np.fft.ifft``.  A grid of at most
+    ``_ROW_CALL_ROWS`` rows of more than ``_BATCH_ROW_POINTS`` points
+    takes one call per row, every other grid one batched call; pocketfft
+    gives a row the same bits either way.
+
+    pocketfft vectorises a batch over vlen rows (4 with 256-bit vectors)
+    through a scratch of vlen complex rows allocated once per call: 34 MB
+    for rows of 531441 points, above glibc's 32 MiB mmap ceiling, so each
+    call maps and faults it afresh.  A call on one row allocates two
+    row-sized buffers instead, which glibc maps afresh as well while its
+    mmap threshold is not above their size (in a process whose only long
+    transforms are such calls, every time).  So on a grid of vlen rows the
+    per-row calls fault at most twice as much as the batch and, on long
+    rows, compute faster.  On 4 rows they took 1.13x the batched time at
+    131072 points, 1.03x at 262144 and 0.77-0.92x from 354294 to 531441
+    (medians of 7); in fresh processes making one kind of call each,
+    0.88x at 486000 points, 0.92-0.93x at 531441 and 0.97x at 729000
+    (medians of 5, 2-CPU host), and :func:`mscs.pmepr.pmepr_set` of 6
+    members of L = 972000 at N_os = 4 took 0.86x.  On many rows the
+    batch's one scratch costs little per row while each per-row call maps
+    its own: in a fresh process a (64, 972000) envelope grid took 1.44x
+    the batched time, and ``mscs pmepr`` of a set near the length cap
+    1.17-1.22x.  Short rows keep the batch, 1.3-3x faster than per-row
+    calls at 64 rows of up to 19683 points.
+    """
+    rows, points = grid.shape
+    if points > _BATCH_ROW_POINTS and rows <= _ROW_CALL_ROWS:
+        for row in grid:
+            fft(row, out=row)
+    else:
+        fft(grid, out=grid)
+    return grid
+
+
 def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> np.ndarray:
     """Sum over members of the autocorrelation of w^(k*x) at each shift, one row per k.
 
@@ -290,11 +333,18 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
     complex grid points, and at least one.  A chunk is cut to its window
     once per embedding, its lifts are gathered in one operation from the
     per-k root table (straight into the grid when g = 1), and its blocks
-    are stacked into one 2-d (members*g, n) grid, transformed in place by
-    one FFT call.  Each row's transform is the one a grid of its own would
-    get.  The buffers are allocated once per call: the grid, whose
-    padding columns are zeroed before each fill (the gather overwrites the
-    rest), and a (members*g, n) square buffer.  The transformed grid is
+    are stacked into one 2-d (members*g, n) grid, transformed in place
+    (:func:`_transform_rows`): by one FFT call, or by one call per row when
+    the grid has at most 4 rows of more than 2^18 points.  A batch of such
+    rows makes pocketfft map and fault a scratch of vlen rows afresh on
+    every call (34 MB at 531441 points), and per-row calls took 0.77-0.97x
+    its time on 4 rows from 354294 to 729000 points (1.03x at 2^18); a
+    chunk of such rows is one member, so this is a plan with g <= 4, such
+    as an S = 4 MSCS near the length cap (4 rows of 486000 points).  Each
+    row's transform is the one a grid of its own would get.  The buffers
+    are allocated once per call: the grid, whose padding columns are
+    zeroed before each fill (the gather overwrites the rest), and a
+    (members*g, n) square buffer.  The transformed grid is
     squared in place, real and imaginary parts alike, and the two parts
     are added into the square buffer; each embedding's inverse runs in
     place in grid row 0.
@@ -348,7 +398,7 @@ def _lift_sums(sset: SequenceSet, ks: Sequence[int], shifts: Sequence[int]) -> n
                 blocks[:, :rem, cols] = lift[:, cols * g:]
             # freed before the transform runs
             del lift
-        np.fft.fft(rows, out=rows)
+        _transform_rows(np.fft.fft, rows)
         # real**2 + imag**2, each square rounded once, as |X|^2 of the bound
         parts = rows.view(float)
         np.square(parts, out=parts)

@@ -1020,6 +1020,59 @@ def test_small_sets_take_one_transform_call_per_chunk(monkeypatch):
     assert np.array_equal(chunked, sums)
 
 
+@pytest.mark.parametrize("rows", [3, 4, 5, 8])
+@pytest.mark.parametrize("n", [729, 1800, 4099])
+def test_pocketfft_gives_a_row_the_same_bits_batched_or_alone(rows, n):
+    # _transform_rows rests on this: a batch of rows, which pocketfft may
+    # vectorise over several rows at once, carries each row's bits of a
+    # call on that row alone; 4099 is prime, so it is planned by Bluestein
+    rng = np.random.default_rng(rows * n)
+    grid = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    for fft in (np.fft.fft, np.fft.ifft):
+        batched = fft(grid, out=grid.copy())
+        alone = grid.copy()
+        for row in alone:
+            fft(row, out=row)
+        assert np.array_equal(batched.view(np.uint64), alone.view(np.uint64)), fft.__name__
+
+
+@pytest.mark.parametrize("lam", [6, 30, 100003])
+def test_long_rows_keep_the_bits_of_one_batched_call(monkeypatch, lam):
+    # M = 3, L = 97: the stride plan of S = 4 is (0, 4, 49), the whole
+    # sequence (0, 1, 196); each is one chunk, so one call per embedding
+    rng = random.Random(6000 + lam)
+    sset = _random_set(rng, lam, 3, 97)
+    ks = correlation._conjugate_ks(lam) if lam <= correlation.EXACT_MODULUS_CAP else (1,)
+    for shifts, g, n in ((range(4, 97, 4), 4, 49), (range(1, 97), 1, 196)):
+        assert correlation._lag_plan(97, shifts) == (0, g, n)
+        batched, calls = _fft_calls(monkeypatch, sset, ks, shifts)
+        assert calls == [(3 * g, n)] * len(ks)
+        # with every grid under the rule, each row is a call of its own
+        monkeypatch.setattr(correlation, "_BATCH_ROW_POINTS", n - 1)
+        monkeypatch.setattr(correlation, "_ROW_CALL_ROWS", 3 * g)
+        sums, calls = _fft_calls(monkeypatch, sset, ks, shifts)
+        monkeypatch.undo()
+        assert calls == [(n,)] * (3 * g * len(ks))
+        assert np.array_equal(sums, batched)
+
+
+def test_few_long_rows_take_one_call_each(monkeypatch):
+    calls, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, **kw: calls.append(a.shape) or fft(a, **kw))
+    n = correlation._BATCH_ROW_POINTS + 1
+    for shape in ((64, 729), (4, n), (4, 729)):
+        grid = np.ones(shape, dtype=complex)
+        assert correlation._transform_rows(np.fft.fft, grid) is grid
+        assert np.all(grid[:, 0] == shape[1])
+    assert calls == [(64, 729)] + [(n,)] * 4 + [(4, 729)]
+    # past 4 rows long rows stay one batch: (64, 972000) would be 64 calls
+    calls.clear()
+    monkeypatch.setattr(correlation, "_BATCH_ROW_POINTS", 728)
+    for rows in (5, 4, 1):
+        correlation._transform_rows(np.fft.fft, np.ones((rows, 729), dtype=complex))
+    assert calls == [(5, 729)] + [(729,)] * 5
+
+
 def _out_of_place_sums(sset, ks, shifts):
     """The embedding sums with a fresh zero (g, n) block per member, transformed out of place."""
     L, lam = sset.length, sset.modulus

@@ -413,6 +413,53 @@ def test_shared_twiddle_keeps_the_bits_of_a_per_member_twiddle(oversampling):
     module._twiddle.cache_clear()
 
 
+def _ifft_calls(monkeypatch):
+    """Spy on np.fft.ifft: the list it appends each call's input shape to."""
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, **kw: calls.append(a.shape) or ifft(a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("oversampling", [1, 2, 3, 4, 5, 64])
+def test_residue_rows_taken_one_at_a_time_keep_the_bits(monkeypatch, oversampling):
+    correlation = importlib.import_module("mscs.correlation")
+    rng = np.random.default_rng(41)
+    members = [PhaseSequence(30, rng.integers(0, 30, 53)), mscs_3_27_3().sequences[0],
+               # 4099 is prime: its rows are planned by Bluestein
+               PhaseSequence(6, rng.integers(0, 6, 4099))]
+    try:
+        for x in members:
+            curve, env = iapr_curve(x, oversampling), envelope(x, oversampling)
+            calls = _ifft_calls(monkeypatch)
+            monkeypatch.setattr(correlation, "_BATCH_ROW_POINTS", len(x) - 1)
+            monkeypatch.setattr(correlation, "_ROW_CALL_ROWS", oversampling)
+            assert np.array_equal(iapr_curve(x, oversampling), curve)
+            assert np.array_equal(envelope(x, oversampling), env)
+            monkeypatch.undo()
+            assert calls == [(len(x),)] * (2 * oversampling)
+    finally:
+        importlib.import_module("mscs.pmepr")._twiddle.cache_clear()
+
+
+def test_long_residue_rows_take_one_ifft_call_each(monkeypatch):
+    rng = np.random.default_rng(43)
+    calls = _ifft_calls(monkeypatch)
+    try:
+        iapr_curve(PhaseSequence(3, rng.integers(0, 3, 729)), 64)
+        assert calls == [(64, 729)]
+        calls.clear()
+        # sparse-band's longest sequence at its oversampling; from 5 rows on
+        # the grid is one batch again
+        x = PhaseSequence(3, rng.integers(0, 3, 3**12))
+        iapr_curve(x, 4)
+        assert calls == [(3**12,)] * 4
+        calls.clear()
+        iapr_curve(x, 5)
+        assert calls == [(5, 3**12)]
+    finally:
+        importlib.import_module("mscs.pmepr")._twiddle.cache_clear()
+
+
 def test_pmepr_set_shares_one_twiddle_and_releases_it(monkeypatch):
     module = importlib.import_module("mscs.pmepr")
     real = module.iapr_curve

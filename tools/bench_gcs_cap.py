@@ -14,16 +14,21 @@ document by a fixed relative name, so equal digests mean equal output),
 the checkout's git revision
 and the git tree hash of its ``src`` directory as it was run,
 which equals ``git rev-parse REV:src`` of the revision that commits that
-code.  The CPU time leaves out time spent waiting for a processor, so on
-a shared host it is the steadier figure.
+code, and the sha256 of the report's float magnitudes (equal digests
+mean the same bits).  The CPU time leaves out time spent waiting for a
+processor, so on a shared host it is the steadier figure.
 
-    python tools/bench_gcs_cap.py [--repo CHECKOUT] [--cpus N] [--out FILE --label NAME]
+    python tools/bench_gcs_cap.py [--repo CHECKOUT] [--cpus N] [--mscs] [--out FILE --label NAME]
 
 ``--repo`` imports mscs from CHECKOUT/src (default: the checkout holding
 this script), so an older revision can be timed by the same script.
 ``--cpus N`` makes ``os.sched_getaffinity`` report N CPUs while the set is
 verified in process, so the verification takes at most N worker threads;
-the child process sees the CPUs this process may run on.  With
+the child process sees the CPUs this process may run on.  ``--mscs``
+builds the S = 4 variant instead, its 2^5 block drawn with s = 3: the
+(30, 972000, 4)-MSCS, whose stride plan transforms 4 rows of 486000
+points per member.  It times ``verify_mscs`` on it in process only; the
+record has no document or child fields.  With
 ``--out`` the record is also stored under ``runs[NAME]`` of the JSON file
 FILE, which is created if it does not exist.
 """
@@ -42,7 +47,9 @@ import tempfile
 from pathlib import Path
 from time import perf_counter, process_time
 
-BLOCKS = ((2, 5), (3, 5), (5, 3))
+# (p, m, s) of each block, and of the S = 4 variant
+GCS_BLOCKS = ((2, 5, 1), (3, 5, 1), (5, 3, 1))
+MSCS_BLOCKS = ((2, 5, 3), (3, 5, 1), (5, 3, 1))
 MODULUS = 30
 SEED = 1
 
@@ -96,15 +103,16 @@ def _src_tree(repo: Path) -> str:
         return _git(repo, "write-tree", "--prefix=src/", env=env)
 
 
-def measure(repo: Path, cpus: int | None = None) -> dict:
+def measure(repo: Path, cpus: int | None = None, mscs: bool = False) -> dict:
     sys.path.insert(0, str(repo / "src"))
+    import math
     import random
 
     import numpy as np
     from mscs import correlation
     from mscs.cli import document_from_set, write_document
     from mscs.constructions import multi_prime_mscs, random_block
-    from mscs.correlation import verify_gcs
+    from mscs.correlation import verify_gcs, verify_mscs
 
     # the largest worker count a transform map ran with; a revision without one runs one
     workers = [1]
@@ -118,19 +126,44 @@ def measure(repo: Path, cpus: int | None = None) -> dict:
 
     rng = random.Random(SEED)
     t0 = perf_counter()
-    sset = multi_prime_mscs([random_block(rng, p, m, 1, MODULUS) for p, m in BLOCKS], MODULUS)
+    blocks = MSCS_BLOCKS if mscs else GCS_BLOCKS
+    S = math.prod(p ** (s - 1) for p, _, s in blocks)
+    sset = multi_prime_mscs([random_block(rng, p, m, s, MODULUS) for p, m, s in blocks],
+                            MODULUS)
     t1 = perf_counter()
     build_rss = _peak_rss_mb()
     if cpus is not None:
         os.sched_getaffinity = lambda pid: set(range(cpus))
     try:
         c1 = process_time()
-        report = verify_gcs(sset)
+        report = verify_mscs(sset, S) if mscs else verify_gcs(sset)
         t2, c2 = perf_counter(), process_time()
     finally:
         os.sched_getaffinity = affinity
     verify_rss = _peak_rss_mb()
-    shape = {"M": len(sset), "L": sset.length, "lambda": sset.modulus}
+    record = {
+        "revision": _git(repo, "rev-parse", "HEAD"),
+        "uncommitted_changes": bool(_git(repo, "status", "--porcelain", "--untracked-files=no")),
+        "src_tree": _src_tree(repo),
+        "seed": SEED,
+        "set": {"M": len(sset), "L": sset.length, "lambda": sset.modulus, "S": S},
+        "verdict": "pass" if report.passed else "fail",
+        "mode": report.mode,
+        "shifts_checked": len(report.shifts),
+        "magnitudes_sha256": hashlib.sha256(report.magnitudes.tobytes()).hexdigest(),
+        "build_s": round(t1 - t0, 3),
+        "verify_s": round(t2 - t1, 3),
+        "verify_cpu_s": round(c2 - c1, 3),
+        "verify_cpus": cpus if cpus is not None else len(affinity(0)),
+        "verify_workers": max(workers),
+        "peak_rss_mb_after_build": round(build_rss, 1),
+        "peak_rss_mb": round(verify_rss, 1),
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    if mscs:
+        return record
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "gcs_cap.json"
         t3 = perf_counter()
@@ -149,24 +182,10 @@ def measure(repo: Path, cpus: int | None = None) -> dict:
         pmepr_s, pmepr_rss, pmepr_exit, pmepr_out = _run_child(
             [sys.executable, "-m", "mscs", "pmepr", path.name], scratch, env)
     return {
-        "revision": _git(repo, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git(repo, "status", "--porcelain", "--untracked-files=no")),
-        "src_tree": _src_tree(repo),
-        "seed": SEED,
-        "set": shape,
-        "verdict": "pass" if report.passed else "fail",
-        "mode": report.mode,
-        "shifts_checked": len(report.shifts),
-        "build_s": round(t1 - t0, 3),
-        "verify_s": round(t2 - t1, 3),
-        "verify_cpu_s": round(c2 - c1, 3),
-        "verify_cpus": cpus if cpus is not None else len(affinity(0)),
-        "verify_workers": max(workers),
+        **record,
         "write_s": round(t4 - t3, 3),
         "document_bytes": written,
         "document_sha256": digest.hexdigest(),
-        "peak_rss_mb_after_build": round(build_rss, 1),
-        "peak_rss_mb": round(verify_rss, 1),
         "peak_rss_mb_after_write": round(_peak_rss_mb(), 1),
         "cli_verify_s": round(cli_s, 3),
         "cli_verify_peak_rss_mb": round(cli_rss, 1),
@@ -176,9 +195,6 @@ def measure(repo: Path, cpus: int | None = None) -> dict:
         "cli_pmepr_peak_rss_mb": round(pmepr_rss, 1),
         "cli_pmepr_exit_code": pmepr_exit,
         "cli_pmepr_stdout_sha256": hashlib.sha256(pmepr_out).hexdigest(),
-        "cpus": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
     }
 
 
@@ -186,10 +202,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent)
     ap.add_argument("--cpus", type=int, help="CPUs the in-process verification may use")
+    ap.add_argument("--mscs", action="store_true",
+                    help="time verify_mscs of the S = 4 variant in process only")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--label", default="run")
     args = ap.parse_args()
-    record = measure(args.repo.resolve(), args.cpus)
+    record = measure(args.repo.resolve(), args.cpus, args.mscs)
     print(json.dumps(record, indent=2))
     if args.out is not None:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {
